@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .detector import (
@@ -21,8 +20,9 @@ from .detector import (
     run_pipeline,
 )
 from .fixedpoint import DEFAULT_PROFILE, SaturationStats
-from .histogram import dump_cells
-from .normalize import dump_blocks
+from .gradient import binned_field, gradient_field
+from .histogram import cell_histogram_grid, dump_cells
+from .normalize import block_feature_grid, dump_blocks
 from .oracle import compare_paths
 from .pnm import PnmError, load_image  # noqa: F401  (load_image is this module's API)
 from .stream import GeometryError, StreamProtocolError, VALID_PPC
@@ -56,26 +56,6 @@ USER_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings of one CLI invocation."""
-
-    command: str
-    image: str | None = None
-    model: str | None = None
-    ppc: int = 4
-    threshold: float = 0.0
-    iou: float = 0.5
-    out: str | None = None
-    dump: str | None = None
-    reps: int = 1
-    seed: int = 0
-    manifest: str | None = None
-    synthetic: int = 0
-    lam: float = 1e-4
-    epochs: int = 10
-
-
 def _load_any_model(path: str) -> SvmModel:
     """Accept either model format; float models are quantized on load."""
     if sniff_model_format(path) == FLOAT_MAGIC:
@@ -91,22 +71,22 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_detect(cfg: RunConfig) -> int:
-    frame = load_image(cfg.image)
-    model = _load_any_model(cfg.model)
-    dets = detect_frame(frame, model, ppc=cfg.ppc, threshold=cfg.threshold)
-    kept = nms(dets, iou_threshold=cfg.iou)
-    _write_out(detections_to_text(kept), cfg.out)
+def _cmd_detect(args: argparse.Namespace) -> int:
+    frame = load_image(args.image)
+    model = _load_any_model(args.model)
+    dets = detect_frame(frame, model, ppc=args.ppc, threshold=args.threshold)
+    kept = nms(dets, iou_threshold=args.iou)
+    _write_out(detections_to_text(kept), args.out)
     return 0
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    frame = load_image(cfg.image)
-    if sniff_model_format(cfg.model) != FLOAT_MAGIC:
+def _cmd_compare(args: argparse.Namespace) -> int:
+    frame = load_image(args.image)
+    if sniff_model_format(args.model) != FLOAT_MAGIC:
         raise ModelFormatError(
             "compare needs the float model (HOGSVMF1) so both paths share one source"
         )
-    weights, bias = load_float_model(cfg.model)
+    weights, bias = load_float_model(args.model)
     fm = FloatModel(weights=weights, bias=bias)
     qm = quantize_model(fm)
     # the quantized model carries the rescale; give the float path the same
@@ -116,39 +96,39 @@ def _cmd_compare(cfg: RunConfig) -> int:
         qm,
         weights * qm.scale_applied,
         bias * qm.scale_applied,
-        threshold=cfg.threshold,
+        threshold=args.threshold,
     )
-    _write_out(report.to_text(), cfg.out)
+    _write_out(report.to_text(), args.out)
     return 0
 
 
-def _cmd_train(cfg: RunConfig) -> int:
-    if cfg.manifest:
-        samples = load_manifest(cfg.manifest)
-    elif cfg.synthetic > 0:
-        frames, labels = make_synthetic_set(cfg.synthetic, seed=cfg.seed)
+def _cmd_train(args: argparse.Namespace) -> int:
+    if args.manifest:
+        samples = load_manifest(args.manifest)
+    elif args.synthetic > 0:
+        frames, labels = make_synthetic_set(args.synthetic, seed=args.seed)
         samples = samples_from_frames(frames, labels)
     else:
         raise TrainingError("train needs --manifest or --synthetic N")
-    fm = train(samples, lam=cfg.lam, epochs=cfg.epochs, seed=cfg.seed)
+    fm = train(samples, lam=args.lam, epochs=args.epochs, seed=args.seed)
     qm = quantize_model(fm)
-    if not cfg.out:
+    if not args.out:
         raise TrainingError("train needs --out to place the model files")
-    save_model(qm, cfg.out)
-    save_float_model(fm.weights, fm.bias, cfg.out + ".float")
+    save_model(qm, args.out)
+    save_float_model(fm.weights, fm.bias, args.out + ".float")
     correct = sum(1 for s in samples if (fm.score(s.features) > 0) == (s.label > 0))
     print(f"trained on {len(samples)} samples, training accuracy "
           f"{correct / len(samples):.4f}")
     print(f"quantized scale {qm.scale_applied!r}, "
           f"max weight quantization error {qm.max_weight_quant_error!r}")
-    print(f"wrote {cfg.out} and {cfg.out}.float")
+    print(f"wrote {args.out} and {args.out}.float")
     return 0
 
 
-def _cmd_bench(cfg: RunConfig) -> int:
-    frame = load_image(cfg.image)
-    model = _load_any_model(cfg.model)
-    reps = max(cfg.reps, 1)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    frame = load_image(args.image)
+    model = _load_any_model(args.model)
+    reps = max(args.reps, 1)
     stage_totals: dict[str, float] = {}
     seconds = []
     detections = 0
@@ -157,7 +137,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
         stats = SaturationStats()
         t0 = time.perf_counter()
         run = run_pipeline(frame, model, DEFAULT_PROFILE, stats)
-        dets = nms(detections_from_scores(run.score_map, cfg.threshold), cfg.iou)
+        dets = nms(detections_from_scores(run.score_map, args.threshold), args.iou)
         t1 = time.perf_counter()
         seconds.append(t1 - t0)
         detections = len(dets)
@@ -167,7 +147,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
     mean_s = sum(seconds) / reps
     mpix = frame.width * frame.height / 1e6
     lines = [
-        f"image {cfg.image}",
+        f"image {args.image}",
         f"width {frame.width}",
         f"height {frame.height}",
         f"reps {reps}",
@@ -179,27 +159,20 @@ def _cmd_bench(cfg: RunConfig) -> int:
     ]
     for k, v in stage_totals.items():
         lines.append(f"stage_seconds {k} {v / reps:.6f}")
-    _write_out("\n".join(lines) + "\n", cfg.out)
+    _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_dump(cfg: RunConfig) -> int:
-    frame = load_image(cfg.image)
-    if not cfg.out:
+def _cmd_dump(args: argparse.Namespace) -> int:
+    frame = load_image(args.image)
+    if not args.out:
         raise GeometryError("dump needs --out for the binary blob")
-    from .gradient import gradient_field, magnitude_field, orient_field
-    from .histogram import cell_histogram_grid
-    from .normalize import block_feature_grid
-
-    gx, gy = gradient_field(frame.pixels)
-    mag = magnitude_field(gx, gy)
-    lo, hi = orient_field(gx, gy)
-    hist = cell_histogram_grid(mag, lo, hi)
-    if cfg.dump == "cells":
+    hist = cell_histogram_grid(*binned_field(*gradient_field(frame.pixels)))
+    if args.dump == "cells":
         blob = dump_cells(hist)
     else:
         blob = dump_blocks(block_feature_grid(hist))
-    Path(cfg.out).write_bytes(blob)
+    Path(args.out).write_bytes(blob)
     return 0
 
 
@@ -239,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="timing run on one frame")
     add_common(sp, model=True)
-    sp.add_argument("--ppc", type=int, default=4, choices=VALID_PPC)
     sp.add_argument("--threshold", type=float, default=0.0)
     sp.add_argument("--iou", type=float, default=0.5)
     sp.add_argument("--reps", type=int, default=1)
@@ -253,22 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        image=getattr(args, "image", None),
-        model=getattr(args, "model", None),
-        ppc=getattr(args, "ppc", 4),
-        threshold=getattr(args, "threshold", 0.0),
-        iou=getattr(args, "iou", 0.5),
-        out=getattr(args, "out", None),
-        dump=getattr(args, "dump", None),
-        reps=getattr(args, "reps", 1),
-        seed=getattr(args, "seed", 0),
-        manifest=getattr(args, "manifest", None),
-        synthetic=getattr(args, "synthetic", 0),
-        lam=getattr(args, "lam", 1e-4),
-        epochs=getattr(args, "epochs", 10),
-    )
     handlers = {
         "detect": _cmd_detect,
         "compare": _cmd_compare,
@@ -277,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         "dump": _cmd_dump,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats, fx_quantize
-from .gradient import gradient_field, magnitude_field, orient_field
+from .gradient import binned_field, gradient_field
 from .histogram import cell_histogram_grid
 from .normalize import block_feature_grid
 from .stream import CELL, Frame, GeometryError, VALID_PPC
@@ -70,8 +70,7 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     gx, gy = gradient_field(frame.pixels)
-    mag = magnitude_field(gx, gy, profile.gradient_magnitude, stats)
-    lo, hi = orient_field(gx, gy)
+    mag, lo, hi = binned_field(gx, gy, profile.gradient_magnitude, stats)
     t1 = time.perf_counter()
     times["gradient"] = t1 - t0
 

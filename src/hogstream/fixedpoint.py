@@ -270,6 +270,20 @@ class PrecisionProfile:
     svm_bias: FxFormat = field(default=FxFormat(33, 19))
     svm_prediction: FxFormat = field(default=FxFormat(33, 19))
 
+    def __post_init__(self) -> None:
+        # the shift-add magnitude is exact at 3 fractional bits and is encoded
+        # without rescaling; the histogram widens each halved magnitude into
+        # its own fraction with a left shift, which must not be negative
+        if self.gradient_magnitude.fraction != 3:
+            raise ValueError(
+                f"gradient_magnitude {self.gradient_magnitude} must have 3 fractional bits"
+            )
+        if self.histogram_value.fraction < self.gradient_magnitude.fraction:
+            raise ValueError(
+                f"histogram_value {self.histogram_value} has fewer fractional bits "
+                f"than gradient_magnitude {self.gradient_magnitude}"
+            )
+
     def stages(self) -> dict[str, FxFormat]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -12,10 +12,16 @@ Orientation is never computed as an angle. The unsigned orientation in
 comparing gy against gx * tan(boundary) with integer constants. Bin centers
 sit at 10 + 20k degrees (k = 0..8); the pair for theta in [c_k, c_{k+1}) is
 (k, k+1), wrapping to (8, 0) below 10 and at or above 170 degrees.
+
+The scalar ops magnitude_approx_raw and orient_bin_pair are the only
+definition of this arithmetic. The whole-frame path (binned_field) gathers
+from a table of both over every gradient of 8-bit pixels, [-255, 255]^2,
+built from those functions on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -26,6 +32,8 @@ from .fixedpoint import DEFAULT_PROFILE, Fx, FxFormat, SaturationStats, saturate
 from .stream import ContextPacket
 
 N_BINS = 9
+# |gx|, |gy| bound of central differences over 8-bit pixels
+GRADIENT_MAX = 255
 BIN_STEP_DEG = 20.0
 FIRST_CENTER_DEG = 10.0
 
@@ -144,7 +152,7 @@ def binned_stream(
 
 
 # ---------------------------------------------------------------------------
-# whole-frame array path (bit-identical to the scalar ops; tests assert it)
+# whole-frame array path, gathered from a table of the scalar ops above
 
 
 def gradient_field(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,37 +163,47 @@ def gradient_field(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def magnitude_field(
+@functools.cache
+def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
+    """magnitude_approx_raw and the bin_lo of orient_bin_pair at every gradient.
+
+    Flat views of two (2G+1, 2G+1) tables indexed [gx + G, gy + G], G =
+    GRADIENT_MAX. Only the gx >= 0 rows are evaluated; both ops are invariant
+    under (gx, gy) -> (-gx, -gy), so the gx < 0 rows are their mirror image.
+    The magnitude also reads only |gy|, so its gy < 0 half is mirrored too.
+    """
+    g = GRADIENT_MAX
+    mag = np.empty((2 * g + 1, 2 * g + 1), dtype=np.int32)
+    lo = np.empty((2 * g + 1, 2 * g + 1), dtype=np.uint8)
+    for gx in range(g + 1):
+        mag[g + gx, g:] = [magnitude_approx_raw(gx, gy) for gy in range(g + 1)]
+        lo[g + gx] = [orient_bin_pair(gx, gy)[0] for gy in range(-g, g + 1)]
+    mag[g:, :g] = mag[g:, :g:-1]
+    for t in (mag, lo):
+        t[:g] = t[:g:-1, ::-1]
+        t.flags.writeable = False   # shared by every caller through the cache
+    return mag.ravel(), lo.ravel()
+
+
+def binned_field(
     gx: np.ndarray,
     gy: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
-) -> np.ndarray:
-    """Array form of magnitude_approx; returns saturated raw values (int32)."""
-    a = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int32)
-    b = np.minimum(np.abs(gx), np.abs(gy)).astype(np.int32)
-    ra = a << 3
-    raw = np.maximum(ra - (ra >> 3) + ((b << 3) >> 1), ra)
-    return saturate_array(raw, fmt, stats, "magnitude").astype(np.int32)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of binned_stream: (saturated magnitude raws int32, bin_lo, bin_hi uint8).
 
-
-def orient_field(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of orient_bin_pair; returns (bin_lo, bin_hi) as uint8."""
-    gx = gx.astype(np.int64)
-    gy = gy.astype(np.int64)
-    flip = (gy < 0) | ((gy == 0) & (gx < 0))
-    sx = np.where(flip, -gx, gx)
-    sy = np.where(flip, -gy, gy)
-    lhs = sy << TAN_FRACTION_BITS
-    mag_x = np.abs(sx)
-    hits = np.zeros(gx.shape, dtype=np.int64)
-    for t in TAN_BOUNDARIES:
-        hits += lhs > mag_x * t
-    q1 = np.array([p[0] for p in _Q1_PAIRS], dtype=np.uint8)
-    q2 = np.array([p[0] for p in _Q2_PAIRS], dtype=np.uint8)
-    lo = np.where(sx > 0, q1[hits], q2[hits]).astype(np.uint8)
-    lo = np.where((sx == 0) & (sy > 0), 4, lo).astype(np.uint8)   # theta = 90
-    lo = np.where(sy == 0, 8, lo).astype(np.uint8)                # theta = 0
-    lo = np.where((gx == 0) & (gy == 0), 0, lo).astype(np.uint8)  # zero gradient
-    hi = ((lo + 1) % N_BINS).astype(np.uint8)
-    return lo, hi
+    Every pixel is one lookup in _pixel_table, so magnitude_approx_raw and
+    orient_bin_pair stay the only definition of the arithmetic. Gradients
+    outside [-GRADIENT_MAX, GRADIENT_MAX] have no table entry and raise.
+    """
+    if min(gx.min(), gy.min()) < -GRADIENT_MAX or max(gx.max(), gy.max()) > GRADIENT_MAX:
+        raise ValueError(f"gradients must lie in [-{GRADIENT_MAX}, {GRADIENT_MAX}]")
+    mag_table, lo_table = _pixel_table()
+    n = 2 * GRADIENT_MAX + 1
+    idx = np.multiply(gx, n, dtype=np.int32)
+    idx += gy
+    idx += GRADIENT_MAX * n + GRADIENT_MAX
+    mag = saturate_array(mag_table[idx], fmt, stats, "magnitude")
+    lo = lo_table[idx]
+    return mag, lo, (lo + 1) % N_BINS

@@ -75,7 +75,7 @@ class SvmModel:
             raise ValueError(f"weights shape {w.shape} is not "
                              f"({WINDOW_BLOCK_ROWS}, {WINDOW_BLOCK_COLS}, {BLOCK_VALUES})")
         limit = self.coeff_fmt.max_raw
-        if np.any(np.abs(w) > limit):
+        if w.min() < -limit or w.max() > limit:
             raise ValueError("coefficient magnitude reaches 1.0; model must be rescaled")
         if not self.bias_fmt.min_raw <= self.bias_raw <= self.bias_fmt.max_raw:
             raise ValueError(f"bias raw {self.bias_raw} does not fit {self.bias_fmt}")
@@ -219,14 +219,14 @@ def save_float_model(weights: np.ndarray, bias: float, path: str | Path) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_rows(lines: list[str], parse, what: str) -> tuple[np.ndarray, object]:
+def _parse_rows(lines: list[str], parse_bias, parse, what: str) -> tuple[np.ndarray, object]:
     if not lines:
         raise ModelFormatError("model file is empty")
     head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 2 or head[0] != "bias":
         raise ModelFormatError("second line must be 'bias <value>'")
     try:
-        bias = parse(head[1])
+        bias = parse_bias(head[1])
     except ValueError as e:
         raise ModelFormatError(f"bad bias value: {e}") from None
     seen = np.zeros((WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES), dtype=bool)
@@ -255,21 +255,32 @@ def _parse_rows(lines: list[str], parse, what: str) -> tuple[np.ndarray, object]
     return out, bias
 
 
+def _raw_parser(low: int, high: int):
+    """int() that also rejects raws outside [low, high], before any numpy cast."""
+    def parse(text: str) -> int:
+        raw = int(text)
+        if not low <= raw <= high:
+            raise ValueError(f"raw {raw} outside [{low}, {high}]")
+        return raw
+
+    return parse
+
+
 def load_model(path: str | Path, profile: PrecisionProfile = DEFAULT_PROFILE) -> SvmModel:
     """Load a HOGSVM1 quantized model."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != QUANT_MAGIC:
         raise ModelFormatError(f"missing {QUANT_MAGIC} magic")
-    out, bias = _parse_rows(lines, int, "quantized model")
-    w = out.astype(np.int64)
-    limit = profile.svm_coefficient.max_raw
-    if np.any(np.abs(w) > limit):
-        raise ModelFormatError("coefficient raw magnitude exceeds the format")
+    bias_fmt, coeff_fmt = profile.svm_bias, profile.svm_coefficient
+    # the same ranges SvmModel enforces: bias within its format, |coefficient| <= max_raw
+    out, bias = _parse_rows(lines, _raw_parser(bias_fmt.min_raw, bias_fmt.max_raw),
+                            _raw_parser(-coeff_fmt.max_raw, coeff_fmt.max_raw),
+                            "quantized model")
     return SvmModel(
-        weights_raw=w,
-        bias_raw=int(bias),
-        coeff_fmt=profile.svm_coefficient,
-        bias_fmt=profile.svm_bias,
+        weights_raw=out.astype(np.int64),
+        bias_raw=bias,
+        coeff_fmt=coeff_fmt,
+        bias_fmt=bias_fmt,
     )
 
 
@@ -278,7 +289,7 @@ def load_float_model(path: str | Path) -> tuple[np.ndarray, float]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != FLOAT_MAGIC:
         raise ModelFormatError(f"missing {FLOAT_MAGIC} magic")
-    out, bias = _parse_rows(lines, float, "float model")
+    out, bias = _parse_rows(lines, float, float, "float model")
     return out.reshape(WINDOW_FEATURES), float(bias)
 
 

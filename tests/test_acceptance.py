@@ -24,7 +24,7 @@ from hogstream.detector import (
     run_pipeline,
 )
 from hogstream.fixedpoint import SaturationStats
-from hogstream.gradient import binned_stream, magnitude_approx_raw, orient_field
+from hogstream.gradient import binned_field, binned_stream, magnitude_approx_raw
 from hogstream.histogram import accumulate_cells
 from hogstream.normalize import block_stream, fast_inv_sqrt_field, normalize_block
 from hogstream.oracle import compare_paths, reference_run
@@ -91,7 +91,7 @@ def test_03_orientation_binning_exact():
     """Tangent-inequality bin pair vs atan2-derived pair, exhaustively."""
     g = np.arange(-255, 256, dtype=np.int64)
     gx, gy = np.meshgrid(g, g, indexing="ij")
-    lo, hi = orient_field(gx, gy)
+    _, lo, hi = binned_field(gx, gy)
 
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
     lo_ref = np.floor((theta - 10.0) / 20.0).astype(np.int64) % 9

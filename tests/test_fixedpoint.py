@@ -211,3 +211,15 @@ def test_profile_stage_formats():
     got = {k: (v.width, v.fraction) for k, v in p.stages().items()}
     assert got == expected
     assert PrecisionProfile() == p
+
+
+def test_profile_rejects_formats_the_datapath_cannot_honour():
+    # the shift-add magnitude is exact at 3 fractional bits, unscaled
+    for fmt in (FxFormat(11, 2), FxFormat(12, 4)):
+        with pytest.raises(ValueError, match="3 fractional bits"):
+            PrecisionProfile(gradient_magnitude=fmt)
+    # the histogram widens halved magnitudes into its fraction; narrowing would
+    # zero the array path's histograms and break the scalar path's shift
+    with pytest.raises(ValueError, match="fewer fractional bits"):
+        PrecisionProfile(histogram_value=FxFormat(18, 2))
+    PrecisionProfile(gradient_magnitude=FxFormat(14, 3), histogram_value=FxFormat(18, 3))

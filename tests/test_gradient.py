@@ -11,14 +11,13 @@ from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
 from hogstream.gradient import (
     TAN_BOUNDARIES,
     BinnedGradient,
+    binned_field,
     binned_stream,
     compute_gradients,
     gradient_field,
     magnitude_approx,
     magnitude_approx_raw,
-    magnitude_field,
     orient_bin_pair,
-    orient_field,
 )
 from hogstream.stream import Frame, context_stream, pack_frame
 
@@ -133,8 +132,7 @@ def test_field_matches_scalar():
     px = rng.integers(0, 256, size=(16, 24), dtype=np.uint8)
     gx, gy = gradient_field(px)
     stats = SaturationStats()
-    mag = magnitude_field(gx, gy, stats=stats)
-    lo, hi = orient_field(gx, gy)
+    mag, lo, hi = binned_field(gx, gy, stats=stats)
     f = Frame.from_array(px)
     i = 0
     for pkt in binned_stream(context_stream(pack_frame(f, 8), width=f.width)):
@@ -150,9 +148,8 @@ def test_field_special_cases():
     # constant frame: all gradients zero -> pair (0,1), magnitude 0
     gx, gy = gradient_field(np.full((8, 8), 77, dtype=np.uint8))
     assert not gx.any() and not gy.any()
-    lo, hi = orient_field(gx, gy)
+    mag, lo, hi = binned_field(gx, gy)
     assert (lo == 0).all() and (hi == 1).all()
-    mag = magnitude_field(gx, gy)
     assert not mag.any()
 
 
@@ -161,6 +158,33 @@ def test_field_axis_rows():
     px = np.tile(np.array([0, 255] * 4, dtype=np.uint8), (8, 1))
     gx, gy = gradient_field(px)
     assert not gy.any()
-    lo, _ = orient_field(gx, gy)
+    _, lo, _ = binned_field(gx, gy)
     assert set(lo[gx != 0].tolist()) == {8}
     assert set(lo[gx == 0].tolist()) == {0}
+
+
+def test_field_matches_scalar_exhaustively():
+    # every gradient of 8-bit pixels, both signs: guards the table's mirrored half
+    g = np.arange(-255, 256)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    stats = SaturationStats()
+    mag, lo, hi = binned_field(gx, gy, stats=stats)
+    assert (mag.dtype, lo.dtype, hi.dtype) == (np.int32, np.uint8, np.uint8)
+    scalar_stats = SaturationStats()
+    for x, y, m, l, h in zip(gx.ravel().tolist(), gy.ravel().tolist(), mag.ravel().tolist(),
+                             lo.ravel().tolist(), hi.ravel().tolist()):
+        assert m == magnitude_approx(x, y, stats=scalar_stats).raw, (x, y)
+        assert (l, h) == orient_bin_pair(x, y), (x, y)
+    assert stats["magnitude"] == scalar_stats["magnitude"] > 0
+
+
+@pytest.mark.parametrize("bad", [256, -256])
+def test_field_rejects_gradients_outside_8_bit_range(bad):
+    gx = np.zeros((4, 4), dtype=np.int32)
+    gy = np.zeros((4, 4), dtype=np.int32)
+    binned_field(gx, gy)
+    for arr in (gx, gy):
+        arr[1, 2] = bad
+        with pytest.raises(ValueError, match="gradients must lie"):
+            binned_field(gx, gy)
+        arr[1, 2] = 0

@@ -6,12 +6,11 @@ import pytest
 from hogstream.fixedpoint import DEFAULT_PROFILE, Fx, SaturationStats
 from hogstream.gradient import (
     BinnedGradient,
+    binned_field,
     binned_stream,
     gradient_field,
     magnitude_approx,
-    magnitude_field,
     orient_bin_pair,
-    orient_field,
 )
 from hogstream.histogram import (
     CellHistogram,
@@ -113,7 +112,7 @@ def test_grid_matches_stream():
     rng = np.random.default_rng(33)
     px = rng.integers(0, 256, size=(24, 40), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    grid = cell_histogram_grid(magnitude_field(gx, gy), *orient_field(gx, gy))
+    grid = cell_histogram_grid(*binned_field(gx, gy))
     f = Frame.from_array(px)
     for c in accumulate_cells(binned_packets(f, 8), f.width):
         assert grid[c.cell_row, c.cell_col].tolist() == [b.raw for b in c.bins]
@@ -124,8 +123,8 @@ def test_mass_conservation():
     rng = np.random.default_rng(34)
     px = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    mag = magnitude_field(gx, gy)
-    grid = cell_histogram_grid(mag, *orient_field(gx, gy))
+    mag, lo, hi = binned_field(gx, gy)
+    grid = cell_histogram_grid(mag, lo, hi)
     # each pixel deposits (m >> 1) widened by one fraction bit into BOTH bins
     expect = ((mag.astype(np.int64) >> 1) << 2).reshape(2, 8, 2, 8).sum(axis=(1, 3))
     assert np.array_equal(grid.sum(axis=2), expect)

@@ -80,6 +80,44 @@ def test_model_validation():
     assert m.weight(0, 0, 0).format == COEFF_FMT
 
 
+@pytest.mark.parametrize("bad", [np.iinfo(np.int64).min, -1024])
+def test_model_validation_needs_no_abs(bad):
+    # |INT64_MIN| wraps to a negative number, so an abs() check would pass it
+    w = np.zeros((15, 7, 36), dtype=np.int64)
+    w[3, 2, 1] = bad
+    with pytest.raises(ValueError, match="rescaled"):
+        SvmModel(weights_raw=w, bias_raw=0)
+    w[3, 2, 1] = -COEFF_FMT.max_raw
+    SvmModel(weights_raw=w, bias_raw=BIAS_FMT.min_raw)
+
+
+@pytest.mark.parametrize("bad", [10**30, 2**63, -2**63, 1024, -1024])
+def test_load_model_rejects_wide_coefficients(tmp_path, bad):
+    # a float64 round trip of 10**30 or +-2**63 casts to INT64_MIN; the raw
+    # must be range-checked as a Python int, with the line named
+    p = tmp_path / "m.txt"
+    save_model(random_model(np.random.default_rng(57)), p)
+    lines = p.read_text().splitlines()
+    lines[9] = f"0 0 7 {bad}"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=f"line 10: raw {bad} outside"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("bias", [BIAS_FMT.max_raw + 1, BIAS_FMT.min_raw - 1, 10**30])
+def test_load_model_rejects_wide_bias(tmp_path, bias):
+    p = tmp_path / "m.txt"
+    save_model(random_model(np.random.default_rng(58)), p)
+    lines = p.read_text().splitlines()
+    lines[1] = f"bias {bias}"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match="bad bias value"):
+        load_model(p)
+    lines[1] = f"bias {BIAS_FMT.min_raw}"
+    p.write_text("\n".join(lines) + "\n")
+    assert load_model(p).bias_raw == BIAS_FMT.min_raw
+
+
 def test_zero_weights_score_is_bias():
     m = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=12345)
     blocks = np.full((15, 7, 36), 300, dtype=np.int64)
