@@ -71,6 +71,14 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _iou_threshold(text: str) -> float:
+    """argparse type of ``--iou``: a float in [0, 1], as ``nms`` requires."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"IoU threshold must be in [0, 1], got {text!r}")
+    return value
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     frame = load_image(args.image)
     model = _load_any_model(args.model)
@@ -137,12 +145,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         stats = SaturationStats()
         t0 = time.perf_counter()
         run = run_pipeline(frame, model, DEFAULT_PROFILE, stats)
-        dets = nms(detections_from_scores(run.score_map, args.threshold), args.iou)
         t1 = time.perf_counter()
-        seconds.append(t1 - t0)
+        cands = detections_from_scores(run.score_map, args.threshold)
+        t2 = time.perf_counter()
+        dets = nms(cands, args.iou)
+        t3 = time.perf_counter()
+        seconds.append(t3 - t0)
         detections = len(dets)
         windows = run.score_map.scores_raw.size
-        for k, v in run.stage_seconds.items():
+        stages = {**run.stage_seconds, "threshold": t2 - t1, "nms": t3 - t2}
+        for k, v in stages.items():
             stage_totals[k] = stage_totals.get(k, 0.0) + v
     mean_s = sum(seconds) / reps
     mpix = frame.width * frame.height / 1e6
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ppc", type=int, default=4, choices=VALID_PPC,
                     help="pixels per clock (detections are invariant)")
     sp.add_argument("--threshold", type=float, default=0.0)
-    sp.add_argument("--iou", type=float, default=0.5, help="NMS IoU threshold")
+    sp.add_argument("--iou", type=_iou_threshold, default=0.5, help="NMS IoU threshold")
 
     sp = sub.add_parser("compare", help="error report of fixed path vs float oracle")
     add_common(sp, model=True)
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="timing run on one frame")
     add_common(sp, model=True)
     sp.add_argument("--threshold", type=float, default=0.0)
-    sp.add_argument("--iou", type=float, default=0.5)
+    sp.add_argument("--iou", type=_iou_threshold, default=0.5)
     sp.add_argument("--reps", type=int, default=1)
 
     sp = sub.add_parser("dump", help="binary dump of an intermediate stage")

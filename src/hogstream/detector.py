@@ -10,7 +10,10 @@ addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
-threshold. Box geometry is integral, so IoU comparisons are exact rationals.
+threshold. Box geometry is integral, so each IoU test is an exact integer
+cross-multiplication against the threshold's rational value. Kept boxes sit in
+a grid of buckets as large as the largest box, so a candidate is tested only
+against the kept boxes in the buckets it could overlap.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -145,15 +149,23 @@ def detections_from_scores(score_map: ScoreMap, threshold: float = 0.0) -> list[
     return out
 
 
+def _inter_union(a: Detection, b: Detection) -> tuple[int, int]:
+    """Integer intersection and union areas of two boxes; (0, 0) if disjoint."""
+    # conditional expressions instead of min/max: this is the inner loop of nms
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    ax2, ay2, bx2, by2 = ax + a.w, ay + a.h, bx + b.w, by + b.h
+    ix = (ax2 if ax2 < bx2 else bx2) - (ax if ax > bx else bx)
+    iy = (ay2 if ay2 < by2 else by2) - (ay if ay > by else by)
+    if ix <= 0 or iy <= 0:
+        return 0, 0
+    inter = ix * iy
+    return inter, a.w * a.h + b.w * b.h - inter
+
+
 def iou(a: Detection, b: Detection) -> Fraction:
     """Exact intersection-over-union of two boxes."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return Fraction(0)
-    inter = ix * iy
-    union = a.w * a.h + b.w * b.h - inter
-    return Fraction(inter, union)
+    inter, union = _inter_union(a, b)
+    return Fraction(inter, union) if inter else Fraction(0)
 
 
 def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:
@@ -163,12 +175,34 @@ def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detecti
     position (smaller y, then smaller x wins); a candidate is kept unless it
     overlaps an already-kept box with IoU strictly above the threshold. The
     result is sorted by descending score (raster order within equal scores).
+
+    With ``Fraction(iou_threshold) = num/den``, a kept box suppresses the
+    candidate iff ``inter * den > num * union``, in integers. Each kept box
+    sits in the grid bucket of its top-left corner; the grid steps are the
+    largest width and height in the input, so only the buckets from one step
+    before the candidate's top-left corner to the one holding its far corner
+    can hold a box that overlaps it. ``iou_threshold`` must lie in [0, 1]:
+    NaN or anything outside raises ``ValueError``.
     """
+    if not 0 <= iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold!r}")
+    # numpy floats other than float64 are no Fraction input; their float is exact
+    thr = iou_threshold if isinstance(iou_threshold, Rational) else float(iou_threshold)
+    num, den = Fraction(thr).as_integer_ratio()
     order = sorted(detections, key=lambda d: (-d.score, d.y, d.x))
+    # bucket steps of at least 1: a box of zero width or height overlaps nothing
+    sx = max([d.w for d in order] + [1])
+    sy = max([d.h for d in order] + [1])
+    buckets: dict[tuple[int, int], list[Detection]] = {}
     kept: list[Detection] = []
     for cand in order:
-        if all(iou(cand, k) <= iou_threshold for k in kept):
+        cols = range(cand.x // sx - 1, (cand.x + cand.w - 1) // sx + 1)
+        rows = range(cand.y // sy - 1, (cand.y + cand.h - 1) // sy + 1)
+        near = (k for c in cols for r in rows for k in buckets.get((c, r), ()))
+        if not any(inter * den > num * union
+                   for inter, union in (_inter_union(cand, k) for k in near)):
             kept.append(cand)
+            buckets.setdefault((cand.x // sx, cand.y // sy), []).append(cand)
     return kept
 
 

@@ -50,7 +50,17 @@ class Frame:
 
     @classmethod
     def from_array(cls, pixels: np.ndarray) -> "Frame":
-        px = np.ascontiguousarray(pixels, dtype=np.uint8)
+        """Frame from a 2-D array of intensities.
+
+        A uint8 array is taken as is. Any other array must hold only integral
+        real values in 0..255, checked before the cast, so no value wraps.
+        """
+        px = np.asarray(pixels)
+        if px.dtype != np.uint8 and not (
+                px.dtype.kind in "biuf"
+                and np.all((px >= 0) & (px <= 255) & (px == np.floor(px)))):
+            raise ValueError(f"{px.dtype} pixels must be integers in 0..255")
+        px = np.ascontiguousarray(px, dtype=np.uint8)
         h, w = px.shape
         return cls(width=w, height=h, pixels=px)
 

@@ -214,7 +214,7 @@ def test_bench_report(workspace):
     for key in ("windows_per_frame 1", "seconds_per_frame", "frames_per_second",
                 "megapixels_per_second", "stage_seconds gradient",
                 "stage_seconds histogram", "stage_seconds normalize",
-                "stage_seconds svm"):
+                "stage_seconds svm", "stage_seconds threshold", "stage_seconds nms"):
         assert key in text
 
 
@@ -246,6 +246,14 @@ def test_bad_ppc_rejected_by_parser(workspace):
     _, img, model = workspace
     with pytest.raises(SystemExit):
         main(["detect", str(img), "--model", str(model), "--ppc", "3"])
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+@pytest.mark.parametrize("iou", ["nan", "-0.1", "1.5", "inf"])
+def test_bad_iou_rejected_by_parser(workspace, command, iou):
+    _, img, model = workspace
+    with pytest.raises(SystemExit):
+        main([command, str(img), "--model", str(model), "--iou", iou])
 
 
 def test_model_file_mentions_magic(workspace):

@@ -102,6 +102,53 @@ def test_nms_matches_reference():
         assert nms(dets, thr) == ref_nms(dets, thr), trial
 
 
+def test_nms_dense_anchor_grid_matches_reference():
+    # 2,000 distinct anchors of a 1080p frame, scores on a 0.1 grid so ties occur
+    rng = np.random.default_rng(67)
+    cols, rows = (1920 - 64) // 8 + 1, (1080 - 128) // 8 + 1
+    anchors = rng.choice(cols * rows, 2000, replace=False)
+    scores = np.round(rng.uniform(-1, 1, anchors.size), 1)
+    dets = [box(int(a % cols) * 8, int(a // cols) * 8, float(s))
+            for a, s in zip(anchors, scores)]
+    assert len({d.score for d in dets}) < 30
+    for thr in (0.0, 0.5, 1.0):
+        assert nms(dets, thr) == ref_nms(dets, thr), thr
+
+
+def test_nms_bucket_edges_and_unit_boxes():
+    # the bucket steps are 64 and 128: put corners on, just before and just
+    # after bucket edges (negative coordinates too), at three box sizes
+    xs = (-65, -64, -1, 0, 1, 63, 64, 65, 127, 128)
+    ys = (-129, -128, -1, 0, 1, 127, 128, 129, 255, 256)
+    sizes = ((64, 128), (63, 127), (1, 1))
+    dets = [box(x, y, float((x * 7 + y * 3 + w) % 11), w=w, h=h)
+            for x in xs for y in ys for w, h in sizes]
+    for thr in (0.0, 0.5, 1.0):
+        assert nms(dets, thr) == ref_nms(dets, thr), thr
+    big = box(0, 0, 2.0)
+    inside = box(63, 127, 1.0, w=1, h=1)     # IoU 1/8192
+    touching = box(64, 128, 1.0, w=1, h=1)   # corner-adjacent, no overlap
+    assert nms([big, inside, touching], 0.0) == [big, touching]
+    assert nms([big, inside, touching], 1 / 8192) == [big, inside, touching]
+    assert nms([big, inside, touching], 0.9999 / 8192) == [big, touching]
+
+
+@pytest.mark.parametrize("thr", [float("nan"), -0.1, 1.1, float("inf"), -float("inf")])
+def test_nms_rejects_threshold_outside_unit_interval(thr):
+    a, b = box(0, 0, 1.0), box(500, 0, 0.5)   # disjoint
+    with pytest.raises(ValueError):
+        nms([a, b], thr)
+    assert nms([a, b], 0.0) == nms([a, b], 1.0) == [a, b]
+
+
+def test_nms_threshold_types():
+    a, b = box(0, 0, 1.0), box(8, 0, 0.9)   # IoU exactly 7/9
+    for thr in (np.float32(0.8), np.float64(0.8), Fraction(7, 9), np.int64(1), 1):
+        assert nms([a, b], thr) == [a, b], thr
+    for thr in (np.float32(0.7), Fraction(7, 9) - Fraction(1, 10**12), np.int64(0), 0):
+        assert nms([a, b], thr) == [a], thr
+
+
 def test_threshold_is_strict():
     raws = np.array([[100, 101], [99, 200]], dtype=np.int64)
     sm = ScoreMap(scores_raw=raws, fmt=SCORE_FMT)

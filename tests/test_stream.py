@@ -31,6 +31,22 @@ def test_frame_validation():
     Frame.from_array(np.zeros((8, 8), dtype=np.uint8))
 
 
+def test_from_array_rejects_values_uint8_cannot_hold():
+    for bad in (300, -1, 256.7, 3.5, float("nan"), float("inf")):
+        px = np.zeros((8, 8), dtype=np.int64 if isinstance(bad, int) else np.float64)
+        px[2, 3] = bad
+        with pytest.raises(ValueError):
+            Frame.from_array(px)
+    with pytest.raises(ValueError):
+        Frame.from_array(np.zeros((8, 8), dtype=np.complex128))
+    ok = np.arange(64).reshape(8, 8) * 4 - 1
+    ok[0, 0] = 0
+    for dtype in (np.int64, np.float32, np.uint16):
+        f = Frame.from_array(ok.astype(dtype))
+        assert f.pixels.dtype == np.uint8
+        assert (f.pixels == ok).all()
+
+
 def test_pack_flags_ppc8():
     f = Frame.from_array(np.arange(64, dtype=np.uint8).reshape(8, 8))
     pkts = list(pack_frame(f, 8))
