@@ -78,8 +78,7 @@ def run_pipeline(
     t1 = time.perf_counter()
     times["gradient"] = t1 - t0
 
-    hist = cell_histogram_grid(mag, lo, hi, profile.histogram_value,
-                               profile.gradient_magnitude, stats)
+    hist = cell_histogram_grid(mag, lo, hi, profile.histogram_value, stats)
     t2 = time.perf_counter()
     times["histogram"] = t2 - t1
 

@@ -1,12 +1,16 @@
 """Signed fixed-point arithmetic with explicit quantization and overflow policy.
 
 Every value in the detector datapath is a two's-complement integer scaled by a
-power of two. The policy, applied uniformly:
+power of two. As on a hardware bus, the format belongs to the stage, not to
+the value: stage kernels carry raw ints and take each format from the
+``PrecisionProfile`` (or the format argument they are given). ``Fx`` pairs a
+raw with its format only at the API boundary. The policy, applied uniformly:
 
 * quantization of a real: multiply by 2**fraction, truncate toward minus
   infinity, then saturate into the target width;
-* narrowing between fractions: arithmetic right shift (again truncation
-  toward minus infinity), widening is an exact left shift;
+* requantization between fractions: arithmetic right shift (again truncation
+  toward minus infinity), widening is an exact left shift; a product or sum
+  of raws is formed exactly first and requantized once;
 * overflow: saturate, never wrap. Saturation events can be recorded through a
   ``SaturationStats`` sink so callers may assert that nominal data never clips.
 
@@ -21,9 +25,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-
-class FormatMismatchError(ValueError):
-    """Raised when an operation requires operands in the same format."""
+# the shift-add magnitude is exact at 3 fractional bits and is encoded without
+# rescaling, so every profile carries the magnitude at this fraction
+MAGNITUDE_FRACTION = 3
 
 
 @dataclass(frozen=True)
@@ -164,44 +168,6 @@ def fx_quantize(
     return Fx(saturate_raw(raw, fmt, stats, stage), fmt)
 
 
-def fx_add(
-    a: Fx,
-    b: Fx,
-    out_fmt: FxFormat,
-    stats: SaturationStats | None = None,
-    stage: str = "add",
-) -> Fx:
-    """Exact integer sum at the shared fraction, requantized into ``out_fmt``."""
-    if a.format != b.format:
-        raise FormatMismatchError(f"fx_add operands differ: {a.format} vs {b.format}")
-    raw = requantize_raw(a.raw + b.raw, a.format.fraction, out_fmt, stats, stage)
-    return Fx(raw, out_fmt)
-
-
-def fx_mul(
-    a: Fx,
-    b: Fx,
-    out_fmt: FxFormat,
-    stats: SaturationStats | None = None,
-    stage: str = "mul",
-) -> Fx:
-    """Exact integer product at fraction f_a + f_b, requantized into ``out_fmt``.
-
-    Exactly one truncate+saturate step happens, on the full-precision product.
-    """
-    raw = requantize_raw(
-        a.raw * b.raw, a.format.fraction + b.format.fraction, out_fmt, stats, stage
-    )
-    return Fx(raw, out_fmt)
-
-
-def fx_shr(a: Fx, n: int) -> Fx:
-    """Arithmetic right shift of the raw value; format unchanged."""
-    if n < 0:
-        raise ValueError(f"shift count must be non-negative, got {n}")
-    return Fx(a.raw >> n, a.format)
-
-
 # ---------------------------------------------------------------------------
 # array variants (int64 raws), bit-identical to the scalar ops above
 
@@ -271,12 +237,12 @@ class PrecisionProfile:
     svm_prediction: FxFormat = field(default=FxFormat(33, 19))
 
     def __post_init__(self) -> None:
-        # the shift-add magnitude is exact at 3 fractional bits and is encoded
-        # without rescaling; the histogram widens each halved magnitude into
-        # its own fraction with a left shift, which must not be negative
-        if self.gradient_magnitude.fraction != 3:
+        # the histogram widens each halved magnitude into its own fraction
+        # with a left shift, which must not be negative
+        if self.gradient_magnitude.fraction != MAGNITUDE_FRACTION:
             raise ValueError(
-                f"gradient_magnitude {self.gradient_magnitude} must have 3 fractional bits"
+                f"gradient_magnitude {self.gradient_magnitude} must have "
+                f"{MAGNITUDE_FRACTION} fractional bits"
             )
         if self.histogram_value.fraction < self.gradient_magnitude.fraction:
             raise ValueError(

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, Fx, FxFormat, SaturationStats, saturate_array, saturate_raw
+from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_array, saturate_raw
 from .stream import ContextPacket
 
 N_BINS = 9
@@ -55,16 +55,10 @@ _Q2_PAIRS = ((8, 0), (7, 8), (6, 7), (5, 6), (4, 5))
 
 
 @dataclass(frozen=True)
-class GradientPair:
-    gx: int
-    gy: int
-
-
-@dataclass(frozen=True)
 class BinnedGradient:
-    """Quantized magnitude plus the two adjacent orientation bins."""
+    """Magnitude raw (in the gradient_magnitude format) plus the two adjacent bins."""
 
-    magnitude: Fx
+    magnitude: int
     bin_lo: int
     bin_hi: int
 
@@ -73,9 +67,9 @@ class BinnedGradient:
             raise ValueError(f"bad bin pair ({self.bin_lo}, {self.bin_hi})")
 
 
-def compute_gradients(ctx: tuple[tuple[int, int, int], ...]) -> GradientPair:
-    """Central differences over one 3x3 context: gx = right - left, gy = bottom - top."""
-    return GradientPair(gx=ctx[1][2] - ctx[1][0], gy=ctx[2][1] - ctx[0][1])
+def compute_gradients(ctx: tuple[tuple[int, int, int], ...]) -> tuple[int, int]:
+    """Central differences over one 3x3 context: (gx, gy) = (right - left, bottom - top)."""
+    return ctx[1][2] - ctx[1][0], ctx[2][1] - ctx[0][1]
 
 
 def magnitude_approx_raw(gx: int, gy: int) -> int:
@@ -101,9 +95,9 @@ def magnitude_approx(
     gy: int,
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
-) -> Fx:
-    """Shift-add magnitude encoded into the magnitude format (saturating)."""
-    return Fx(saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude"), fmt)
+) -> int:
+    """Shift-add magnitude raw, saturated into the magnitude format."""
+    return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude")
 
 
 def orient_bin_pair(gx: int, gy: int) -> tuple[int, int]:
@@ -145,9 +139,9 @@ def binned_stream(
     for cp in contexts:
         out = []
         for ctx in cp.contexts:
-            g = compute_gradients(ctx)
-            lo, hi = orient_bin_pair(g.gx, g.gy)
-            out.append(BinnedGradient(magnitude_approx(g.gx, g.gy, fmt, stats), lo, hi))
+            gx, gy = compute_gradients(ctx)
+            lo, hi = orient_bin_pair(gx, gy)
+            out.append(BinnedGradient(magnitude_approx(gx, gy, fmt, stats), lo, hi))
         yield tuple(out)
 
 

@@ -7,9 +7,9 @@ arrive in raster order. A cell's histogram is emitted as soon as its
 bottom-right pixel has been consumed, so a row of cells streams out
 left-to-right while the 8th pixel row is still being eaten.
 
-Accumulation happens in the histogram format, which carries one more
-fractional bit than the magnitude: widening the halved contribution into it
-is exact, so the only truncation in this stage is the single halving shift.
+Magnitudes arrive as raws at MAGNITUDE_FRACTION fractional bits; bins are raws
+in the histogram format, whose fraction is never smaller: widening the halved
+contribution into it is exact, so the only truncation is the halving shift.
 """
 
 from __future__ import annotations
@@ -19,32 +19,23 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, Fx, FxFormat, SaturationStats, saturate_array, saturate_raw
+from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, SaturationStats,
+                         saturate_array, saturate_raw)
 from .gradient import N_BINS, BinnedGradient
 from .stream import CELL, GeometryError, StreamProtocolError
 
 
 @dataclass(frozen=True)
 class CellHistogram:
-    """9 accumulated bin values for one 8x8 cell."""
+    """9 accumulated bin raws (histogram_value format) for one 8x8 cell."""
 
     cell_row: int
     cell_col: int
-    bins: tuple[Fx, ...]
+    bins: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.bins) != N_BINS:
             raise ValueError(f"expected {N_BINS} bins, got {len(self.bins)}")
-
-
-def split_contribution(bg: BinnedGradient) -> tuple[Fx, Fx]:
-    """Uniform split: both bins of the pair receive magnitude >> 1.
-
-    The shift truncates the raw value once; e.g. raw 5 (0.625) contributes
-    raw 2 (0.25) to each bin.
-    """
-    half = Fx(bg.magnitude.raw >> 1, bg.magnitude.format)
-    return half, half
 
 
 def accumulate_cells(
@@ -55,6 +46,9 @@ def accumulate_cells(
 ) -> Iterator[CellHistogram]:
     """Consume raster-order binned-gradient packets, emit completed cells.
 
+    Both bins of a pixel's pair receive magnitude >> 1 (raw 5 gives raw 2
+    each). No contribution is negative, so each bin saturates once, on emission.
+
     The frame height is implied by the stream length and must be a multiple
     of 8, as must the width; a packet that straddles a row boundary or a
     stream that ends mid-cell is a protocol error.
@@ -62,7 +56,7 @@ def accumulate_cells(
     if width % CELL or width <= 0:
         raise GeometryError(f"width must be a positive multiple of {CELL}, got {width}")
     n_cols = width // CELL
-    widen = fmt.fraction  # contributions arrive at magnitude fraction, widen into fmt
+    widen = fmt.fraction - MAGNITUDE_FRACTION
     acc = [[0] * N_BINS for _ in range(n_cols)]
     x = 0
     y = 0
@@ -73,16 +67,15 @@ def accumulate_cells(
         for lane, bg in enumerate(pkt):
             px = x + lane
             col = px // CELL
-            shift = widen - bg.magnitude.format.fraction
-            half = (bg.magnitude.raw >> 1) << shift
+            half = (bg.magnitude >> 1) << widen
             bins = acc[col]
-            bins[bg.bin_lo] = saturate_raw(bins[bg.bin_lo] + half, fmt, stats, "histogram")
-            bins[bg.bin_hi] = saturate_raw(bins[bg.bin_hi] + half, fmt, stats, "histogram")
+            bins[bg.bin_lo] += half
+            bins[bg.bin_hi] += half
             if y % CELL == CELL - 1 and px % CELL == CELL - 1:
                 yield CellHistogram(
                     cell_row=y // CELL,
                     cell_col=col,
-                    bins=tuple(Fx(v, fmt) for v in bins),
+                    bins=tuple(saturate_raw(v, fmt, stats, "histogram") for v in bins),
                 )
                 acc[col] = [0] * N_BINS
         x += ppc
@@ -104,20 +97,17 @@ def cell_histogram_grid(
     bin_lo: np.ndarray,
     bin_hi: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.histogram_value,
-    mag_fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
 ) -> np.ndarray:
     """Per-cell histograms of a full frame; int64 raws, shape (rows, cols, 9).
 
-    Bit-identical to accumulate_cells: the halved contribution is widened into
-    the histogram fraction and summed per cell (integer addition is exact and
-    order-free, saturation is checked on the totals, which can only trip if an
-    individual add would have).
+    Bit-identical to accumulate_cells, saturation counts included: the widened
+    halves are summed per cell (exact and order-free) and each total saturates once.
     """
     h, w = mag_raw.shape
     if h % CELL or w % CELL:
         raise GeometryError(f"frame {w}x{h} is not a multiple of {CELL}")
-    contrib = ((mag_raw.astype(np.int64) >> 1) << (fmt.fraction - mag_fmt.fraction))
+    contrib = (mag_raw.astype(np.int64) >> 1) << (fmt.fraction - MAGNITUDE_FRACTION)
     rows, cols = h // CELL, w // CELL
     grid = np.zeros((rows, cols, N_BINS), dtype=np.int64)
     for k in range(N_BINS):

@@ -16,6 +16,9 @@ Squares and their sums are exact: the squared-histogram accumulator carries
 twice the histogram fraction, and the squared clipped features are summed at
 twice the feature fraction, so the only roundings in this stage are the two
 inverse-sqrt quantizations and the two per-entry product truncations.
+
+Records carry raw ints; every format comes from the PrecisionProfile. Each
+square, cell energy (computed once per cell) and block energy saturates once.
 """
 
 from __future__ import annotations
@@ -29,16 +32,14 @@ import numpy as np
 
 from .fixedpoint import (
     DEFAULT_PROFILE,
-    Fx,
-    FxFormat,
     PrecisionProfile,
     SaturationStats,
-    fx_add,
-    fx_mul,
     fx_quantize,
+    quantize_array,
     requantize_array,
     requantize_raw,
     saturate_array,
+    saturate_raw,
 )
 from .gradient import N_BINS
 from .histogram import CellHistogram
@@ -78,42 +79,34 @@ def fast_inv_sqrt_field(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockGroup:
-    """Four cells of one block plus the exact sum of their squared bins."""
+    """Four cells of one block plus their squared-bin sum (prepare_first_norm raw)."""
 
     block_row: int
     block_col: int
     cells: tuple[CellHistogram, CellHistogram, CellHistogram, CellHistogram]
-    block_sq_sum: Fx
-
-
-@dataclass(frozen=True)
-class NormScratch:
-    """Intermediates of one block normalization, for diagnostics and tests."""
-
-    cell_sq_sums: tuple[Fx, Fx, Fx, Fx]
-    block_sq_sum: Fx
-    inv_norm1: Fx
-    inv_norm2: Fx
+    block_sq_sum: int
 
 
 @dataclass(frozen=True)
 class BlockFeature:
-    """36 normalized values of one block, in the final feature format."""
+    """36 normalized raws of one block, in the final_feature format."""
 
     block_row: int
     block_col: int
-    values: tuple[Fx, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.values) != BLOCK_VALUES:
             raise ValueError(f"expected {BLOCK_VALUES} values, got {len(self.values)}")
 
 
-def _cell_sq_sum(cell: CellHistogram, fmt: FxFormat, stats: SaturationStats | None) -> Fx:
-    total = Fx(0, fmt)
-    for b in cell.bins:
-        total = fx_add(total, fx_mul(b, b, fmt, stats, "prepare_norm"), fmt, stats, "prepare_norm")
-    return total
+def _cell_sq_sum(
+    cell: CellHistogram, profile: PrecisionProfile, stats: SaturationStats | None
+) -> int:
+    fmt = profile.prepare_first_norm
+    sq_fraction = 2 * profile.histogram_value.fraction
+    total = sum(requantize_raw(b * b, sq_fraction, fmt, stats, "prepare_norm") for b in cell.bins)
+    return saturate_raw(total, fmt, stats, "prepare_norm")
 
 
 def block_stream(
@@ -131,8 +124,8 @@ def block_stream(
     if cell_cols < 1:
         raise GeometryError(f"cell_cols must be positive, got {cell_cols}")
     fmt = profile.prepare_first_norm
-    prev: list[tuple[CellHistogram, Fx] | None] = [None] * cell_cols
-    cur: list[tuple[CellHistogram, Fx] | None] = [None] * cell_cols
+    prev: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
+    cur: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
     rows_seen = 0
     for cell in cells:
         r, c = cell.cell_row, cell.cell_col
@@ -144,7 +137,7 @@ def block_stream(
             if rows_seen:
                 prev, cur = cur, [None] * cell_cols
             rows_seen += 1
-        entry = (cell, _cell_sq_sum(cell, fmt, stats))
+        entry = (cell, _cell_sq_sum(cell, profile, stats))
         cur[c] = entry
         if r >= 1 and c >= 1:
             tl = prev[c - 1]
@@ -153,73 +146,17 @@ def block_stream(
             br = entry
             if tl is None or bl is None or tr is None:
                 raise GeometryError(f"cell ({r},{c}) arrived before its block neighbors")
-            sq = Fx(0, fmt)
-            for _, s in (tl, bl, tr, br):
-                sq = fx_add(sq, s, fmt, stats, "prepare_norm")
             yield BlockGroup(
                 block_row=r - 1,
                 block_col=c - 1,
                 cells=(tl[0], bl[0], tr[0], br[0]),
-                block_sq_sum=sq,
+                block_sq_sum=saturate_raw(tl[1] + bl[1] + tr[1] + br[1], fmt, stats,
+                                          "prepare_norm"),
             )
     if rows_seen < 2 or cell_cols < 2:
         raise GeometryError(
             f"cell grid {rows_seen}x{cell_cols} is too small to form a block"
         )
-
-
-def normalize_block_detailed(
-    group: BlockGroup,
-    profile: PrecisionProfile = DEFAULT_PROFILE,
-    stats: SaturationStats | None = None,
-) -> tuple[BlockFeature, NormScratch]:
-    """normalize_block plus the scratch intermediates."""
-    prep_fmt = profile.prepare_first_norm
-    n1_fmt = profile.first_inv_sqrt
-    f1_fmt = profile.feature_after_first_norm
-    n2_fmt = profile.second_inv_sqrt
-    out_fmt = profile.final_feature
-
-    cell_sqs = tuple(_cell_sq_sum(c, prep_fmt, stats) for c in group.cells)
-
-    # eps2 = one raw LSB of the squared-sum accumulator
-    x1 = (group.block_sq_sum.raw + 1) / prep_fmt.scale
-    n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, "inv_sqrt1")
-
-    hist_fraction = group.cells[0].bins[0].format.fraction
-    f_l2 = []
-    for cell in group.cells:
-        for b in cell.bins:
-            raw = requantize_raw(
-                b.raw * n1.raw, hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1"
-            )
-            f_l2.append(raw)
-
-    clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
-    f_th = [min(v, clip_raw) for v in f_l2]
-
-    # squared clipped features summed exactly at twice the feature fraction
-    sq_fraction = 2 * f1_fmt.fraction
-    s2 = sum(v * v for v in f_th) + 1   # + one raw LSB
-    n2 = fx_quantize(fast_inv_sqrt(s2 / (1 << sq_fraction)), n2_fmt, stats, "inv_sqrt2")
-
-    values = tuple(
-        Fx(
-            requantize_raw(
-                v * n2.raw, f1_fmt.fraction + n2_fmt.fraction, out_fmt, stats, "norm2"
-            ),
-            out_fmt,
-        )
-        for v in f_th
-    )
-    feature = BlockFeature(block_row=group.block_row, block_col=group.block_col, values=values)
-    scratch = NormScratch(
-        cell_sq_sums=cell_sqs,
-        block_sq_sum=group.block_sq_sum,
-        inv_norm1=n1,
-        inv_norm2=n2,
-    )
-    return feature, scratch
 
 
 def normalize_block(
@@ -228,8 +165,36 @@ def normalize_block(
     stats: SaturationStats | None = None,
 ) -> BlockFeature:
     """Two-pass fixed-point L2-hys normalization of one block."""
-    feature, _ = normalize_block_detailed(group, profile, stats)
-    return feature
+    prep_fmt = profile.prepare_first_norm
+    n1_fmt = profile.first_inv_sqrt
+    f1_fmt = profile.feature_after_first_norm
+    n2_fmt = profile.second_inv_sqrt
+    out_fmt = profile.final_feature
+    hist_fraction = profile.histogram_value.fraction
+
+    # eps2 = one raw LSB of the squared-sum accumulator
+    x1 = (group.block_sq_sum + 1) / prep_fmt.scale
+    n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, "inv_sqrt1").raw
+
+    f_l2 = [
+        requantize_raw(b * n1, hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1")
+        for cell in group.cells
+        for b in cell.bins
+    ]
+
+    clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
+    f_th = [min(v, clip_raw) for v in f_l2]
+
+    # squared clipped features summed exactly at twice the feature fraction
+    sq_fraction = 2 * f1_fmt.fraction
+    s2 = sum(v * v for v in f_th) + 1   # + one raw LSB
+    n2 = fx_quantize(fast_inv_sqrt(s2 / (1 << sq_fraction)), n2_fmt, stats, "inv_sqrt2").raw
+
+    values = tuple(
+        requantize_raw(v * n2, f1_fmt.fraction + n2_fmt.fraction, out_fmt, stats, "norm2")
+        for v in f_th
+    )
+    return BlockFeature(block_row=group.block_row, block_col=group.block_col, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +232,7 @@ def block_feature_grid(
     )
 
     x1 = (block_sq + 1) / prep_fmt.scale
-    n1 = np.floor(fast_inv_sqrt_field(x1) * n1_fmt.scale).astype(np.int64)
-    n1 = saturate_array(n1, n1_fmt, stats, "inv_sqrt1")
+    n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
 
     f_l2 = requantize_array(
         f4 * n1[:, :, None], hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1"
@@ -278,8 +242,7 @@ def block_feature_grid(
 
     s2 = (f_th * f_th).sum(axis=2) + 1
     x2 = s2 / (1 << (2 * f1_fmt.fraction))
-    n2 = np.floor(fast_inv_sqrt_field(x2) * n2_fmt.scale).astype(np.int64)
-    n2 = saturate_array(n2, n2_fmt, stats, "inv_sqrt2")
+    n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, "inv_sqrt2")
 
     out = requantize_array(
         f_th * n2[:, :, None], f1_fmt.fraction + n2_fmt.fraction, out_fmt, stats, "norm2"

@@ -208,20 +208,3 @@ def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[Cont
     # bottom row: the row below replicates the row itself
     above = prev if prev is not None else pending
     yield from emit_row(above, pending, pending)
-
-
-def context_planes(frame: Frame) -> np.ndarray:
-    """Whole-frame context tensor (3, 3, H, W) with edge replication.
-
-    Array counterpart of context_stream: plane [dy][dx] holds, for every
-    pixel, the neighbor at (y+dy-1, x+dx-1) clamped to the frame. Used by the
-    vectorized pipeline; bit-identical to the packet path by construction
-    (tests assert it).
-    """
-    padded = np.pad(frame.pixels, 1, mode="edge")
-    h, w = frame.height, frame.width
-    planes = np.empty((3, 3, h, w), dtype=np.uint8)
-    for dy in range(3):
-        for dx in range(3):
-            planes[dy, dx] = padded[dy : dy + h, dx : dx + w]
-    return planes

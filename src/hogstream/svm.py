@@ -119,13 +119,17 @@ def score_grid(
 ) -> ScoreMap:
     """Score every window anchor of a block-feature grid.
 
-    block_raw: int64 (block_rows, block_cols, 36) in the final feature format.
-    Anchors exist where a full 15x7 block neighborhood fits; an empty anchor
-    grid (frame smaller than one window) yields a 0x0 map.
+    block_raw: int64 (block_rows, block_cols, 36) in ``feature_fmt``; a raw
+    outside that format raises ValueError. Anchors exist where a full 15x7
+    block neighborhood fits; an empty anchor grid (frame smaller than one
+    window) yields a 0x0 map.
     """
     br, bc, nv = block_raw.shape
     if nv != BLOCK_VALUES:
         raise GeometryError(f"block features carry {nv} values, expected {BLOCK_VALUES}")
+    if block_raw.size and (block_raw.min() < feature_fmt.min_raw
+                           or block_raw.max() > feature_fmt.max_raw):
+        raise ValueError(f"block feature raws do not fit {feature_fmt}")
     ar = br - (WINDOW_BLOCK_ROWS - 1)
     ac = bc - (WINDOW_BLOCK_COLS - 1)
     if ar <= 0 or ac <= 0:
@@ -163,30 +167,22 @@ def score_windows(
     block_rows: int,
     block_cols: int,
     stats: SaturationStats | None = None,
+    feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature,
 ) -> ScoreMap:
-    """Score a raster-order block-feature stream (grid form of score_grid)."""
+    """Score a raster-order stream of ``feature_fmt`` block raws (see score_grid)."""
     if block_rows < 1 or block_cols < 1:
         raise GeometryError(f"block grid {block_rows}x{block_cols} is empty")
     grid = np.zeros((block_rows, block_cols, BLOCK_VALUES), dtype=np.int64)
     seen = np.zeros((block_rows, block_cols), dtype=bool)
-    feature_fmt = None
     for bf in blocks:
         r, c = bf.block_row, bf.block_col
         if not (0 <= r < block_rows and 0 <= c < block_cols):
             raise GeometryError(f"block ({r},{c}) outside {block_rows}x{block_cols} grid")
-        grid[r, c] = [v.raw for v in bf.values]
+        grid[r, c] = bf.values
         seen[r, c] = True
-        feature_fmt = bf.values[0].format
     if not seen.all():
         raise GeometryError("block stream did not cover the full grid")
-    return score_grid(grid, model, stats, feature_fmt or DEFAULT_PROFILE.final_feature)
-
-
-def classify(score: Fx, threshold: Fx) -> bool:
-    """Strict comparison: a window is a detection iff score > threshold."""
-    if score.format != threshold.format:
-        raise ValueError(f"score {score.format} vs threshold {threshold.format}")
-    return score.raw > threshold.raw
+    return score_grid(grid, model, stats, feature_fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, Fx, SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
 from hogstream.gradient import (
     BinnedGradient,
     binned_field,
@@ -17,7 +17,6 @@ from hogstream.histogram import (
     accumulate_cells,
     cell_histogram_grid,
     dump_cells,
-    split_contribution,
 )
 from hogstream.stream import (
     VALID_PPC,
@@ -37,36 +36,38 @@ def binned_packets(frame, ppc):
 
 
 def test_split_truncates_once():
-    bg = BinnedGradient(Fx(5, MAG_FMT), 0, 1)
-    a, b = split_contribution(bg)
-    assert a.raw == b.raw == 2
-    assert a.format == MAG_FMT
+    # one pixel of raw 5 (0.625) in an otherwise flat cell: both bins receive
+    # raw 2 (0.25), widened exactly from 3 to 4 fractional bits
+    zero = BinnedGradient(0, 0, 1)
+    pkts = [[BinnedGradient(5, 0, 1)] + [zero] * 7] + [[zero] * 8 for _ in range(7)]
+    (c,) = accumulate_cells(pkts, width=8)
+    assert c.bins[0] == c.bins[1] == 2 << 1
 
 
 def test_cell_histogram_validation():
     with pytest.raises(ValueError):
-        CellHistogram(0, 0, bins=(Fx(0, HIST_FMT),) * 8)
+        CellHistogram(0, 0, bins=(0,) * 8)
 
 
 def test_single_cell_constant_gradient():
     # 64 identical pixels with magnitude raw 8 (1.0) and pair (0,1):
     # each bin gets 64 * ((8>>1) widened to fraction 4) = 64*8 = 512 raw (32.0)
-    bg = BinnedGradient(Fx(8, MAG_FMT), 0, 1)
+    bg = BinnedGradient(8, 0, 1)
     pkts = [[bg] * 8 for _ in range(8)]
     cells = list(accumulate_cells(pkts, width=8))
     assert len(cells) == 1
     c = cells[0]
     assert (c.cell_row, c.cell_col) == (0, 0)
-    raws = [b.raw for b in c.bins]
+    raws = list(c.bins)
     assert raws == [512, 512, 0, 0, 0, 0, 0, 0, 0]
-    assert c.bins[0].value == 32.0
+    assert c.bins[0] / HIST_FMT.scale == 32.0
 
 
 def test_wrap_pair_hits_bins_8_and_0():
-    bg = BinnedGradient(Fx(16, MAG_FMT), 8, 0)
+    bg = BinnedGradient(16, 8, 0)
     pkts = [[bg] * 8 for _ in range(8)]
     (c,) = accumulate_cells(pkts, width=8)
-    raws = [b.raw for b in c.bins]
+    raws = list(c.bins)
     assert raws[8] == raws[0] == 64 * 16 and sum(raws) == raws[0] + raws[8]
 
 
@@ -87,7 +88,7 @@ def naive_cell_grid(px):
             gx = int(p[y + 1, x + 2]) - int(p[y + 1, x])
             gy = int(p[y + 2, x + 1]) - int(p[y, x + 1])
             lo, hi = orient_bin_pair(gx, gy)
-            half = (magnitude_approx(gx, gy).raw >> 1) << 1  # widen 3 -> 4 frac bits
+            half = (magnitude_approx(gx, gy) >> 1) << 1  # widen 3 -> 4 frac bits
             grid[y // 8][x // 8][lo] += half
             grid[y // 8][x // 8][hi] += half
     return grid
@@ -102,7 +103,7 @@ def test_matches_naive_reference_all_ppc():
         for ppc in VALID_PPC:
             got = {}
             for c in accumulate_cells(binned_packets(f, ppc), f.width):
-                got[(c.cell_row, c.cell_col)] = [b.raw for b in c.bins]
+                got[(c.cell_row, c.cell_col)] = list(c.bins)
             for r in range(h // 8):
                 for col in range(w // 8):
                     assert got[(r, col)] == want[r][col], (w, h, ppc, r, col)
@@ -115,7 +116,7 @@ def test_grid_matches_stream():
     grid = cell_histogram_grid(*binned_field(gx, gy))
     f = Frame.from_array(px)
     for c in accumulate_cells(binned_packets(f, 8), f.width):
-        assert grid[c.cell_row, c.cell_col].tolist() == [b.raw for b in c.bins]
+        assert grid[c.cell_row, c.cell_col].tolist() == list(c.bins)
 
 
 def test_mass_conservation():
@@ -132,12 +133,12 @@ def test_mass_conservation():
 
 def test_histogram_never_saturates_at_default_widths():
     # worst case: every pixel at the magnitude ceiling
-    bg = BinnedGradient(Fx(MAG_FMT.max_raw, MAG_FMT), 3, 4)
+    bg = BinnedGradient(MAG_FMT.max_raw, 3, 4)
     pkts = [[bg] * 8 for _ in range(8)]
     stats = SaturationStats()
     (c,) = accumulate_cells(pkts, width=8, stats=stats)
-    assert c.bins[3].raw == 64 * ((MAG_FMT.max_raw >> 1) << 1) == 65408
-    assert c.bins[3].raw <= HIST_FMT.max_raw
+    assert c.bins[3] == 64 * ((MAG_FMT.max_raw >> 1) << 1) == 65408
+    assert c.bins[3] <= HIST_FMT.max_raw
     assert stats.total == 0
 
 
@@ -145,7 +146,7 @@ def test_protocol_errors():
     with pytest.raises(GeometryError):
         list(accumulate_cells([], width=12))
 
-    bg = BinnedGradient(Fx(0, MAG_FMT), 0, 1)
+    bg = BinnedGradient(0, 0, 1)
     with pytest.raises(StreamProtocolError):
         list(accumulate_cells([[bg] * 3], width=8))  # 3 lanes misaligned
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, Fx
+from hogstream.fixedpoint import DEFAULT_PROFILE
 from hogstream.gradient import binned_field, gradient_field
 from hogstream.histogram import CellHistogram, cell_histogram_grid
 from hogstream.normalize import (
@@ -17,8 +17,8 @@ from hogstream.normalize import (
     dump_blocks,
     fast_inv_sqrt,
     fast_inv_sqrt_field,
+    _cell_sq_sum,
     normalize_block,
-    normalize_block_detailed,
 )
 from hogstream.oracle import oracle_block_normalize
 from hogstream.stream import GeometryError
@@ -29,7 +29,7 @@ OUT_FMT = DEFAULT_PROFILE.final_feature
 
 def cell(raws, r=0, c=0):
     return CellHistogram(cell_row=r, cell_col=c,
-                         bins=tuple(Fx(v, HIST_FMT) for v in raws))
+                         bins=tuple(raws))
 
 
 def grid_cells(grid_raws):
@@ -85,7 +85,7 @@ def test_block_stream_grouping():
     blocks = list(block_stream(grid_cells(raws), cell_cols=3))
     assert [(b.block_row, b.block_col) for b in blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     b = blocks[2]  # block (1,0): cells (1,0),(2,0),(1,1),(2,1)
-    got = [[v.raw for v in c.bins] for c in b.cells]
+    got = [list(c.bins) for c in b.cells]
     assert got == [raws[1, 0].tolist(), raws[2, 0].tolist(),
                    raws[1, 1].tolist(), raws[2, 1].tolist()]
 
@@ -96,9 +96,8 @@ def test_block_sq_sum_exact():
     (b,) = block_stream(grid_cells(raws), cell_cols=2)
     # squares at twice the histogram fraction are exact in the (42,8) accumulator
     expect = int((raws.astype(object) ** 2).sum())
-    assert b.block_sq_sum.raw == expect
-    _, scratch = normalize_block_detailed(b)
-    assert sum(s.raw for s in scratch.cell_sq_sums) == b.block_sq_sum.raw
+    assert b.block_sq_sum == expect
+    assert sum(_cell_sq_sum(c, DEFAULT_PROFILE, None) for c in b.cells) == expect
 
 
 def test_block_stream_geometry_errors():
@@ -119,11 +118,10 @@ def test_block_stream_geometry_errors():
 def test_normalize_one_hot_block():
     # a single active bin ends up clipped and renormalized to (just under) 1.0
     (b,) = block_stream(grid_cells(one_hot_grid()), cell_cols=2)
-    feat, scratch = normalize_block_detailed(b)
-    raws = [v.raw for v in feat.values]
+    feat = normalize_block(b)
+    raws = list(feat.values)
     assert raws[0] == 511
     assert raws[1:] == [0] * 35
-    assert scratch.inv_norm1.value > 0
 
 
 def test_normalize_equal_block():
@@ -131,14 +129,14 @@ def test_normalize_equal_block():
     g = np.full((2, 2, 9), 64, dtype=np.int64)
     (b,) = block_stream(grid_cells(g), cell_cols=2)
     feat = normalize_block(b)
-    assert [v.raw for v in feat.values] == [85] * 36
+    assert list(feat.values) == [85] * 36
 
 
 def test_normalize_zero_block():
     g = np.zeros((2, 2, 9), dtype=np.int64)
     (b,) = block_stream(grid_cells(g), cell_cols=2)
     feat = normalize_block(b)
-    assert [v.raw for v in feat.values] == [0] * 36
+    assert list(feat.values) == [0] * 36
 
 
 def test_normalize_clip_engages():
@@ -147,8 +145,8 @@ def test_normalize_clip_engages():
     g = np.full((2, 2, 9), 40, dtype=np.int64)
     g[0, 0, 0] = 60000
     (b,) = block_stream(grid_cells(g), cell_cols=2)
-    feat, _ = normalize_block_detailed(b)
-    vals = [v.value for v in feat.values]
+    feat = normalize_block(b)
+    vals = [v / OUT_FMT.scale for v in feat.values]
     assert max(vals) == vals[0]
     assert vals[0] <= 1.0
     ref = oracle_block_normalize(g.reshape(4, 9)[[0, 2, 1, 3]])
@@ -164,14 +162,14 @@ def test_feature_layout_order():
     g[1, 1, :] = 4000   # bottom-right
     (b,) = block_stream(grid_cells(g), cell_cols=2)
     feat = normalize_block(b)
-    v = [x.raw for x in feat.values]
+    v = list(feat.values)
     assert len(set(v[0:9])) == 1 and len(set(v[9:18])) == 1
     assert v[0] < v[9] < v[18] < v[27]
 
 
 def test_block_feature_validation():
     with pytest.raises(ValueError):
-        BlockFeature(0, 0, values=(Fx(0, OUT_FMT),) * 35)
+        BlockFeature(0, 0, values=(0,) * 35)
 
 
 def test_grid_matches_stream_path():
@@ -183,7 +181,7 @@ def test_grid_matches_stream_path():
     assert grid.shape == (3, 4, BLOCK_VALUES)
     for blk in block_stream(grid_cells(hist), cell_cols=hist.shape[1]):
         feat = normalize_block(blk)
-        assert grid[blk.block_row, blk.block_col].tolist() == [v.raw for v in feat.values]
+        assert grid[blk.block_row, blk.block_col].tolist() == list(feat.values)
 
 
 def test_grid_matches_stream_on_synthetic_raws():
@@ -192,7 +190,7 @@ def test_grid_matches_stream_on_synthetic_raws():
     grid = block_feature_grid(raws)
     for blk in block_stream(grid_cells(raws), cell_cols=3):
         feat = normalize_block(blk)
-        assert grid[blk.block_row, blk.block_col].tolist() == [v.raw for v in feat.values]
+        assert grid[blk.block_row, blk.block_col].tolist() == list(feat.values)
 
 
 def test_fixed_tracks_oracle_normalize():

@@ -7,9 +7,10 @@ of the final score map for every pixels-per-clock setting.
 """
 
 import numpy as np
+import pytest
 
 from hogstream.detector import detections_from_scores, detections_to_text, run_pipeline
-from hogstream.fixedpoint import SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
 from hogstream.gradient import binned_stream
 from hogstream.histogram import accumulate_cells
 from hogstream.normalize import normalize_block, block_stream
@@ -17,17 +18,18 @@ from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_windows
 
 
-def streaming_scores(frame, model, ppc, stats=None):
+def streaming_scores(frame, model, ppc, stats=None, profile=DEFAULT_PROFILE):
     contexts = context_stream(pack_frame(frame, ppc), width=frame.width)
-    binned = binned_stream(contexts, stats=stats)
-    cells = accumulate_cells(binned, width=frame.width, stats=stats)
-    blocks = block_stream(cells, cell_cols=frame.width // 8, stats=stats)
-    feats = (normalize_block(b, stats=stats) for b in blocks)
+    binned = binned_stream(contexts, profile.gradient_magnitude, stats=stats)
+    cells = accumulate_cells(binned, frame.width, profile.histogram_value, stats=stats)
+    blocks = block_stream(cells, frame.width // 8, profile, stats=stats)
+    feats = (normalize_block(b, profile, stats=stats) for b in blocks)
     return score_windows(
         feats, model,
         block_rows=frame.height // 8 - 1,
         block_cols=frame.width // 8 - 1,
         stats=stats,
+        feature_fmt=profile.final_feature,
     )
 
 
@@ -60,7 +62,7 @@ def test_streaming_detection_text_invariant():
     assert len(texts) == 1
 
 
-def test_streaming_saturation_stats_match():
+def check_saturation_stats_match(profile):
     # saturation event counts agree between the two paths on a frame that
     # actually saturates the magnitude stage (full-range noise does)
     rng = np.random.default_rng(102)
@@ -68,12 +70,30 @@ def test_streaming_saturation_stats_match():
     model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0)
 
     s_stream = SaturationStats()
-    streaming_scores(frame, model, 4, stats=s_stream)
+    sm = streaming_scores(frame, model, 4, stats=s_stream, profile=profile)
 
     s_vec = SaturationStats()
-    run_pipeline(frame, model, stats=s_vec)
+    ref = run_pipeline(frame, model, profile, stats=s_vec)
 
     assert s_stream["magnitude"] == s_vec["magnitude"] > 0
     assert s_stream["norm1"] == s_vec["norm1"]
     assert s_stream["norm2"] == s_vec["norm2"]
     assert s_stream["svm"] == s_vec["svm"] == 0
+    assert np.array_equal(sm.scores_raw, ref.score_map.scores_raw)
+    assert s_stream.counts == s_vec.counts
+    return s_vec
+
+
+def test_streaming_saturation_stats_match():
+    check_saturation_stats_match(DEFAULT_PROFILE)
+
+
+@pytest.mark.parametrize("profile, stage", [
+    # narrow block-energy accumulator: saturates prepare_norm on noise
+    (PrecisionProfile(prepare_first_norm=FxFormat(30, 8)), "prepare_norm"),
+    # narrow histogram: saturates cell bins on noise
+    (PrecisionProfile(histogram_value=FxFormat(14, 4)), "histogram"),
+], ids=["narrow_prepare_norm", "narrow_histogram"])
+def test_streaming_saturation_stats_match_narrow_profile(profile, stage):
+    # each stage saturates every value it writes at most once, on both paths
+    assert check_saturation_stats_match(profile)[stage] > 0

@@ -10,7 +10,6 @@ from hogstream.stream import (
     GeometryError,
     StreamPacket,
     StreamProtocolError,
-    context_planes,
     context_stream,
     pack_frame,
     unpack,
@@ -138,25 +137,6 @@ def test_context_constant_frame():
             for c in pkt.contexts]
     assert len(flat) == 24
     assert all(c == ((9,) * 3,) * 3 for c in flat)
-
-
-def test_context_matches_planes():
-    rng = np.random.default_rng(3)
-    f = random_frame(rng, 16, 8)
-    planes = context_planes(f)
-    for ppc in VALID_PPC:
-        got = [c for pkt in context_stream(pack_frame(f, ppc), width=f.width)
-               for c in pkt.contexts]
-        assert len(got) == f.width * f.height
-        i = 0
-        for y in range(f.height):
-            for x in range(f.width):
-                expect = tuple(
-                    tuple(int(planes[dy, dx, y, x]) for dx in range(3))
-                    for dy in range(3)
-                )
-                assert got[i] == expect, (y, x, ppc)
-                i += 1
 
 
 def test_context_invariant_across_ppc():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, Fx, SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
 from hogstream.normalize import BLOCK_VALUES, BlockFeature
 from hogstream.stream import GeometryError
 from hogstream.svm import (
@@ -16,7 +16,6 @@ from hogstream.svm import (
     ModelFormatError,
     ScoreMap,
     SvmModel,
-    classify,
     load_float_model,
     load_model,
     save_float_model,
@@ -160,6 +159,21 @@ def test_negative_features_accumulate_exactly():
     assert sm.scores_raw.tolist() == naive_scores(blocks, m)
 
 
+def test_score_grid_rejects_raws_outside_feature_format():
+    # the float64 matmul is exact only for raws that fit the feature format
+    rng = np.random.default_rng(58)
+    m = random_model(rng)
+    for bad in (FEAT_FMT.max_raw + 1, FEAT_FMT.min_raw - 1):
+        blocks = random_blocks(rng, 15, 8)
+        blocks[3, 4, 5] = bad
+        with pytest.raises(ValueError):
+            score_grid(blocks, m)
+        feats = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+                 for r in range(15) for c in range(8)]
+        with pytest.raises(ValueError):
+            score_windows(feats, m, block_rows=15, block_cols=8)
+
+
 def test_empty_anchor_grid():
     rng = np.random.default_rng(54)
     sm = score_grid(random_blocks(rng, 14, 7), random_model(rng))
@@ -172,7 +186,7 @@ def test_score_windows_stream():
     blocks = random_blocks(rng, 15, 8)
     m = random_model(rng)
     feats = [
-        BlockFeature(r, c, values=tuple(Fx(int(v), FEAT_FMT) for v in blocks[r, c]))
+        BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
         for r in range(15)
         for c in range(8)
     ]
@@ -189,15 +203,6 @@ def test_scoremap_decode():
     sm = ScoreMap(scores_raw=np.array([[1 << 19]], dtype=np.int64))
     assert sm.decode()[0, 0] == 1.0
     assert sm.score(0, 0).value == 1.0
-
-
-def test_classify_strict():
-    thr = Fx(100, BIAS_FMT)
-    assert not classify(Fx(100, BIAS_FMT), thr)   # equality is not a detection
-    assert classify(Fx(101, BIAS_FMT), thr)
-    assert not classify(Fx(99, BIAS_FMT), thr)
-    with pytest.raises(ValueError):
-        classify(Fx(1, DEFAULT_PROFILE.final_feature), thr)
 
 
 def test_quantized_model_roundtrip(tmp_path):
