@@ -179,7 +179,8 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     frame = load_image(args.image)
     if not args.out:
         raise GeometryError("dump needs --out for the binary blob")
-    hist = cell_histogram_grid(*binned_field(*gradient_field(frame.pixels)))
+    mag, lo, _ = binned_field(*gradient_field(frame.pixels))
+    hist = cell_histogram_grid(mag, lo)
     if args.dump == "cells":
         blob = dump_cells(hist)
     else:

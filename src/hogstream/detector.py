@@ -78,7 +78,7 @@ def run_pipeline(
     t1 = time.perf_counter()
     times["gradient"] = t1 - t0
 
-    hist = cell_histogram_grid(mag, lo, hi, profile.histogram_value, stats)
+    hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)
     t2 = time.perf_counter()
     times["histogram"] = t2 - t1
 
@@ -180,8 +180,9 @@ def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detecti
     sits in the grid bucket of its top-left corner; the grid steps are the
     largest width and height in the input, so only the buckets from one step
     before the candidate's top-left corner to the one holding its far corner
-    can hold a box that overlaps it. ``iou_threshold`` must lie in [0, 1]:
-    NaN or anything outside raises ``ValueError``.
+    can hold a box that overlaps it. At a threshold of 1 no IoU can exceed it,
+    so the sorted candidates are returned without a test. ``iou_threshold``
+    must lie in [0, 1]: NaN or anything outside raises ``ValueError``.
     """
     if not 0 <= iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold!r}")
@@ -189,6 +190,8 @@ def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detecti
     thr = iou_threshold if isinstance(iou_threshold, Rational) else float(iou_threshold)
     num, den = Fraction(thr).as_integer_ratio()
     order = sorted(detections, key=lambda d: (-d.score, d.y, d.x))
+    if num == den:
+        return order  # no IoU exceeds 1, so nothing is suppressed
     # bucket steps of at least 1: a box of zero width or height overlaps nothing
     sx = max([d.w for d in order] + [1])
     sy = max([d.h for d in order] + [1])

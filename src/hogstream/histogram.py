@@ -10,6 +10,11 @@ left-to-right while the 8th pixel row is still being eaten.
 Magnitudes arrive as raws at MAGNITUDE_FRACTION fractional bits; bins are raws
 in the histogram format, whose fraction is never smaller: widening the halved
 contribution into it is exact, so the only truncation is the halving shift.
+
+The whole-frame array path forms the same sums in another order. A pixel's
+pair is always (bin_lo, bin_lo + 1 mod 9), so one scatter per band of cell
+rows sums the halves per (cell, bin_lo), and bin k is the sum at k plus the
+sum at k - 1. Integer sums are order-free, so both paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, Saturati
                          saturate_array, saturate_raw)
 from .gradient import N_BINS, BinnedGradient
 from .stream import CELL, GeometryError, StreamProtocolError
+
+# cell rows per bincount band of cell_histogram_grid
+_BAND_CELL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -95,24 +103,35 @@ def accumulate_cells(
 def cell_histogram_grid(
     mag_raw: np.ndarray,
     bin_lo: np.ndarray,
-    bin_hi: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.histogram_value,
     stats: SaturationStats | None = None,
 ) -> np.ndarray:
     """Per-cell histograms of a full frame; int64 raws, shape (rows, cols, 9).
 
-    Bit-identical to accumulate_cells, saturation counts included: the widened
-    halves are summed per cell (exact and order-free) and each total saturates once.
+    Bit-identical to accumulate_cells, saturation counts included. Every
+    pixel's pair is (bin_lo, bin_lo + 1 mod 9), so one scatter of the halves
+    onto (cell, bin_lo) gives S, and bin k holds S[k] + S[k - 1]. The scatter
+    runs in bands of _BAND_CELL_ROWS cell rows to keep its index array small.
     """
     h, w = mag_raw.shape
     if h % CELL or w % CELL:
         raise GeometryError(f"frame {w}x{h} is not a multiple of {CELL}")
-    contrib = (mag_raw.astype(np.int64) >> 1) << (fmt.fraction - MAGNITUDE_FRACTION)
     rows, cols = h // CELL, w // CELL
-    grid = np.zeros((rows, cols, N_BINS), dtype=np.int64)
-    for k in range(N_BINS):
-        sel = contrib * ((bin_lo == k) | (bin_hi == k))
-        grid[:, :, k] = sel.reshape(rows, CELL, cols, CELL).sum(axis=(1, 3))
+    # flat (cell, bin) slot of bin 0 for each pixel of one band
+    slot = (np.arange(_BAND_CELL_ROWS * CELL)[:, None] // CELL * cols
+            + np.arange(w) // CELL) * N_BINS
+    lo_sums = np.empty((rows, cols, N_BINS), dtype=np.int64)
+    for r0 in range(0, rows, _BAND_CELL_ROWS):
+        n = min(_BAND_CELL_ROWS, rows - r0)
+        px = slice(r0 * CELL, (r0 + n) * CELL)
+        # bincount sums in float64; exact, since magnitude_approx_raw <= 2805
+        # under any profile, so a cell sum of halves is below 64 * 1403 < 2**17
+        s = np.bincount((slot[: n * CELL] + bin_lo[px]).ravel(),
+                        weights=(mag_raw[px] >> 1).ravel(), minlength=n * cols * N_BINS)
+        lo_sums[r0 : r0 + n] = s.reshape(n, cols, N_BINS)
+    # summing the halves and then widening equals widening each half and then
+    # summing: the left shift is a multiplication, exact in int64
+    grid = (lo_sums + np.roll(lo_sums, 1, axis=2)) << (fmt.fraction - MAGNITUDE_FRACTION)
     return saturate_array(grid, fmt, stats, "histogram")
 
 

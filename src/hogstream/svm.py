@@ -1,13 +1,15 @@
 """Linear SVM scoring over the sliding 64x128 window, plus model file IO.
 
-A detection window covers 15x7 blocks (16x8 cells). Scoring is organized the
-way the hardware does it: each block's 36-value feature is dotted with the
-matching 36 coefficients as four sequential 9-value partial dots, and every
-window anchor accumulates the 105 block dots that fall inside it plus the
-bias. Products of feature (10,9) and coefficient (11,10) raws already sit at
-the accumulator fraction (19), so accumulation is exact integer arithmetic:
-any evaluation order gives the same raw score, and the single saturation
-check happens on the final per-anchor total.
+A detection window covers 15x7 blocks (16x8 cells). Each block's 36-value
+feature is dotted with the matching 36 coefficients, and every window anchor
+accumulates the 105 block dots that fall inside it plus the bias. Products of
+feature (10,9) and coefficient (11,10) raws already sit at the accumulator
+fraction (19), so accumulation is exact integer arithmetic: any evaluation
+order gives the same raw score, and the single saturation check happens on
+the final per-anchor total. The hardware's four sequential 9-value partial
+dots are one such order; score_grid uses another, one 36-wide dot per block
+in float64, which is exact because it refuses formats whose worst-case sum
+could reach 2**53.
 
 Model files are line-oriented text. Quantized ("HOGSVM1"):
 
@@ -43,7 +45,6 @@ WINDOW_BLOCK_ROWS = 15
 WINDOW_BLOCK_COLS = 7
 WINDOW_BLOCKS = WINDOW_BLOCK_ROWS * WINDOW_BLOCK_COLS
 WINDOW_FEATURES = WINDOW_BLOCKS * BLOCK_VALUES
-PARTIAL_DOT = 9
 
 QUANT_MAGIC = "HOGSVM1"
 FLOAT_MAGIC = "HOGSVMF1"
@@ -120,13 +121,23 @@ def score_grid(
     """Score every window anchor of a block-feature grid.
 
     block_raw: int64 (block_rows, block_cols, 36) in ``feature_fmt``; a raw
-    outside that format raises ValueError. Anchors exist where a full 15x7
-    block neighborhood fits; an empty anchor grid (frame smaller than one
-    window) yields a 0x0 map.
+    outside that format raises ValueError, as do formats whose worst-case
+    score magnitude reaches 2**53, where float64 stops being exact. Anchors
+    exist where a full 15x7 block neighborhood fits; an empty anchor grid
+    (frame smaller than one window) yields a 0x0 map.
     """
     br, bc, nv = block_raw.shape
     if nv != BLOCK_VALUES:
         raise GeometryError(f"block features carry {nv} values, expected {BLOCK_VALUES}")
+    coeff_fmt, bias_fmt = model.coeff_fmt, model.bias_fmt
+    # the largest |score| any partial sum of the 3780 products and the bias
+    # can reach: a raw's magnitude is at most 2**(width - 1), a coefficient's max_raw
+    feat_abs = 1 << (feature_fmt.width - 1)
+    coeff_abs = (1 << (coeff_fmt.width - 1)) - 1
+    worst = WINDOW_FEATURES * feat_abs * coeff_abs + (1 << (bias_fmt.width - 1))
+    if worst >= 1 << 53:
+        raise ValueError(f"features {feature_fmt}, coefficients {coeff_fmt} and bias "
+                         f"{bias_fmt} can reach 2**53: float64 scoring would not be exact")
     if block_raw.size and (block_raw.min() < feature_fmt.min_raw
                            or block_raw.max() > feature_fmt.max_raw):
         raise ValueError(f"block feature raws do not fit {feature_fmt}")
@@ -134,31 +145,29 @@ def score_grid(
     ac = bc - (WINDOW_BLOCK_COLS - 1)
     if ar <= 0 or ac <= 0:
         return ScoreMap(scores_raw=np.zeros((max(ar, 0), max(ac, 0)), dtype=np.int64),
-                        fmt=model.bias_fmt)
+                        fmt=bias_fmt)
 
-    shift = model.bias_fmt.fraction - (feature_fmt.fraction + model.coeff_fmt.fraction)
+    shift = bias_fmt.fraction - (feature_fmt.fraction + coeff_fmt.fraction)
     if shift != 0:
         raise GeometryError(
             "feature and coefficient fractions must sum to the accumulator fraction"
         )
 
-    # per-block dot against each of the 105 coefficient sets, as four
-    # sequential 9-value partial dots; every product is exact in float64
-    # (|f| < 2**9, |w| < 2**10, 9-term sums < 2**23), so the matmul is an
-    # exact integer computation at BLAS speed
+    # one 36-wide dot of every block with each of the 105 coefficient sets;
+    # row r*7 + c of dots holds, per block, the term that block adds to the
+    # window anchored r block rows above and c block columns left of it.
+    # The guard above keeps every integer partial sum below 2**53, so the
+    # matmul and the float64 accumulation are exact in any order.
     flat = block_raw.reshape(br * bc, BLOCK_VALUES).astype(np.float64)
     wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
-    dots = np.zeros((br * bc, WINDOW_BLOCKS), dtype=np.int64)
-    for q in range(0, BLOCK_VALUES, PARTIAL_DOT):
-        dots += (flat[:, q : q + PARTIAL_DOT] @ wmat[:, q : q + PARTIAL_DOT].T).astype(np.int64)
-    dots = dots.reshape(br, bc, WINDOW_BLOCKS)
+    dots = (wmat @ flat.T).reshape(WINDOW_BLOCKS, br, bc)
 
-    scores = np.full((ar, ac), int(model.bias_raw), dtype=np.int64)
+    scores = np.full((ar, ac), float(model.bias_raw))
     for r in range(WINDOW_BLOCK_ROWS):
         for c in range(WINDOW_BLOCK_COLS):
-            scores += dots[r : r + ar, c : c + ac, r * WINDOW_BLOCK_COLS + c]
-    scores = saturate_array(scores, model.bias_fmt, stats, "svm")
-    return ScoreMap(scores_raw=scores, fmt=model.bias_fmt)
+            scores += dots[r * WINDOW_BLOCK_COLS + c, r : r + ar, c : c + ac]
+    scores = saturate_array(scores.astype(np.int64), bias_fmt, stats, "svm")
+    return ScoreMap(scores_raw=scores, fmt=bias_fmt)
 
 
 def score_windows(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hogstream.detector
 from hogstream.detector import (
     Detection,
     detect_frame,
@@ -113,6 +114,27 @@ def test_nms_dense_anchor_grid_matches_reference():
     assert len({d.score for d in dets}) < 30
     for thr in (0.0, 0.5, 1.0):
         assert nms(dets, thr) == ref_nms(dets, thr), thr
+
+
+def test_nms_at_threshold_one_tests_no_pair(monkeypatch):
+    # no IoU exceeds 1, so every candidate is kept without an overlap test
+    rng = np.random.default_rng(68)
+    dets = [box(int(x) * 8, int(y) * 8, float(s))
+            for x, y, s in zip(rng.integers(0, 40, 500), rng.integers(0, 40, 500),
+                               np.round(rng.uniform(-1, 1, 500), 1))]
+    calls = []
+    inter_union = hogstream.detector._inter_union
+
+    def counting(a, b):
+        calls.append((a, b))
+        return inter_union(a, b)
+
+    monkeypatch.setattr(hogstream.detector, "_inter_union", counting)
+    for thr in (1.0, 1, Fraction(1), np.float32(1)):
+        assert nms(dets, thr) == ref_nms(dets, 1.0), thr
+    assert calls == []
+    nms(dets, 0.5)
+    assert calls
 
 
 def test_nms_bucket_edges_and_unit_boxes():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats
 from hogstream.gradient import (
     BinnedGradient,
     binned_field,
@@ -113,10 +113,30 @@ def test_grid_matches_stream():
     rng = np.random.default_rng(33)
     px = rng.integers(0, 256, size=(24, 40), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    grid = cell_histogram_grid(*binned_field(gx, gy))
+    mag, lo, _ = binned_field(gx, gy)
+    grid = cell_histogram_grid(mag, lo)
     f = Frame.from_array(px)
     for c in accumulate_cells(binned_packets(f, 8), f.width):
         assert grid[c.cell_row, c.cell_col].tolist() == list(c.bins)
+
+
+@pytest.mark.parametrize("fmt", [HIST_FMT, FxFormat(14, 4)], ids=["default", "narrow"])
+def test_grid_matches_stream_across_bands(fmt):
+    # 21 cell rows: one full 16-row scatter band and a partial one; the narrow
+    # format saturates, and both paths must count the same events
+    rng = np.random.default_rng(35)
+    px = rng.integers(0, 256, size=(168, 48), dtype=np.uint8)
+    mag, lo, _ = binned_field(*gradient_field(px))
+    grid_stats, stream_stats = SaturationStats(), SaturationStats()
+    grid = cell_histogram_grid(mag, lo, fmt, grid_stats)
+    f = Frame.from_array(px)
+    want = np.zeros_like(grid)
+    for c in accumulate_cells(binned_packets(f, 4), f.width, fmt, stream_stats):
+        want[c.cell_row, c.cell_col] = c.bins
+    assert grid.shape == (21, 6, 9)
+    assert np.array_equal(grid, want)
+    assert grid_stats.counts == stream_stats.counts
+    assert (grid_stats["histogram"] > 0) == (fmt != HIST_FMT)
 
 
 def test_mass_conservation():
@@ -124,8 +144,8 @@ def test_mass_conservation():
     rng = np.random.default_rng(34)
     px = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    mag, lo, hi = binned_field(gx, gy)
-    grid = cell_histogram_grid(mag, lo, hi)
+    mag, lo, _ = binned_field(gx, gy)
+    grid = cell_histogram_grid(mag, lo)
     # each pixel deposits (m >> 1) widened by one fraction bit into BOTH bins
     expect = ((mag.astype(np.int64) >> 1) << 2).reshape(2, 8, 2, 8).sum(axis=(1, 3))
     assert np.array_equal(grid.sum(axis=2), expect)

@@ -176,7 +176,8 @@ def test_grid_matches_stream_path():
     rng = np.random.default_rng(44)
     px = rng.integers(0, 256, size=(32, 40), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    hist = cell_histogram_grid(*binned_field(gx, gy))
+    mag, lo, _ = binned_field(gx, gy)
+    hist = cell_histogram_grid(mag, lo)
     grid = block_feature_grid(hist)
     assert grid.shape == (3, 4, BLOCK_VALUES)
     for blk in block_stream(grid_cells(hist), cell_cols=hist.shape[1]):
@@ -198,7 +199,8 @@ def test_fixed_tracks_oracle_normalize():
     rng = np.random.default_rng(46)
     px = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    hist = cell_histogram_grid(*binned_field(gx, gy))
+    mag, lo, _ = binned_field(gx, gy)
+    hist = cell_histogram_grid(mag, lo)
     fixed = block_feature_grid(hist) / OUT_FMT.scale
     hist_f = hist.astype(np.float64) / HIST_FMT.scale
     worst = 0.0

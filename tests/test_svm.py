@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
 from hogstream.normalize import BLOCK_VALUES, BlockFeature
 from hogstream.stream import GeometryError
 from hogstream.svm import (
@@ -158,6 +158,23 @@ def test_negative_features_accumulate_exactly():
     sm = score_grid(blocks, m)
     assert sm.scores_raw.tolist() == naive_scores(blocks, m)
 
+    # extreme raws: every feature at a format edge, weights +-1023 and the bias
+    # at either edge, so some totals leave the (33,19) format and saturate once
+    edges = np.array([FEAT_FMT.min_raw, FEAT_FMT.max_raw])
+    random_edges = edges[rng.integers(0, 2, size=(16, 8, 36))]
+    random_signs = COEFF_FMT.max_raw * rng.choice([-1, 1], size=(15, 7, 36))
+    aligned = np.full((15, 7, 36), FEAT_FMT.min_raw)     # every product +523776
+    cases = [(random_edges, random_signs), (aligned, np.full((15, 7, 36), -COEFF_FMT.max_raw))]
+    for blocks, w in cases:
+        for bias in (BIAS_FMT.min_raw, BIAS_FMT.max_raw):
+            m = SvmModel(weights_raw=w, bias_raw=bias)
+            stats = SaturationStats()
+            exact = np.array(naive_scores(blocks, m))
+            want = np.clip(exact, BIAS_FMT.min_raw, BIAS_FMT.max_raw)
+            assert np.array_equal(score_grid(blocks, m, stats).scores_raw, want)
+            assert stats["svm"] == np.count_nonzero(exact != want)
+    assert stats["svm"] == 1   # the aligned window overshoots the top edge
+
 
 def test_score_grid_rejects_raws_outside_feature_format():
     # the float64 matmul is exact only for raws that fit the feature format
@@ -172,6 +189,37 @@ def test_score_grid_rejects_raws_outside_feature_format():
                  for r in range(15) for c in range(8)]
         with pytest.raises(ValueError):
             score_windows(feats, m, block_rows=15, block_cols=8)
+
+
+def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
+    # an admitted profile whose worst-case score reaches 2**53, where float64
+    # rounds the sum
+    wide = PrecisionProfile(final_feature=FxFormat(30, 20), svm_coefficient=FxFormat(30, 20),
+                            svm_bias=FxFormat(64, 40), svm_prediction=FxFormat(64, 40))
+    rng = np.random.default_rng(59)
+    coeff, feat = wide.svm_coefficient, wide.final_feature
+    w = rng.integers(-coeff.max_raw, coeff.max_raw + 1, size=(15, 7, 36))
+    m = SvmModel(weights_raw=w, bias_raw=0, coeff_fmt=coeff, bias_fmt=wide.svm_bias)
+    blocks = rng.integers(feat.min_raw, feat.max_raw + 1, size=(15, 7, 36))
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        score_grid(blocks, m, feature_fmt=feat)
+    feats = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+             for r in range(15) for c in range(7)]
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        score_windows(feats, m, block_rows=15, block_cols=7, feature_fmt=feat)
+
+    # the widest feature format still accepted next to (21,10) coefficients and
+    # a (40,19) bias: 3780 * 2**21 * (2**20 - 1) + 2**39 < 2**53; one more
+    # feature bit reaches it
+    feat, coeff, bias = FxFormat(22, 9), FxFormat(21, 10), FxFormat(40, 19)
+    w = coeff.max_raw * rng.choice([-1, 1], size=(15, 7, 36))
+    for b in (bias.min_raw, bias.max_raw):
+        m = SvmModel(weights_raw=w, bias_raw=b, coeff_fmt=coeff, bias_fmt=bias)
+        blocks = rng.integers(feat.min_raw, feat.max_raw + 1, size=(16, 8, 36))
+        want = np.clip(np.array(naive_scores(blocks, m)), bias.min_raw, bias.max_raw)
+        assert np.array_equal(score_grid(blocks, m, feature_fmt=feat).scores_raw, want)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            score_grid(blocks, m, feature_fmt=FxFormat(23, 9))
 
 
 def test_empty_anchor_grid():
