@@ -1,13 +1,14 @@
 """Command-line front end: detect, compare, train, bench, dump.
 
-Outputs are deterministic for identical inputs, configuration, and seed; the
-detection files in particular are byte-identical across pixels-per-clock
-settings. Errors print one diagnostic line to stderr and exit nonzero.
+Outputs are deterministic for identical inputs, configuration, and seed.
+Errors print one diagnostic line to stderr and exit nonzero; an option value
+outside its range is rejected by the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from .histogram import cell_histogram_grid, dump_cells
 from .normalize import block_feature_grid, dump_blocks
 from .oracle import compare_paths
 from .pnm import PnmError, load_image  # noqa: F401  (load_image is this module's API)
-from .stream import GeometryError, StreamProtocolError, VALID_PPC
+from .stream import GeometryError, StreamProtocolError
 from .svm import (
     FLOAT_MAGIC,
     ModelFormatError,
@@ -79,10 +80,27 @@ def _iou_threshold(text: str) -> float:
     return value
 
 
+def _score_threshold(text: str) -> float:
+    """argparse type of ``--threshold``: a finite float, as
+    ``detections_from_scores`` requires."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"score threshold must be finite, got {text!r}")
+    return value
+
+
+def _repetitions(text: str) -> int:
+    """argparse type of ``--reps``: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"reps must be at least 1, got {text!r}")
+    return value
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     frame = load_image(args.image)
     model = _load_any_model(args.model)
-    dets = detect_frame(frame, model, ppc=args.ppc, threshold=args.threshold)
+    dets = detect_frame(frame, model, threshold=args.threshold)
     kept = nms(dets, iou_threshold=args.iou)
     _write_out(detections_to_text(kept), args.out)
     return 0
@@ -136,12 +154,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     frame = load_image(args.image)
     model = _load_any_model(args.model)
-    reps = max(args.reps, 1)
     stage_totals: dict[str, float] = {}
     seconds = []
     detections = 0
     windows = 0
-    for _ in range(reps):
+    for _ in range(args.reps):
         stats = SaturationStats()
         t0 = time.perf_counter()
         run = run_pipeline(frame, model, DEFAULT_PROFILE, stats)
@@ -156,13 +173,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         stages = {**run.stage_seconds, "threshold": t2 - t1, "nms": t3 - t2}
         for k, v in stages.items():
             stage_totals[k] = stage_totals.get(k, 0.0) + v
-    mean_s = sum(seconds) / reps
+    mean_s = sum(seconds) / args.reps
     mpix = frame.width * frame.height / 1e6
     lines = [
         f"image {args.image}",
         f"width {frame.width}",
         f"height {frame.height}",
-        f"reps {reps}",
+        f"reps {args.reps}",
         f"windows_per_frame {windows}",
         f"detections {detections}",
         f"seconds_per_frame {mean_s:.6f}",
@@ -170,7 +187,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"megapixels_per_second {mpix / mean_s:.6f}",
     ]
     for k, v in stage_totals.items():
-        lines.append(f"stage_seconds {k} {v / reps:.6f}")
+        lines.append(f"stage_seconds {k} {v / args.reps:.6f}")
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -179,7 +196,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     frame = load_image(args.image)
     if not args.out:
         raise GeometryError("dump needs --out for the binary blob")
-    mag, lo, _ = binned_field(*gradient_field(frame.pixels))
+    mag, lo = binned_field(*gradient_field(frame.pixels))
     hist = cell_histogram_grid(mag, lo)
     if args.dump == "cells":
         blob = dump_cells(hist)
@@ -205,14 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("detect", help="run the fixed-point detector on one frame")
     add_common(sp, model=True)
-    sp.add_argument("--ppc", type=int, default=4, choices=VALID_PPC,
-                    help="pixels per clock (detections are invariant)")
-    sp.add_argument("--threshold", type=float, default=0.0)
+    sp.add_argument("--threshold", type=_score_threshold, default=0.0)
     sp.add_argument("--iou", type=_iou_threshold, default=0.5, help="NMS IoU threshold")
 
     sp = sub.add_parser("compare", help="error report of fixed path vs float oracle")
     add_common(sp, model=True)
-    sp.add_argument("--threshold", type=float, default=0.0)
+    sp.add_argument("--threshold", type=_score_threshold, default=0.0)
 
     sp = sub.add_parser("train", help="train a float model and quantize it")
     sp.add_argument("--manifest", help="text file of '<+1|-1> <image path>' lines")
@@ -225,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="timing run on one frame")
     add_common(sp, model=True)
-    sp.add_argument("--threshold", type=float, default=0.0)
+    sp.add_argument("--threshold", type=_score_threshold, default=0.0)
     sp.add_argument("--iou", type=_iou_threshold, default=0.5)
-    sp.add_argument("--reps", type=int, default=1)
+    sp.add_argument("--reps", type=_repetitions, default=1)
 
     sp = sub.add_parser("dump", help="binary dump of an intermediate stage")
     add_common(sp)

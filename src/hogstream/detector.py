@@ -2,11 +2,10 @@
 
 detect_frame runs the whole fixed-point path on one frame and returns every
 window whose score strictly exceeds the threshold, in raster anchor order.
-The heavy math runs whole-frame vectorized; the packet-level stream ops
-produce bit-identical values (the equivalence is asserted by tests for every
-pixels-per-clock setting), so results are invariant in ppc by construction:
-every per-pixel op is pointwise and histogram accumulation is exact integer
-addition, hence order-free.
+The heavy math runs whole-frame vectorized, so no pixels-per-clock setting
+applies. The packet-level stream ops produce bit-identical values at every
+ppc (the tests assert the equivalence): every per-pixel op is pointwise and
+histogram accumulation is exact integer addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
@@ -18,6 +17,7 @@ against the kept boxes in the buckets it could overlap.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +29,7 @@ from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats, fx_q
 from .gradient import binned_field, gradient_field
 from .histogram import cell_histogram_grid
 from .normalize import block_feature_grid
-from .stream import CELL, Frame, GeometryError, VALID_PPC
+from .stream import CELL, Frame, GeometryError
 from .svm import ScoreMap, SvmModel, score_grid
 
 WINDOW_W = 64
@@ -54,7 +54,6 @@ class PipelineRun:
     frame: Frame
     mag_raw: np.ndarray
     bin_lo: np.ndarray
-    bin_hi: np.ndarray
     hist_grid: np.ndarray
     block_grid: np.ndarray
     score_map: ScoreMap
@@ -74,7 +73,7 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     gx, gy = gradient_field(frame.pixels)
-    mag, lo, hi = binned_field(gx, gy, profile.gradient_magnitude, stats)
+    mag, lo = binned_field(gx, gy, profile.gradient_magnitude, stats)
     t1 = time.perf_counter()
     times["gradient"] = t1 - t0
 
@@ -94,7 +93,6 @@ def run_pipeline(
         frame=frame,
         mag_raw=mag,
         bin_lo=lo,
-        bin_hi=hi,
         hist_grid=hist,
         block_grid=blocks,
         score_map=score_map,
@@ -106,20 +104,11 @@ def run_pipeline(
 def detect_frame(
     frame: Frame,
     model: SvmModel,
-    ppc: int = 4,
     threshold: float = 0.0,
     profile: PrecisionProfile = DEFAULT_PROFILE,
     stats: SaturationStats | None = None,
 ) -> list[Detection]:
-    """All windows scoring strictly above threshold, in raster anchor order.
-
-    ppc is validated against the frame geometry; the detection values are
-    identical for every legal setting (see module docstring).
-    """
-    if ppc not in VALID_PPC:
-        raise GeometryError(f"ppc must be one of {VALID_PPC}, got {ppc}")
-    if frame.width % ppc:
-        raise GeometryError(f"ppc {ppc} does not divide width {frame.width}")
+    """All windows scoring strictly above threshold, in raster anchor order."""
     if frame.width < WINDOW_W or frame.height < WINDOW_H:
         raise GeometryError(
             f"frame {frame.width}x{frame.height} is smaller than one "
@@ -130,7 +119,12 @@ def detect_frame(
 
 
 def detections_from_scores(score_map: ScoreMap, threshold: float = 0.0) -> list[Detection]:
-    """Threshold a score map; strict comparison against the quantized threshold."""
+    """Threshold a score map; strict comparison against the quantized threshold.
+
+    A NaN or infinite threshold has no quantized value and raises ValueError.
+    """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     thr_raw = fx_quantize(threshold, score_map.fmt).raw
     scale = score_map.fmt.scale
     out: list[Detection] = []
@@ -159,12 +153,6 @@ def _inter_union(a: Detection, b: Detection) -> tuple[int, int]:
         return 0, 0
     inter = ix * iy
     return inter, a.w * a.h + b.w * b.h - inter
-
-
-def iou(a: Detection, b: Detection) -> Fraction:
-    """Exact intersection-over-union of two boxes."""
-    inter, union = _inter_union(a, b)
-    return Fraction(inter, union) if inter else Fraction(0)
 
 
 def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:

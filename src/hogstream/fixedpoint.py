@@ -21,7 +21,7 @@ stages can run vectorized while staying bit-identical to the scalar ops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,18 +61,6 @@ class FxFormat:
     @property
     def scale(self) -> int:
         return 1 << self.fraction
-
-    @property
-    def min_value(self) -> float:
-        return self.min_raw / self.scale
-
-    @property
-    def max_value(self) -> float:
-        return self.max_raw / self.scale
-
-    @property
-    def lsb(self) -> float:
-        return 1.0 / self.scale
 
     def __str__(self) -> str:
         return f"({self.width},{self.fraction})"
@@ -219,13 +207,9 @@ class PrecisionProfile:
 
     The defaults are the shipped datapath widths; tests pin them, and every
     stage takes its format from here rather than hard-coding widths.
-    ``histogram_bin_number`` documents the 4-bit bin-index field; bin indices
-    are carried as plain ints 0..8 (the value 8 exceeds the signed 4-bit max,
-    the hardware field is effectively unsigned).
     """
 
     gradient_magnitude: FxFormat = field(default=FxFormat(11, 3))
-    histogram_bin_number: FxFormat = field(default=FxFormat(4, 0))
     histogram_value: FxFormat = field(default=FxFormat(18, 4))
     prepare_first_norm: FxFormat = field(default=FxFormat(42, 8))
     first_inv_sqrt: FxFormat = field(default=FxFormat(24, 18))
@@ -249,9 +233,6 @@ class PrecisionProfile:
                 f"histogram_value {self.histogram_value} has fewer fractional bits "
                 f"than gradient_magnitude {self.gradient_magnitude}"
             )
-
-    def stages(self) -> dict[str, FxFormat]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_PROFILE = PrecisionProfile()

@@ -11,7 +11,9 @@ Orientation is never computed as an angle. The unsigned orientation in
 [0, 180) is classified directly into its pair of adjacent histogram bins by
 comparing gy against gx * tan(boundary) with integer constants. Bin centers
 sit at 10 + 20k degrees (k = 0..8); the pair for theta in [c_k, c_{k+1}) is
-(k, k+1), wrapping to (8, 0) below 10 and at or above 170 degrees.
+(k, k+1), wrapping to (8, 0) below 10 and at or above 170 degrees. The second
+bin is therefore always the first plus one, mod 9, so the streamed record and
+the whole-frame path carry only the first bin, bin_lo.
 
 The scalar ops magnitude_approx_raw and orient_bin_pair are the only
 definition of this arithmetic. The whole-frame path (binned_field) gathers
@@ -31,6 +33,8 @@ import numpy as np
 from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_array, saturate_raw
 from .stream import ContextPacket
 
+# Bin indices are plain ints 0..8. The hardware's 4-bit bin-number field is
+# unsigned: 8 exceeds the signed 4-bit maximum.
 N_BINS = 9
 # |gx|, |gy| bound of central differences over 8-bit pixels
 GRADIENT_MAX = 255
@@ -56,15 +60,15 @@ _Q2_PAIRS = ((8, 0), (7, 8), (6, 7), (5, 6), (4, 5))
 
 @dataclass(frozen=True)
 class BinnedGradient:
-    """Magnitude raw (in the gradient_magnitude format) plus the two adjacent bins."""
+    """Magnitude raw (in the gradient_magnitude format) plus the lower bin of
+    its pair; the other bin is (bin_lo + 1) % N_BINS."""
 
     magnitude: int
     bin_lo: int
-    bin_hi: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.bin_lo < N_BINS and self.bin_hi == (self.bin_lo + 1) % N_BINS):
-            raise ValueError(f"bad bin pair ({self.bin_lo}, {self.bin_hi})")
+        if not 0 <= self.bin_lo < N_BINS:
+            raise ValueError(f"bin_lo must be in 0..{N_BINS - 1}, got {self.bin_lo}")
 
 
 def compute_gradients(ctx: tuple[tuple[int, int, int], ...]) -> tuple[int, int]:
@@ -140,8 +144,8 @@ def binned_stream(
         out = []
         for ctx in cp.contexts:
             gx, gy = compute_gradients(ctx)
-            lo, hi = orient_bin_pair(gx, gy)
-            out.append(BinnedGradient(magnitude_approx(gx, gy, fmt, stats), lo, hi))
+            out.append(BinnedGradient(magnitude_approx(gx, gy, fmt, stats),
+                                      orient_bin_pair(gx, gy)[0]))
         yield tuple(out)
 
 
@@ -184,8 +188,8 @@ def binned_field(
     gy: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of binned_stream: (saturated magnitude raws int32, bin_lo, bin_hi uint8).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of binned_stream: (saturated magnitude raws int32, bin_lo uint8).
 
     Every pixel is one lookup in _pixel_table, so magnitude_approx_raw and
     orient_bin_pair stay the only definition of the arithmetic. Gradients
@@ -198,6 +202,4 @@ def binned_field(
     idx = np.multiply(gx, n, dtype=np.int32)
     idx += gy
     idx += GRADIENT_MAX * n + GRADIENT_MAX
-    mag = saturate_array(mag_table[idx], fmt, stats, "magnitude")
-    lo = lo_table[idx]
-    return mag, lo, (lo + 1) % N_BINS
+    return saturate_array(mag_table[idx], fmt, stats, "magnitude"), lo_table[idx]

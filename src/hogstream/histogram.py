@@ -54,8 +54,9 @@ def accumulate_cells(
 ) -> Iterator[CellHistogram]:
     """Consume raster-order binned-gradient packets, emit completed cells.
 
-    Both bins of a pixel's pair receive magnitude >> 1 (raw 5 gives raw 2
-    each). No contribution is negative, so each bin saturates once, on emission.
+    Both bins of a pixel's pair, bin_lo and bin_lo + 1 mod 9, receive
+    magnitude >> 1 (raw 5 gives raw 2 each). No contribution is negative, so
+    each bin saturates once, on emission.
 
     The frame height is implied by the stream length and must be a multiple
     of 8, as must the width; a packet that straddles a row boundary or a
@@ -78,7 +79,7 @@ def accumulate_cells(
             half = (bg.magnitude >> 1) << widen
             bins = acc[col]
             bins[bg.bin_lo] += half
-            bins[bg.bin_hi] += half
+            bins[(bg.bin_lo + 1) % N_BINS] += half
             if y % CELL == CELL - 1 and px % CELL == CELL - 1:
                 yield CellHistogram(
                     cell_row=y // CELL,

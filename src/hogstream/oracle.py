@@ -5,7 +5,10 @@ atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
 shares nothing with the fixed-point path except geometry, so differences
-between the two measure the hardware approximations and nothing else.
+between the two measure the hardware approximations and nothing else. The
+histogram scatters each pixel's two interpolated shares onto its cell's bins
+lo and lo + 1 mod 9, one np.bincount per share. Per-pixel and per-block
+references that only tests compare against live in tests/reference.py.
 
 compare_paths runs both paths on one frame with a quantized model and its
 float source, and reports per-stage error statistics plus the classification
@@ -14,7 +17,6 @@ disagreement rate, serialized as a flat key-value text block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,92 +32,12 @@ from .svm import WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, SvmModel
 EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
-class OracleGradient:
-    gx: int
-    gy: int
-    magnitude: float
-    theta_deg: float
-
-
-def oracle_gradient(frame: Frame, x: int, y: int) -> OracleGradient:
-    """Exact gradient at one pixel: hypot magnitude, atan2 angle in [0, 180)."""
-    px = frame.pixels.astype(np.int32)
-    h, w = frame.height, frame.width
-    if not (0 <= x < w and 0 <= y < h):
-        raise GeometryError(f"pixel ({x},{y}) outside {w}x{h} frame")
-    xl, xr = max(x - 1, 0), min(x + 1, w - 1)
-    yt, yb = max(y - 1, 0), min(y + 1, h - 1)
-    gx = int(px[y, xr]) - int(px[y, xl])
-    gy = int(px[yb, x]) - int(px[yt, x])
-    m = math.hypot(gx, gy)
-    theta = math.degrees(math.atan2(gy, gx)) % 180.0 if (gx or gy) else 0.0
-    return OracleGradient(gx=gx, gy=gy, magnitude=m, theta_deg=theta)
-
-
-def oracle_bin_pair(gx: int, gy: int) -> tuple[int, int]:
-    """Adjacent-bin pair from the exact angle, same conventions as the datapath.
-
-    Zero gradient maps to (0, 1) like the fixed path (zero mass, unobservable).
-    """
-    if gx == 0 and gy == 0:
-        return (0, 1)
-    theta = math.degrees(math.atan2(gy, gx)) % 180.0
-    lo = math.floor((theta - FIRST_CENTER_DEG) / BIN_STEP_DEG) % N_BINS
-    return lo, (lo + 1) % N_BINS
-
-
-def _interp_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lo bin, hi bin, and the fraction of mass going to hi."""
+def _interp_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bin of the pair around theta, and the fraction of mass going to
+    the upper bin (lo + 1) % N_BINS."""
     u = (theta - FIRST_CENTER_DEG) / BIN_STEP_DEG
     k = np.floor(u)
-    frac = u - k
-    lo = (k.astype(np.int64)) % N_BINS
-    hi = (lo + 1) % N_BINS
-    return lo, hi, frac
-
-
-def oracle_cell_histogram(frame: Frame, cell_row: int, cell_col: int) -> np.ndarray:
-    """Exact 9-bin histogram of one 8x8 cell with bilinear bin interpolation."""
-    rows = frame.height // CELL
-    cols = frame.width // CELL
-    if not (0 <= cell_row < rows and 0 <= cell_col < cols):
-        raise GeometryError(f"cell ({cell_row},{cell_col}) outside {rows}x{cols} grid")
-    bins = np.zeros(N_BINS, dtype=np.float64)
-    for y in range(cell_row * CELL, (cell_row + 1) * CELL):
-        for x in range(cell_col * CELL, (cell_col + 1) * CELL):
-            g = oracle_gradient(frame, x, y)
-            if g.magnitude == 0.0:
-                continue
-            u = (g.theta_deg - FIRST_CENTER_DEG) / BIN_STEP_DEG
-            k = math.floor(u)
-            frac = u - k
-            lo = k % N_BINS
-            bins[lo] += g.magnitude * (1.0 - frac)
-            bins[(lo + 1) % N_BINS] += g.magnitude * frac
-    return bins
-
-
-def oracle_block_normalize(cell_hists: np.ndarray, eps: float = EPSILON) -> np.ndarray:
-    """Exact L2 -> clip at 0.2 -> L2 on one block's 4 cell histograms.
-
-    cell_hists is (4, 9) in block order [cell(i,j), cell(i+1,j), cell(i,j+1),
-    cell(i+1,j+1)]; returns the 36 normalized values.
-    """
-    f = np.asarray(cell_hists, dtype=np.float64).reshape(BLOCK_VALUES)
-    f_l2 = f / math.sqrt(float(np.dot(f, f)) + eps * eps)
-    f_th = np.minimum(f_l2, CLIP_THRESHOLD)
-    return f_th / math.sqrt(float(np.dot(f_th, f_th)) + eps * eps)
-
-
-def oracle_score(features: np.ndarray, weights: np.ndarray, bias: float) -> float:
-    """Exact window score: dot(weights, features) + bias."""
-    f = np.asarray(features, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if f.shape != (WINDOW_FEATURES,) or w.shape != (WINDOW_FEATURES,):
-        raise GeometryError(f"expected {WINDOW_FEATURES}-value vectors, "
-                            f"got {f.shape} and {w.shape}")
-    return float(np.dot(w, f) + bias)
+    return k.astype(np.int64) % N_BINS, u - k
 
 
 @dataclass
@@ -125,7 +47,6 @@ class ReferenceRun:
     magnitude: np.ndarray
     theta_deg: np.ndarray
     bin_lo: np.ndarray
-    bin_hi: np.ndarray
     hist_grid: np.ndarray
     block_grid: np.ndarray
     scores: np.ndarray
@@ -137,18 +58,18 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
     gx, gy = gradient_field(frame.pixels)
     m = np.hypot(gx, gy)
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
-    lo, hi, frac = _interp_weights(theta)
-    zero = (gx == 0) & (gy == 0)
-    lo = np.where(zero, 0, lo)
-    hi = np.where(zero, 1, hi)
+    lo, frac = _interp_weights(theta)
+    # a zero gradient carries no mass; give it the fixed path's pair (0, 1)
+    lo = np.where((gx == 0) & (gy == 0), 0, lo)
 
+    # scatter the two shares of each pixel onto its cell's bins lo and lo + 1
     rows, cols = frame.height // CELL, frame.width // CELL
-    grid = np.zeros((rows, cols, N_BINS), dtype=np.float64)
-    mass_lo = m * (1.0 - frac)
-    mass_hi = m * frac
-    for k in range(N_BINS):
-        sel = mass_lo * (lo == k) + mass_hi * (hi == k)
-        grid[:, :, k] = sel.reshape(rows, CELL, cols, CELL).sum(axis=(1, 3))
+    cell = (np.arange(frame.height)[:, None] // CELL * cols
+            + np.arange(frame.width) // CELL) * N_BINS
+    n = rows * cols * N_BINS
+    grid = (np.bincount((cell + lo).ravel(), weights=(m * (1.0 - frac)).ravel(), minlength=n)
+            + np.bincount((cell + (lo + 1) % N_BINS).ravel(), weights=(m * frac).ravel(),
+                          minlength=n)).reshape(rows, cols, N_BINS)
 
     if rows < 2 or cols < 2:
         raise GeometryError(f"cell grid {rows}x{cols} is too small to form a block")
@@ -180,7 +101,6 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
         magnitude=m,
         theta_deg=theta,
         bin_lo=lo.astype(np.uint8),
-        bin_hi=hi.astype(np.uint8),
         hist_grid=grid,
         block_grid=blocks,
         scores=scores,
@@ -258,8 +178,10 @@ def compare_paths(
     mag_fixed = fixed.mag_raw / profile.gradient_magnitude.scale
     mag_err = np.abs(mag_fixed - ref.magnitude)
 
+    # both paths pair bin_lo with bin_lo + 1 mod 9, so the pairs differ
+    # exactly where the lower bins do
     carrying = ref.magnitude > 0
-    pair_diff = ((fixed.bin_lo != ref.bin_lo) | (fixed.bin_hi != ref.bin_hi)) & carrying
+    pair_diff = (fixed.bin_lo != ref.bin_lo) & carrying
     n_carrying = int(carrying.sum())
     pair_rate = float(pair_diff.sum() / n_carrying) if n_carrying else 0.0
 

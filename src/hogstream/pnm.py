@@ -75,9 +75,3 @@ def load_image(path: str | Path) -> Frame:
         rgb = px.reshape(height, width, 3).astype(np.uint32)
         gray = ((77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2]) >> 8).astype(np.uint8)
     return Frame.from_array(gray)
-
-
-def save_pgm(frame: Frame, path: str | Path) -> None:
-    """Write a Frame as a binary P5 file (test fixture helper)."""
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode()
-    Path(path).write_bytes(header + frame.pixels.tobytes())

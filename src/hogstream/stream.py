@@ -56,6 +56,8 @@ class Frame:
         real values in 0..255, checked before the cast, so no value wraps.
         """
         px = np.asarray(pixels)
+        if px.ndim != 2:
+            raise GeometryError(f"pixels must be a 2-D array, got shape {px.shape}")
         if px.dtype != np.uint8 and not (
                 px.dtype.kind in "biuf"
                 and np.all((px >= 0) & (px <= 255) & (px == np.floor(px)))):
@@ -101,37 +103,6 @@ def pack_frame(frame: Frame, ppc: int) -> Iterator[StreamPacket]:
                 sof=(y == 0 and x0 == 0),
                 eol=(x0 == last),
             )
-
-
-def unpack(packets: Iterable[StreamPacket]) -> Frame:
-    """Rebuild a frame from a packet stream, validating flag discipline."""
-    rows: list[list[int]] = []
-    current: list[int] = []
-    ppc = None
-    for i, pkt in enumerate(packets):
-        if ppc is None:
-            ppc = len(pkt.pixels)
-            if ppc not in VALID_PPC:
-                raise StreamProtocolError(f"packet width {ppc} not in {VALID_PPC}")
-        elif len(pkt.pixels) != ppc:
-            raise StreamProtocolError(
-                f"packet {i} width {len(pkt.pixels)} changed from {ppc}"
-            )
-        if pkt.sof != (i == 0):
-            raise StreamProtocolError(f"sof flag wrong on packet {i}")
-        current.extend(pkt.pixels)
-        if pkt.eol:
-            if rows and len(current) != len(rows[0]):
-                raise StreamProtocolError(
-                    f"row {len(rows)} has {len(current)} pixels, expected {len(rows[0])}"
-                )
-            rows.append(current)
-            current = []
-    if ppc is None:
-        raise StreamProtocolError("empty stream")
-    if current:
-        raise StreamProtocolError("stream ended mid-row (missing eol)")
-    return Frame.from_array(np.array(rows, dtype=np.uint8))
 
 
 def _row_contexts(above: list[int], row: list[int], below: list[int],

@@ -1,0 +1,145 @@
+"""Reference implementations that only the tests compare against.
+
+Per-pixel and per-window float references for the oracle's whole-frame path,
+exact IoU, the packet-stream decoder and a PGM writer for fixtures. None of
+them runs in the detector, so they live beside the tests, not in the package.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+from typing import Iterable
+
+import numpy as np
+
+from hogstream.detector import Detection, _inter_union
+from hogstream.gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, N_BINS
+from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
+from hogstream.oracle import EPSILON
+from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
+                              StreamProtocolError)
+from hogstream.svm import WINDOW_FEATURES
+
+
+@dataclass(frozen=True)
+class OracleGradient:
+    gx: int
+    gy: int
+    magnitude: float
+    theta_deg: float
+
+
+def oracle_gradient(frame: Frame, x: int, y: int) -> OracleGradient:
+    """Exact gradient at one pixel: hypot magnitude, atan2 angle in [0, 180)."""
+    px = frame.pixels.astype(np.int32)
+    h, w = frame.height, frame.width
+    if not (0 <= x < w and 0 <= y < h):
+        raise GeometryError(f"pixel ({x},{y}) outside {w}x{h} frame")
+    xl, xr = max(x - 1, 0), min(x + 1, w - 1)
+    yt, yb = max(y - 1, 0), min(y + 1, h - 1)
+    gx = int(px[y, xr]) - int(px[y, xl])
+    gy = int(px[yb, x]) - int(px[yt, x])
+    m = math.hypot(gx, gy)
+    theta = math.degrees(math.atan2(gy, gx)) % 180.0 if (gx or gy) else 0.0
+    return OracleGradient(gx=gx, gy=gy, magnitude=m, theta_deg=theta)
+
+
+def oracle_bin_pair(gx: int, gy: int) -> tuple[int, int]:
+    """Adjacent-bin pair from the exact angle, same conventions as the datapath.
+
+    Zero gradient maps to (0, 1) like the fixed path (zero mass, unobservable).
+    """
+    if gx == 0 and gy == 0:
+        return (0, 1)
+    theta = math.degrees(math.atan2(gy, gx)) % 180.0
+    lo = math.floor((theta - FIRST_CENTER_DEG) / BIN_STEP_DEG) % N_BINS
+    return lo, (lo + 1) % N_BINS
+
+
+def oracle_cell_histogram(frame: Frame, cell_row: int, cell_col: int) -> np.ndarray:
+    """Exact 9-bin histogram of one 8x8 cell with bilinear bin interpolation."""
+    rows = frame.height // CELL
+    cols = frame.width // CELL
+    if not (0 <= cell_row < rows and 0 <= cell_col < cols):
+        raise GeometryError(f"cell ({cell_row},{cell_col}) outside {rows}x{cols} grid")
+    bins = np.zeros(N_BINS, dtype=np.float64)
+    for y in range(cell_row * CELL, (cell_row + 1) * CELL):
+        for x in range(cell_col * CELL, (cell_col + 1) * CELL):
+            g = oracle_gradient(frame, x, y)
+            if g.magnitude == 0.0:
+                continue
+            u = (g.theta_deg - FIRST_CENTER_DEG) / BIN_STEP_DEG
+            k = math.floor(u)
+            frac = u - k
+            lo = k % N_BINS
+            bins[lo] += g.magnitude * (1.0 - frac)
+            bins[(lo + 1) % N_BINS] += g.magnitude * frac
+    return bins
+
+
+def oracle_block_normalize(cell_hists: np.ndarray, eps: float = EPSILON) -> np.ndarray:
+    """Exact L2 -> clip at 0.2 -> L2 on one block's 4 cell histograms.
+
+    cell_hists is (4, 9) in block order [cell(i,j), cell(i+1,j), cell(i,j+1),
+    cell(i+1,j+1)]; returns the 36 normalized values.
+    """
+    f = np.asarray(cell_hists, dtype=np.float64).reshape(BLOCK_VALUES)
+    f_l2 = f / math.sqrt(float(np.dot(f, f)) + eps * eps)
+    f_th = np.minimum(f_l2, CLIP_THRESHOLD)
+    return f_th / math.sqrt(float(np.dot(f_th, f_th)) + eps * eps)
+
+
+def oracle_score(features: np.ndarray, weights: np.ndarray, bias: float) -> float:
+    """Exact window score: dot(weights, features) + bias."""
+    f = np.asarray(features, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if f.shape != (WINDOW_FEATURES,) or w.shape != (WINDOW_FEATURES,):
+        raise GeometryError(f"expected {WINDOW_FEATURES}-value vectors, "
+                            f"got {f.shape} and {w.shape}")
+    return float(np.dot(w, f) + bias)
+
+
+def iou(a: Detection, b: Detection) -> Fraction:
+    """Exact intersection-over-union of two boxes."""
+    inter, union = _inter_union(a, b)
+    return Fraction(inter, union) if inter else Fraction(0)
+
+
+def unpack(packets: Iterable[StreamPacket]) -> Frame:
+    """Rebuild a frame from a packet stream, validating flag discipline."""
+    rows: list[list[int]] = []
+    current: list[int] = []
+    ppc = None
+    for i, pkt in enumerate(packets):
+        if ppc is None:
+            ppc = len(pkt.pixels)
+            if ppc not in VALID_PPC:
+                raise StreamProtocolError(f"packet width {ppc} not in {VALID_PPC}")
+        elif len(pkt.pixels) != ppc:
+            raise StreamProtocolError(
+                f"packet {i} width {len(pkt.pixels)} changed from {ppc}"
+            )
+        if pkt.sof != (i == 0):
+            raise StreamProtocolError(f"sof flag wrong on packet {i}")
+        current.extend(pkt.pixels)
+        if pkt.eol:
+            if rows and len(current) != len(rows[0]):
+                raise StreamProtocolError(
+                    f"row {len(rows)} has {len(current)} pixels, expected {len(rows[0])}"
+                )
+            rows.append(current)
+            current = []
+    if ppc is None:
+        raise StreamProtocolError("empty stream")
+    if current:
+        raise StreamProtocolError("stream ended mid-row (missing eol)")
+    return Frame.from_array(np.array(rows, dtype=np.uint8))
+
+
+def save_pgm(frame: Frame, path: str | Path) -> None:
+    """Write a Frame as a binary P5 file (test fixture helper)."""
+    header = f"P5\n{frame.width} {frame.height}\n255\n".encode()
+    Path(path).write_bytes(header + frame.pixels.tobytes())

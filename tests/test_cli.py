@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hogstream.cli import main
-from hogstream.pnm import PnmError, load_image, save_pgm
+from hogstream.pnm import PnmError, load_image
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import QUANT_MAGIC, SvmModel, load_model, save_float_model, save_model
+from reference import save_pgm
 
 
 def write_pgm(path, px):
@@ -120,25 +121,6 @@ def test_detect_stdout(workspace, capsys):
     assert capsys.readouterr().out == "0 0 64 128 1.0\n"
 
 
-def test_detect_byte_identical_across_ppc(tmp_path):
-    rng = np.random.default_rng(93)
-    img = tmp_path / "f.pgm"
-    write_pgm(img, rng.integers(0, 256, size=(136, 80), dtype=np.uint8))
-    model = tmp_path / "m.txt"
-    rngw = np.random.default_rng(94)
-    save_model(SvmModel(weights_raw=rngw.integers(-1023, 1024, size=(15, 7, 36)),
-                        bias_raw=0), model)
-    outputs = []
-    for ppc in (1, 2, 4, 8):
-        out = tmp_path / f"d{ppc}.txt"
-        rc = main(["detect", str(img), "--model", str(model), "--ppc", str(ppc),
-                   "--threshold", "-99", "--out", str(out)])
-        assert rc == 0
-        outputs.append(out.read_bytes())
-    assert len(set(outputs)) == 1
-    assert outputs[0]  # threshold -99 guarantees detections
-
-
 def test_detect_accepts_float_model(workspace):
     tmp, img, _ = workspace
     rng = np.random.default_rng(95)
@@ -242,18 +224,31 @@ def test_missing_image_is_user_error(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_ppc_rejected_by_parser(workspace):
-    _, img, model = workspace
-    with pytest.raises(SystemExit):
-        main(["detect", str(img), "--model", str(model), "--ppc", "3"])
-
-
 @pytest.mark.parametrize("command", ["detect", "bench"])
 @pytest.mark.parametrize("iou", ["nan", "-0.1", "1.5", "inf"])
 def test_bad_iou_rejected_by_parser(workspace, command, iou):
     _, img, model = workspace
     with pytest.raises(SystemExit):
         main([command, str(img), "--model", str(model), "--iou", iou])
+
+
+@pytest.mark.parametrize("command", ["detect", "bench", "compare"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_rejected_by_parser(workspace, capsys, command, threshold):
+    _, img, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(img), "--model", str(model), f"--threshold={threshold}"])
+    assert exc.value.code == 2
+    assert "score threshold must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bad_reps_rejected_by_parser(workspace, capsys, reps):
+    _, img, model = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(img), "--model", str(model), "--reps", reps])
+    assert exc.value.code == 2
+    assert "reps must be at least 1" in capsys.readouterr().err
 
 
 def test_model_file_mentions_magic(workspace):

@@ -71,7 +71,7 @@ def test_magnitude_error_band_sample():
 def test_magnitude_saturates_and_counts():
     stats = SaturationStats()
     m = magnitude_approx(255, 255, stats=stats)
-    assert m / MAG_FMT.scale == MAG_FMT.max_value == 127.875
+    assert m / MAG_FMT.scale == MAG_FMT.max_raw / MAG_FMT.scale == 127.875
     assert stats["magnitude"] == 1
 
 
@@ -118,10 +118,8 @@ def test_orient_point_symmetry(gx, gy):
 
 def test_binned_gradient_validation():
     with pytest.raises(ValueError):
-        BinnedGradient(0, bin_lo=3, bin_hi=5)
-    with pytest.raises(ValueError):
-        BinnedGradient(0, bin_lo=9, bin_hi=0)
-    BinnedGradient(0, bin_lo=8, bin_hi=0)
+        BinnedGradient(0, bin_lo=9)
+    BinnedGradient(0, bin_lo=8)
 
 
 def test_field_matches_scalar():
@@ -129,14 +127,14 @@ def test_field_matches_scalar():
     px = rng.integers(0, 256, size=(16, 24), dtype=np.uint8)
     gx, gy = gradient_field(px)
     stats = SaturationStats()
-    mag, lo, hi = binned_field(gx, gy, stats=stats)
+    mag, lo = binned_field(gx, gy, stats=stats)
     f = Frame.from_array(px)
     i = 0
     for pkt in binned_stream(context_stream(pack_frame(f, 8), width=f.width)):
         for bg in pkt:
             y, x = divmod(i, f.width)
             assert bg.magnitude == mag[y, x]
-            assert (bg.bin_lo, bg.bin_hi) == (int(lo[y, x]), int(hi[y, x]))
+            assert bg.bin_lo == int(lo[y, x])
             i += 1
     assert i == f.width * f.height
 
@@ -145,8 +143,8 @@ def test_field_special_cases():
     # constant frame: all gradients zero -> pair (0,1), magnitude 0
     gx, gy = gradient_field(np.full((8, 8), 77, dtype=np.uint8))
     assert not gx.any() and not gy.any()
-    mag, lo, hi = binned_field(gx, gy)
-    assert (lo == 0).all() and (hi == 1).all()
+    mag, lo = binned_field(gx, gy)
+    assert (lo == 0).all()
     assert not mag.any()
 
 
@@ -155,7 +153,7 @@ def test_field_axis_rows():
     px = np.tile(np.array([0, 255] * 4, dtype=np.uint8), (8, 1))
     gx, gy = gradient_field(px)
     assert not gy.any()
-    _, lo, _ = binned_field(gx, gy)
+    _, lo = binned_field(gx, gy)
     assert set(lo[gx != 0].tolist()) == {8}
     assert set(lo[gx == 0].tolist()) == {0}
 
@@ -165,13 +163,13 @@ def test_field_matches_scalar_exhaustively():
     g = np.arange(-255, 256)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     stats = SaturationStats()
-    mag, lo, hi = binned_field(gx, gy, stats=stats)
-    assert (mag.dtype, lo.dtype, hi.dtype) == (np.int32, np.uint8, np.uint8)
+    mag, lo = binned_field(gx, gy, stats=stats)
+    assert (mag.dtype, lo.dtype) == (np.int32, np.uint8)
     scalar_stats = SaturationStats()
-    for x, y, m, l, h in zip(gx.ravel().tolist(), gy.ravel().tolist(), mag.ravel().tolist(),
-                             lo.ravel().tolist(), hi.ravel().tolist()):
+    for x, y, m, l in zip(gx.ravel().tolist(), gy.ravel().tolist(), mag.ravel().tolist(),
+                          lo.ravel().tolist()):
         assert m == magnitude_approx(x, y, stats=scalar_stats), (x, y)
-        assert (l, h) == orient_bin_pair(x, y), (x, y)
+        assert (l, (l + 1) % 9) == orient_bin_pair(x, y), (x, y)
     assert stats["magnitude"] == scalar_stats["magnitude"] > 0
 
 

@@ -38,8 +38,8 @@ def binned_packets(frame, ppc):
 def test_split_truncates_once():
     # one pixel of raw 5 (0.625) in an otherwise flat cell: both bins receive
     # raw 2 (0.25), widened exactly from 3 to 4 fractional bits
-    zero = BinnedGradient(0, 0, 1)
-    pkts = [[BinnedGradient(5, 0, 1)] + [zero] * 7] + [[zero] * 8 for _ in range(7)]
+    zero = BinnedGradient(0, 0)
+    pkts = [[BinnedGradient(5, 0)] + [zero] * 7] + [[zero] * 8 for _ in range(7)]
     (c,) = accumulate_cells(pkts, width=8)
     assert c.bins[0] == c.bins[1] == 2 << 1
 
@@ -52,7 +52,7 @@ def test_cell_histogram_validation():
 def test_single_cell_constant_gradient():
     # 64 identical pixels with magnitude raw 8 (1.0) and pair (0,1):
     # each bin gets 64 * ((8>>1) widened to fraction 4) = 64*8 = 512 raw (32.0)
-    bg = BinnedGradient(8, 0, 1)
+    bg = BinnedGradient(8, 0)
     pkts = [[bg] * 8 for _ in range(8)]
     cells = list(accumulate_cells(pkts, width=8))
     assert len(cells) == 1
@@ -64,7 +64,7 @@ def test_single_cell_constant_gradient():
 
 
 def test_wrap_pair_hits_bins_8_and_0():
-    bg = BinnedGradient(16, 8, 0)
+    bg = BinnedGradient(16, 8)
     pkts = [[bg] * 8 for _ in range(8)]
     (c,) = accumulate_cells(pkts, width=8)
     raws = list(c.bins)
@@ -113,7 +113,7 @@ def test_grid_matches_stream():
     rng = np.random.default_rng(33)
     px = rng.integers(0, 256, size=(24, 40), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    mag, lo, _ = binned_field(gx, gy)
+    mag, lo = binned_field(gx, gy)
     grid = cell_histogram_grid(mag, lo)
     f = Frame.from_array(px)
     for c in accumulate_cells(binned_packets(f, 8), f.width):
@@ -126,7 +126,7 @@ def test_grid_matches_stream_across_bands(fmt):
     # format saturates, and both paths must count the same events
     rng = np.random.default_rng(35)
     px = rng.integers(0, 256, size=(168, 48), dtype=np.uint8)
-    mag, lo, _ = binned_field(*gradient_field(px))
+    mag, lo = binned_field(*gradient_field(px))
     grid_stats, stream_stats = SaturationStats(), SaturationStats()
     grid = cell_histogram_grid(mag, lo, fmt, grid_stats)
     f = Frame.from_array(px)
@@ -144,7 +144,7 @@ def test_mass_conservation():
     rng = np.random.default_rng(34)
     px = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     gx, gy = gradient_field(px)
-    mag, lo, _ = binned_field(gx, gy)
+    mag, lo = binned_field(gx, gy)
     grid = cell_histogram_grid(mag, lo)
     # each pixel deposits (m >> 1) widened by one fraction bit into BOTH bins
     expect = ((mag.astype(np.int64) >> 1) << 2).reshape(2, 8, 2, 8).sum(axis=(1, 3))
@@ -153,7 +153,7 @@ def test_mass_conservation():
 
 def test_histogram_never_saturates_at_default_widths():
     # worst case: every pixel at the magnitude ceiling
-    bg = BinnedGradient(MAG_FMT.max_raw, 3, 4)
+    bg = BinnedGradient(MAG_FMT.max_raw, 3)
     pkts = [[bg] * 8 for _ in range(8)]
     stats = SaturationStats()
     (c,) = accumulate_cells(pkts, width=8, stats=stats)
@@ -166,7 +166,7 @@ def test_protocol_errors():
     with pytest.raises(GeometryError):
         list(accumulate_cells([], width=12))
 
-    bg = BinnedGradient(0, 0, 1)
+    bg = BinnedGradient(0, 0)
     with pytest.raises(StreamProtocolError):
         list(accumulate_cells([[bg] * 3], width=8))  # 3 lanes misaligned
 

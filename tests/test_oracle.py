@@ -11,11 +11,6 @@ from hogstream.gradient import orient_bin_pair
 from hogstream.oracle import (
     _interp_weights,
     compare_paths,
-    oracle_bin_pair,
-    oracle_block_normalize,
-    oracle_cell_histogram,
-    oracle_gradient,
-    oracle_score,
     oracle_window_feature,
     reference_run,
     window_feature_grid,
@@ -23,6 +18,13 @@ from hogstream.oracle import (
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES
 from hogstream.trainer import FloatModel, quantize_model
+from reference import (
+    oracle_bin_pair,
+    oracle_block_normalize,
+    oracle_cell_histogram,
+    oracle_gradient,
+    oracle_score,
+)
 
 
 def frame_of(px):
@@ -83,9 +85,9 @@ def test_oracle_bin_pair_matches_fixed():
 
 
 def test_interp_weights_wrap():
-    lo, hi, frac = _interp_weights(np.array([10.0, 30.0, 170.0, 175.0, 5.0, 0.0]))
+    lo, frac = _interp_weights(np.array([10.0, 30.0, 170.0, 175.0, 5.0, 0.0]))
     assert lo.tolist() == [0, 1, 8, 8, 8, 8]
-    assert hi.tolist() == [1, 2, 0, 0, 0, 0]
+    assert ((lo + 1) % 9).tolist() == [1, 2, 0, 0, 0, 0]
     # theta=170 is exactly center 8: nothing spills into bin 0
     assert frac.tolist() == [0.0, 0.0, 0.0, 0.25, 0.75, 0.5]
 
@@ -119,17 +121,20 @@ def test_interp_theta_45_quarter_split():
 
 
 def test_cell_histogram_mass_conservation():
+    # square and non-square grids: the scatter's cell index is row * cols + col
     rng = np.random.default_rng(71)
-    f = frame_of(rng.integers(0, 256, size=(16, 16), dtype=np.uint8))
-    ref = reference_run(f)
-    for r in range(2):
-        for c in range(2):
-            h = oracle_cell_histogram(f, r, c)
-            cell_mag = ref.magnitude[r * 8:(r + 1) * 8, c * 8:(c + 1) * 8]
-            assert h.sum() == pytest.approx(cell_mag.sum())
-            assert np.allclose(ref.hist_grid[r, c], h)
-    with pytest.raises(GeometryError):
-        oracle_cell_histogram(f, 2, 0)
+    for rows, cols in ((2, 2), (3, 5)):
+        f = frame_of(rng.integers(0, 256, size=(rows * 8, cols * 8), dtype=np.uint8))
+        ref = reference_run(f)
+        assert ref.hist_grid.shape == (rows, cols, 9)
+        for r in range(rows):
+            for c in range(cols):
+                h = oracle_cell_histogram(f, r, c)
+                cell_mag = ref.magnitude[r * 8:(r + 1) * 8, c * 8:(c + 1) * 8]
+                assert h.sum() == pytest.approx(cell_mag.sum())
+                assert np.allclose(ref.hist_grid[r, c], h)
+        with pytest.raises(GeometryError):
+            oracle_cell_histogram(f, rows, 0)
 
 
 def test_block_normalize_properties():

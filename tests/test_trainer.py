@@ -179,7 +179,7 @@ def test_synthetic_training_smoke():
 
 
 def test_load_manifest(tmp_path):
-    from hogstream.pnm import save_pgm
+    from reference import save_pgm
 
     frames, labels = make_synthetic_set(2, seed=12)
     lines = ["# comment line", ""]
