@@ -2,6 +2,7 @@
 
 detect_frame runs the whole fixed-point path on one frame and returns every
 window whose score strictly exceeds the threshold, in raster anchor order.
+run_pipeline rejects a frame smaller than one svm.WINDOW_W x WINDOW_H window.
 The heavy math runs whole-frame vectorized, so no pixels-per-clock setting
 applies. The packet-level stream ops produce bit-identical values at every
 ppc (the tests assert the equivalence): every per-pixel op is pointwise and
@@ -17,7 +18,6 @@ against the kept boxes in the buckets it could overlap.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,15 +25,12 @@ from numbers import Rational
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats, fx_quantize
+from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats
 from .gradient import binned_field, gradient_field
 from .histogram import cell_histogram_grid
 from .normalize import block_feature_grid
 from .stream import CELL, Frame, GeometryError
-from .svm import ScoreMap, SvmModel, score_grid
-
-WINDOW_W = 64
-WINDOW_H = 128
+from .svm import WINDOW_H, WINDOW_W, ScoreMap, SvmModel, score_grid
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,6 @@ class Detection:
 class PipelineRun:
     """Everything the fixed-point path produced for one frame."""
 
-    frame: Frame
     mag_raw: np.ndarray
     bin_lo: np.ndarray
     hist_grid: np.ndarray
@@ -67,7 +63,15 @@ def run_pipeline(
     profile: PrecisionProfile = DEFAULT_PROFILE,
     stats: SaturationStats | None = None,
 ) -> PipelineRun:
-    """Gradients -> binning -> cell histograms -> block features -> scores."""
+    """Gradients -> binning -> cell histograms -> block features -> scores.
+
+    A frame smaller than one window raises GeometryError before any stage runs.
+    """
+    if frame.width < WINDOW_W or frame.height < WINDOW_H:
+        raise GeometryError(
+            f"frame {frame.width}x{frame.height} is smaller than one "
+            f"{WINDOW_W}x{WINDOW_H} window"
+        )
     stats = stats if stats is not None else SaturationStats()
     times: dict[str, float] = {}
 
@@ -90,7 +94,6 @@ def run_pipeline(
     times["svm"] = t4 - t3
 
     return PipelineRun(
-        frame=frame,
         mag_raw=mag,
         bin_lo=lo,
         hist_grid=hist,
@@ -109,26 +112,16 @@ def detect_frame(
     stats: SaturationStats | None = None,
 ) -> list[Detection]:
     """All windows scoring strictly above threshold, in raster anchor order."""
-    if frame.width < WINDOW_W or frame.height < WINDOW_H:
-        raise GeometryError(
-            f"frame {frame.width}x{frame.height} is smaller than one "
-            f"{WINDOW_W}x{WINDOW_H} window"
-        )
     run = run_pipeline(frame, model, profile, stats)
     return detections_from_scores(run.score_map, threshold)
 
 
 def detections_from_scores(score_map: ScoreMap, threshold: float = 0.0) -> list[Detection]:
-    """Threshold a score map; strict comparison against the quantized threshold.
-
-    A NaN or infinite threshold has no quantized value and raises ValueError.
-    """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    thr_raw = fx_quantize(threshold, score_map.fmt).raw
+    """Threshold a score map with ``ScoreMap.above`` (strict, quantized; a
+    non-finite threshold raises ValueError)."""
     scale = score_map.fmt.scale
     out: list[Detection] = []
-    rows, cols = np.nonzero(score_map.scores_raw > thr_raw)
+    rows, cols = np.nonzero(score_map.above(threshold))
     for r, c in zip(rows.tolist(), cols.tolist()):
         out.append(
             Detection(

@@ -103,10 +103,6 @@ class SaturationStats:
     def __getitem__(self, stage: str) -> int:
         return self.counts.get(stage, 0)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def __repr__(self) -> str:
         return f"SaturationStats({self.counts})"
 
@@ -201,12 +197,18 @@ def quantize_array(
     return saturate_array(raw, fmt, stats, stage)
 
 
+def dump_raws(grid: np.ndarray) -> bytes:
+    """Flat binary blob of a raw grid: C order, little-endian int32."""
+    return np.ascontiguousarray(grid, dtype="<i4").tobytes()
+
+
 @dataclass(frozen=True)
 class PrecisionProfile:
     """Per-stage fixed-point formats of the detection pipeline.
 
     The defaults are the shipped datapath widths; tests pin them, and every
-    stage takes its format from here rather than hard-coding widths.
+    stage takes its format from here rather than hard-coding widths. Window
+    scores carry ``svm_bias``, the fraction the exact accumulation lands on.
     """
 
     gradient_magnitude: FxFormat = field(default=FxFormat(11, 3))
@@ -218,7 +220,6 @@ class PrecisionProfile:
     final_feature: FxFormat = field(default=FxFormat(10, 9))
     svm_coefficient: FxFormat = field(default=FxFormat(11, 10))
     svm_bias: FxFormat = field(default=FxFormat(33, 19))
-    svm_prediction: FxFormat = field(default=FxFormat(33, 19))
 
     def __post_init__(self) -> None:
         # the histogram widens each halved magnitude into its own fraction

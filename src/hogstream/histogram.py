@@ -134,8 +134,3 @@ def cell_histogram_grid(
     # summing: the left shift is a multiplication, exact in int64
     grid = (lo_sums + np.roll(lo_sums, 1, axis=2)) << (fmt.fraction - MAGNITUDE_FRACTION)
     return saturate_array(grid, fmt, stats, "histogram")
-
-
-def dump_cells(grid: np.ndarray) -> bytes:
-    """Flat binary blob: row-major cells, 9 raw values each, little-endian int32."""
-    return np.ascontiguousarray(grid, dtype="<i4").tobytes()

@@ -248,8 +248,3 @@ def block_feature_grid(
         f_th * n2[:, :, None], f1_fmt.fraction + n2_fmt.fraction, out_fmt, stats, "norm2"
     )
     return out
-
-
-def dump_blocks(grid: np.ndarray) -> bytes:
-    """Flat binary blob: row-major blocks, 36 raw values each, little-endian int32."""
-    return np.ascontiguousarray(grid, dtype="<i4").tobytes()

@@ -4,11 +4,12 @@ The oracle recomputes every stage the honest way: Euclidean magnitude,
 atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
-shares nothing with the fixed-point path except geometry, so differences
-between the two measure the hardware approximations and nothing else. The
-histogram scatters each pixel's two interpolated shares onto its cell's bins
-lo and lo + 1 mod 9, one np.bincount per share. Per-pixel and per-block
-references that only tests compare against live in tests/reference.py.
+shares nothing with the fixed-point path except geometry (the window sum
+is svm.window_sums), so differences between the two measure the hardware
+approximations and nothing else. The histogram scatters each pixel's two
+interpolated shares onto its cell's bins lo and lo + 1 mod 9, one
+np.bincount per share. Per-pixel, per-block and per-window references that
+only tests compare against live in tests/reference.py.
 
 compare_paths runs both paths on one frame with a quantized model and its
 float source, and reports per-stage error statistics plus the classification
@@ -22,12 +23,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .detector import PipelineRun, run_pipeline
-from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, fx_quantize
+from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
 from .gradient import N_BINS, BIN_STEP_DEG, FIRST_CENTER_DEG, gradient_field
 from .histogram import CELL
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD
 from .stream import Frame, GeometryError
-from .svm import WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, SvmModel
+from .svm import WINDOW_BLOCKS, SvmModel, window_sums
 
 EPSILON = 1e-6
 
@@ -45,7 +46,6 @@ class ReferenceRun:
     """Everything the float path produced for one frame."""
 
     magnitude: np.ndarray
-    theta_deg: np.ndarray
     bin_lo: np.ndarray
     hist_grid: np.ndarray
     block_grid: np.ndarray
@@ -54,7 +54,8 @@ class ReferenceRun:
 
 def reference_run(frame: Frame, weights: np.ndarray | None = None,
                   bias: float = 0.0) -> ReferenceRun:
-    """Whole-frame float path; scores are computed only if weights are given."""
+    """Whole-frame float path; scores are computed only if weights are given,
+    and then a frame smaller than one window raises GeometryError."""
     gx, gy = gradient_field(frame.pixels)
     m = np.hypot(gx, gy)
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
@@ -84,52 +85,16 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
     scores = np.zeros((0, 0), dtype=np.float64)
     if weights is not None:
         br, bc = blocks.shape[0], blocks.shape[1]
-        ar = br - (WINDOW_BLOCK_ROWS - 1)
-        ac = bc - (WINDOW_BLOCK_COLS - 1)
-        if ar > 0 and ac > 0:
-            wmat = np.asarray(weights, dtype=np.float64).reshape(
-                WINDOW_BLOCK_ROWS * WINDOW_BLOCK_COLS, BLOCK_VALUES
-            )
-            dots = blocks.reshape(br * bc, BLOCK_VALUES) @ wmat.T
-            dots = dots.reshape(br, bc, -1)
-            scores = np.full((ar, ac), float(bias), dtype=np.float64)
-            for r in range(WINDOW_BLOCK_ROWS):
-                for c in range(WINDOW_BLOCK_COLS):
-                    scores = scores + dots[r : r + ar, c : c + ac,
-                                           r * WINDOW_BLOCK_COLS + c]
+        wmat = np.asarray(weights, dtype=np.float64).reshape(WINDOW_BLOCKS, BLOCK_VALUES)
+        dots = (blocks.reshape(br * bc, BLOCK_VALUES) @ wmat.T).reshape(br, bc, WINDOW_BLOCKS)
+        scores = window_sums(dots.transpose(2, 0, 1), bias)
     return ReferenceRun(
         magnitude=m,
-        theta_deg=theta,
         bin_lo=lo.astype(np.uint8),
         hist_grid=grid,
         block_grid=blocks,
         scores=scores,
     )
-
-
-def window_feature_grid(block_grid: np.ndarray) -> np.ndarray:
-    """Gather per-anchor 3780-value window features from a block grid."""
-    br, bc = block_grid.shape[0], block_grid.shape[1]
-    ar = br - (WINDOW_BLOCK_ROWS - 1)
-    ac = bc - (WINDOW_BLOCK_COLS - 1)
-    if ar <= 0 or ac <= 0:
-        return np.zeros((0, 0, WINDOW_FEATURES), dtype=block_grid.dtype)
-    out = np.empty((ar, ac, WINDOW_FEATURES), dtype=block_grid.dtype)
-    for r in range(WINDOW_BLOCK_ROWS):
-        for c in range(WINDOW_BLOCK_COLS):
-            k = (r * WINDOW_BLOCK_COLS + c) * BLOCK_VALUES
-            out[:, :, k : k + BLOCK_VALUES] = block_grid[r : r + ar, c : c + ac]
-    return out
-
-
-def oracle_window_feature(frame: Frame, anchor_row: int = 0, anchor_col: int = 0) -> np.ndarray:
-    """Exact 3780-value feature of the window anchored at the given cell."""
-    ref = reference_run(frame)
-    grid = window_feature_grid(ref.block_grid)
-    if not (0 <= anchor_row < grid.shape[0] and 0 <= anchor_col < grid.shape[1]):
-        raise GeometryError(f"anchor ({anchor_row},{anchor_col}) outside "
-                            f"{grid.shape[0]}x{grid.shape[1]} grid")
-    return grid[anchor_row, anchor_col]
 
 
 @dataclass
@@ -170,9 +135,12 @@ def compare_paths(
 
     The quantized model should come from the given float source so the score
     gap reflects the datapath plus weight quantization. Zero-magnitude pixels
-    are excluded from the bin-pair rate (their pair carries no mass).
+    are excluded from the bin-pair rate (their pair carries no mass). The
+    frame must hold at least one window (see run_pipeline) and the threshold
+    must be finite (see ScoreMap.above).
     """
     fixed = fixed_run if fixed_run is not None else run_pipeline(frame, model, profile)
+    fixed_pos = fixed.score_map.above(threshold)
     ref = reference_run(frame, float_weights, float_bias)
 
     mag_fixed = fixed.mag_raw / profile.gradient_magnitude.scale
@@ -191,8 +159,6 @@ def compare_paths(
     score_fixed = fixed.score_map.decode()
     score_err = np.abs(score_fixed - ref.scores)
 
-    thr_raw = fx_quantize(threshold, fixed.score_map.fmt).raw
-    fixed_pos = fixed.score_map.scores_raw > thr_raw
     ref_pos = ref.scores > threshold
     disagree = int((fixed_pos != ref_pos).sum())
     n_anchors = int(ref.scores.size)
@@ -206,8 +172,8 @@ def compare_paths(
         bin_pair_disagreement_rate=pair_rate,
         block_feature_max_abs_err=float(blk_err.max()),
         block_feature_mean_abs_err=float(blk_err.mean()),
-        score_max_abs_err=float(score_err.max()) if score_err.size else 0.0,
-        score_mean_abs_err=float(score_err.mean()) if score_err.size else 0.0,
+        score_max_abs_err=float(score_err.max()),
+        score_mean_abs_err=float(score_err.mean()),
         classification_disagreements=disagree,
-        classification_disagreement_rate=float(disagree / n_anchors) if n_anchors else 0.0,
+        classification_disagreement_rate=float(disagree / n_anchors),
     )

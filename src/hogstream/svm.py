@@ -1,9 +1,10 @@
-"""Linear SVM scoring over the sliding 64x128 window, plus model file IO.
+"""The detection window, linear SVM scoring over it, and model file IO.
 
-A detection window covers 15x7 blocks (16x8 cells). Each block's 36-value
-feature is dotted with the matching 36 coefficients, and every window anchor
-accumulates the 105 block dots that fall inside it plus the bias. Products of
-feature (10,9) and coefficient (11,10) raws already sit at the accumulator
+This module owns the window: 15x7 blocks of 2x2 cells, so WINDOW_W x
+WINDOW_H = 64x128 pixels, anchored at every cell. Each block's 36-value
+feature is dotted with the matching 36 coefficients, and window_sums adds
+the 105 block dots inside each window to the bias. Products of feature
+(10,9) and coefficient (11,10) raws already sit at the accumulator
 fraction (19), so accumulation is exact integer arithmetic: any evaluation
 order gives the same raw score, and the single saturation check happens on
 the final per-anchor total. The hardware's four sequential 9-value partial
@@ -24,6 +25,7 @@ loaders accept any order but require every coefficient exactly once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -32,19 +34,22 @@ import numpy as np
 
 from .fixedpoint import (
     DEFAULT_PROFILE,
-    Fx,
     FxFormat,
     PrecisionProfile,
     SaturationStats,
+    fx_quantize,
     saturate_array,
 )
 from .normalize import BLOCK_VALUES, BlockFeature
-from .stream import GeometryError
+from .stream import CELL, GeometryError
 
 WINDOW_BLOCK_ROWS = 15
 WINDOW_BLOCK_COLS = 7
 WINDOW_BLOCKS = WINDOW_BLOCK_ROWS * WINDOW_BLOCK_COLS
 WINDOW_FEATURES = WINDOW_BLOCKS * BLOCK_VALUES
+# a block spans two cells, so a window of n blocks spans n + 1 cells
+WINDOW_W = (WINDOW_BLOCK_COLS + 1) * CELL
+WINDOW_H = (WINDOW_BLOCK_ROWS + 1) * CELL
 
 QUANT_MAGIC = "HOGSVM1"
 FLOAT_MAGIC = "HOGSVMF1"
@@ -82,34 +87,46 @@ class SvmModel:
             raise ValueError(f"bias raw {self.bias_raw} does not fit {self.bias_fmt}")
         self.weights_raw = w
 
-    @property
-    def bias(self) -> Fx:
-        return Fx(self.bias_raw, self.bias_fmt)
-
-    def weight(self, block_row: int, block_col: int, index: int) -> Fx:
-        return Fx(int(self.weights_raw[block_row, block_col, index]), self.coeff_fmt)
-
 
 @dataclass(frozen=True)
 class ScoreMap:
     """Raw window scores on the anchor grid (one anchor per cell position)."""
 
     scores_raw: np.ndarray
-    fmt: FxFormat = field(default=DEFAULT_PROFILE.svm_prediction)
-
-    @property
-    def anchor_rows(self) -> int:
-        return self.scores_raw.shape[0]
-
-    @property
-    def anchor_cols(self) -> int:
-        return self.scores_raw.shape[1]
-
-    def score(self, anchor_row: int, anchor_col: int) -> Fx:
-        return Fx(int(self.scores_raw[anchor_row, anchor_col]), self.fmt)
+    fmt: FxFormat = field(default=DEFAULT_PROFILE.svm_bias)
 
     def decode(self) -> np.ndarray:
         return self.scores_raw / self.fmt.scale
+
+    def above(self, threshold: float) -> np.ndarray:
+        """Anchors whose score strictly exceeds the quantized threshold.
+
+        A NaN or infinite threshold has no quantized value and raises ValueError.
+        """
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold!r}")
+        return self.scores_raw > fx_quantize(threshold, self.fmt).raw
+
+
+def window_sums(dots: np.ndarray, start: float) -> np.ndarray:
+    """Float64 window totals, one per anchor, starting from ``start``.
+
+    dots: (105, block_rows, block_cols); row r*7 + c holds, per block, the
+    term that block adds to the window anchored r block rows above and c
+    block columns left of it. The slices are added in that r-major order.
+    A block grid smaller than one window has no anchor: GeometryError.
+    """
+    br, bc = dots.shape[1], dots.shape[2]
+    ar = br - (WINDOW_BLOCK_ROWS - 1)
+    ac = bc - (WINDOW_BLOCK_COLS - 1)
+    if ar <= 0 or ac <= 0:
+        raise GeometryError(f"block grid {br}x{bc} is smaller than one "
+                            f"{WINDOW_BLOCK_ROWS}x{WINDOW_BLOCK_COLS}-block window")
+    sums = np.full((ar, ac), float(start))
+    for r in range(WINDOW_BLOCK_ROWS):
+        for c in range(WINDOW_BLOCK_COLS):
+            sums += dots[r * WINDOW_BLOCK_COLS + c, r : r + ar, c : c + ac]
+    return sums
 
 
 def score_grid(
@@ -122,9 +139,8 @@ def score_grid(
 
     block_raw: int64 (block_rows, block_cols, 36) in ``feature_fmt``; a raw
     outside that format raises ValueError, as do formats whose worst-case
-    score magnitude reaches 2**53, where float64 stops being exact. Anchors
-    exist where a full 15x7 block neighborhood fits; an empty anchor grid
-    (frame smaller than one window) yields a 0x0 map.
+    score magnitude reaches 2**53, where float64 stops being exact. A grid
+    smaller than one window raises GeometryError (see window_sums).
     """
     br, bc, nv = block_raw.shape
     if nv != BLOCK_VALUES:
@@ -141,31 +157,19 @@ def score_grid(
     if block_raw.size and (block_raw.min() < feature_fmt.min_raw
                            or block_raw.max() > feature_fmt.max_raw):
         raise ValueError(f"block feature raws do not fit {feature_fmt}")
-    ar = br - (WINDOW_BLOCK_ROWS - 1)
-    ac = bc - (WINDOW_BLOCK_COLS - 1)
-    if ar <= 0 or ac <= 0:
-        return ScoreMap(scores_raw=np.zeros((max(ar, 0), max(ac, 0)), dtype=np.int64),
-                        fmt=bias_fmt)
-
     shift = bias_fmt.fraction - (feature_fmt.fraction + coeff_fmt.fraction)
     if shift != 0:
         raise GeometryError(
             "feature and coefficient fractions must sum to the accumulator fraction"
         )
 
-    # one 36-wide dot of every block with each of the 105 coefficient sets;
-    # row r*7 + c of dots holds, per block, the term that block adds to the
-    # window anchored r block rows above and c block columns left of it.
+    # one 36-wide dot of every block with each of the 105 coefficient sets.
     # The guard above keeps every integer partial sum below 2**53, so the
     # matmul and the float64 accumulation are exact in any order.
     flat = block_raw.reshape(br * bc, BLOCK_VALUES).astype(np.float64)
     wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
     dots = (wmat @ flat.T).reshape(WINDOW_BLOCKS, br, bc)
-
-    scores = np.full((ar, ac), float(model.bias_raw))
-    for r in range(WINDOW_BLOCK_ROWS):
-        for c in range(WINDOW_BLOCK_COLS):
-            scores += dots[r * WINDOW_BLOCK_COLS + c, r : r + ar, c : c + ac]
+    scores = window_sums(dots, model.bias_raw)
     scores = saturate_array(scores.astype(np.int64), bias_fmt, stats, "svm")
     return ScoreMap(scores_raw=scores, fmt=bias_fmt)
 

@@ -14,7 +14,9 @@ recorded on the returned model.
 
 Since no labeled pedestrian corpus ships with the package, make_synthetic_set
 renders a separable stand-in: bar-silhouette positives against textured-noise
-negatives, 64x128 each.
+negatives, one window (SAMPLE_W x SAMPLE_H = svm.WINDOW_W x WINDOW_H) each.
+A sample's feature is the exact block grid of its frame, which for a
+one-window frame is the window feature in C order.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, saturate_raw
-from .oracle import oracle_window_feature
+from .normalize import BLOCK_VALUES
+from .oracle import reference_run
 from .stream import Frame, GeometryError
-from .svm import WINDOW_FEATURES, SvmModel
+from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, WINDOW_H, WINDOW_W,
+                  SvmModel)
 
-SAMPLE_W = 64
-SAMPLE_H = 128
+SAMPLE_W = WINDOW_W
+SAMPLE_H = WINDOW_H
 
 
 class TrainingError(ValueError):
@@ -131,7 +135,7 @@ def quantize_model(
 
     bias_raw = saturate_raw(math.floor(fm.bias * scale * bias_fmt.scale), bias_fmt)
     return SvmModel(
-        weights_raw=raw.reshape(15, 7, 36),
+        weights_raw=raw.reshape(WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES),
         bias_raw=bias_raw,
         coeff_fmt=coeff_fmt,
         bias_fmt=bias_fmt,
@@ -190,7 +194,7 @@ def make_synthetic_set(
 
 
 def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[Sample]:
-    """Extract exact window features (the float path) for 64x128 frames."""
+    """Extract exact window features (the float path) for one-window frames."""
     out = []
     for frame, label in zip(frames, labels):
         if frame.width != SAMPLE_W or frame.height != SAMPLE_H:
@@ -198,12 +202,13 @@ def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[
                 f"training frames must be {SAMPLE_W}x{SAMPLE_H}, "
                 f"got {frame.width}x{frame.height}"
             )
-        out.append(Sample(features=oracle_window_feature(frame), label=int(label)))
+        features = reference_run(frame).block_grid.reshape(WINDOW_FEATURES)
+        out.append(Sample(features=features, label=int(label)))
     return out
 
 
 def load_manifest(path: str | Path) -> list[Sample]:
-    """Read '<label> <image path>' lines; images must be 64x128."""
+    """Read '<label> <image path>' lines; images must be SAMPLE_W x SAMPLE_H."""
     from .pnm import load_image  # deferred: cli-level ingestion
 
     base = Path(path).parent

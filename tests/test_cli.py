@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hogstream.cli import main
+from hogstream.detector import run_pipeline
 from hogstream.pnm import PnmError, load_image
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import QUANT_MAGIC, SvmModel, load_model, save_float_model, save_model
@@ -198,6 +199,32 @@ def test_bench_report(workspace):
                 "stage_seconds histogram", "stage_seconds normalize",
                 "stage_seconds svm", "stage_seconds threshold", "stage_seconds nms"):
         assert key in text
+
+
+def test_bench_warms_up_once(workspace, monkeypatch):
+    import hogstream.cli
+
+    tmp, img, model = workspace
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(hogstream.cli, "run_pipeline", counting)
+    assert main(["bench", str(img), "--model", str(model), "--reps", "3",
+                 "--out", str(tmp / "bench.txt")]) == 0
+    assert len(calls) == 3 + 1  # one untimed warm-up, then the timed reps
+
+
+@pytest.mark.parametrize("command", ["detect", "bench", "compare"])
+def test_frame_smaller_than_window_rejected(tmp_path, capsys, command):
+    img = tmp_path / "small.pgm"
+    write_pgm(img, np.random.default_rng(97).integers(0, 256, size=(64, 64)))
+    fmodel = tmp_path / "m.float"
+    save_float_model(np.zeros(3780), 1.0, fmodel)
+    assert main([command, str(img), "--model", str(fmodel)]) == 1
+    assert "smaller than one 64x128 window" in capsys.readouterr().err
 
 
 def test_dump_blobs(workspace):

@@ -19,7 +19,7 @@ from hogstream.stream import Frame, GeometryError
 from hogstream.svm import ScoreMap, SvmModel
 from reference import iou
 
-SCORE_FMT = DEFAULT_PROFILE.svm_prediction
+SCORE_FMT = DEFAULT_PROFILE.svm_bias
 
 
 def box(x, y, score, w=64, h=128):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, dump_raws
 from hogstream.gradient import (
     BinnedGradient,
     binned_field,
@@ -16,7 +16,6 @@ from hogstream.histogram import (
     CellHistogram,
     accumulate_cells,
     cell_histogram_grid,
-    dump_cells,
 )
 from hogstream.stream import (
     VALID_PPC,
@@ -159,7 +158,7 @@ def test_histogram_never_saturates_at_default_widths():
     (c,) = accumulate_cells(pkts, width=8, stats=stats)
     assert c.bins[3] == 64 * ((MAG_FMT.max_raw >> 1) << 1) == 65408
     assert c.bins[3] <= HIST_FMT.max_raw
-    assert stats.total == 0
+    assert sum(stats.counts.values()) == 0
 
 
 def test_protocol_errors():
@@ -181,7 +180,7 @@ def test_protocol_errors():
 
 def test_dump_cells_layout():
     grid = np.arange(18, dtype=np.int64).reshape(1, 2, 9)
-    blob = dump_cells(grid)
+    blob = dump_raws(grid)
     assert len(blob) == 18 * 4
     assert blob[:8] == b"\x00\x00\x00\x00\x01\x00\x00\x00"
     assert np.array_equal(np.frombuffer(blob, dtype="<i4"), np.arange(18))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hogstream.fixedpoint import DEFAULT_PROFILE
+from hogstream.fixedpoint import DEFAULT_PROFILE, dump_raws
 from hogstream.gradient import binned_field, gradient_field
 from hogstream.histogram import CellHistogram, cell_histogram_grid
 from hogstream.normalize import (
@@ -14,7 +14,6 @@ from hogstream.normalize import (
     BlockFeature,
     block_feature_grid,
     block_stream,
-    dump_blocks,
     fast_inv_sqrt,
     fast_inv_sqrt_field,
     _cell_sq_sum,
@@ -221,6 +220,6 @@ def test_clip_constant_quantized():
 
 def test_dump_blocks_layout():
     grid = np.arange(72, dtype=np.int64).reshape(1, 2, 36)
-    blob = dump_blocks(grid)
+    blob = dump_raws(grid)
     assert len(blob) == 72 * 4
     assert np.array_equal(np.frombuffer(blob, dtype="<i4"), np.arange(72))

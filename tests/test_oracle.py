@@ -11,9 +11,7 @@ from hogstream.gradient import orient_bin_pair
 from hogstream.oracle import (
     _interp_weights,
     compare_paths,
-    oracle_window_feature,
     reference_run,
-    window_feature_grid,
 )
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES
@@ -175,34 +173,19 @@ def test_oracle_score_exact():
         oracle_score(f[:10], w, b)
 
 
-def test_window_feature_layout():
-    rng = np.random.default_rng(74)
-    blocks = rng.uniform(0, 1, size=(16, 9, 36))
-    grid = window_feature_grid(blocks)
-    assert grid.shape == (2, 3, WINDOW_FEATURES)
-    # feature slot (r*7 + c)*36 + k reads block (anchor_r + r, anchor_c + c)
-    for r, c, k in [(0, 0, 0), (2, 3, 5), (14, 6, 35)]:
-        slot = (r * 7 + c) * 36 + k
-        assert grid[1, 2, slot] == blocks[1 + r, 2 + c, k]
-    assert window_feature_grid(blocks[:5]).size == 0
-
-
 def test_reference_scores_match_window_dot():
     rng = np.random.default_rng(75)
     f = frame_of(rng.integers(0, 256, size=(136, 80), dtype=np.uint8))
     w = rng.uniform(-0.5, 0.5, WINDOW_FEATURES)
     b = 0.25
     ref = reference_run(f, w, b)
-    feats = window_feature_grid(ref.block_grid)
-    assert ref.scores.shape == feats.shape[:2]
+    assert ref.scores.shape == (2, 3)
     for r in range(ref.scores.shape[0]):
         for c in range(ref.scores.shape[1]):
+            window = ref.block_grid[r : r + 15, c : c + 7].reshape(WINDOW_FEATURES)
             assert ref.scores[r, c] == pytest.approx(
-                oracle_score(feats[r, c], w, b), rel=1e-12, abs=1e-12
+                oracle_score(window, w, b), rel=1e-12, abs=1e-12
             )
-    assert np.allclose(oracle_window_feature(f, 1, 2), feats[1, 2])
-    with pytest.raises(GeometryError):
-        oracle_window_feature(f, 2, 0)
 
 
 def test_compare_paths_reports():
@@ -233,3 +216,13 @@ def test_compare_paths_accepts_preshared_run():
     a = compare_paths(f, qm, w * qm.scale_applied, 0.0)
     b = compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=run)
     assert a == b
+
+
+@pytest.mark.parametrize("thr", [float("nan"), float("inf"), -float("inf")])
+def test_compare_paths_rejects_non_finite_threshold(thr):
+    rng = np.random.default_rng(78)
+    f = frame_of(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
+    w = rng.uniform(-0.3, 0.3, WINDOW_FEATURES)
+    qm = quantize_model(FloatModel(weights=w, bias=0.0))
+    with pytest.raises(ValueError, match="finite"):
+        compare_paths(f, qm, w * qm.scale_applied, 0.0, threshold=thr)

@@ -76,7 +76,7 @@ def test_model_validation():
     with pytest.raises(ValueError):
         SvmModel(weights_raw=np.zeros((15, 7, 36)), bias_raw=1 << 40)
     m = random_model(rng)
-    assert m.weight(0, 0, 0).format == COEFF_FMT
+    assert m.coeff_fmt == COEFF_FMT
 
 
 @pytest.mark.parametrize("bad", [np.iinfo(np.int64).min, -1024])
@@ -195,7 +195,7 @@ def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
     # an admitted profile whose worst-case score reaches 2**53, where float64
     # rounds the sum
     wide = PrecisionProfile(final_feature=FxFormat(30, 20), svm_coefficient=FxFormat(30, 20),
-                            svm_bias=FxFormat(64, 40), svm_prediction=FxFormat(64, 40))
+                            svm_bias=FxFormat(64, 40))
     rng = np.random.default_rng(59)
     coeff, feat = wide.svm_coefficient, wide.final_feature
     w = rng.integers(-coeff.max_raw, coeff.max_raw + 1, size=(15, 7, 36))
@@ -224,9 +224,8 @@ def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
 
 def test_empty_anchor_grid():
     rng = np.random.default_rng(54)
-    sm = score_grid(random_blocks(rng, 14, 7), random_model(rng))
-    assert sm.scores_raw.size == 0
-    assert sm.anchor_rows == 0
+    with pytest.raises(GeometryError, match="smaller than one"):
+        score_grid(random_blocks(rng, 14, 7), random_model(rng))
 
 
 def test_score_windows_stream():
@@ -250,7 +249,6 @@ def test_score_windows_stream():
 def test_scoremap_decode():
     sm = ScoreMap(scores_raw=np.array([[1 << 19]], dtype=np.int64))
     assert sm.decode()[0, 0] == 1.0
-    assert sm.score(0, 0).value == 1.0
 
 
 def test_quantized_model_roundtrip(tmp_path):
