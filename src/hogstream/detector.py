@@ -3,10 +3,17 @@
 detect_frame runs the whole fixed-point path on one frame and returns every
 window whose score strictly exceeds the threshold, in raster anchor order.
 run_pipeline rejects a frame smaller than one svm.WINDOW_W x WINDOW_H window.
-The heavy math runs whole-frame vectorized, so no pixels-per-clock setting
-applies. The packet-level stream ops produce bit-identical values at every
-ppc (the tests assert the equivalence): every per-pixel op is pointwise and
-histogram accumulation is exact integer addition, hence order-free.
+
+As the datapath's line buffers do, run_pipeline streams the frame in bands of
+_BAND_CELL_ROWS cell rows, and each band runs every stage before the next
+band starts. A band's gradients read a one-pixel-row halo above and below it;
+its blocks also take the previous band's last cell row, whose cell energies
+are kept. Each stage saturates and counts only the values the band owns, so
+every value is counted once and every grid equals the whole-grid composition
+of the same stage functions. No pixels-per-clock setting applies: the
+packet-level stream ops produce bit-identical values at every ppc (the tests
+assert the equivalence), as every per-pixel op is pointwise and histogram
+accumulation is exact integer addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
@@ -26,11 +33,14 @@ from numbers import Rational
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats
-from .gradient import binned_field, gradient_field
+from .gradient import N_BINS, binned_field, gradient_field
 from .histogram import cell_histogram_grid
-from .normalize import block_feature_grid
+from .normalize import BLOCK_VALUES, block_features, cell_energy_grid
 from .stream import CELL, Frame, GeometryError
-from .svm import WINDOW_H, WINDOW_W, ScoreMap, SvmModel, score_grid
+from .svm import WINDOW_H, WINDOW_W, ScoreAccumulator, ScoreMap, SvmModel
+
+# cell rows per band of run_pipeline: the depth of its line buffers
+_BAND_CELL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,7 @@ class Detection:
 
 @dataclass
 class PipelineRun:
-    """Everything the fixed-point path produced for one frame."""
+    """Everything the fixed-point path produced for one frame, and its profile."""
 
     mag_raw: np.ndarray
     bin_lo: np.ndarray
@@ -54,6 +64,7 @@ class PipelineRun:
     block_grid: np.ndarray
     score_map: ScoreMap
     stats: SaturationStats
+    profile: PrecisionProfile
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -63,7 +74,8 @@ def run_pipeline(
     profile: PrecisionProfile = DEFAULT_PROFILE,
     stats: SaturationStats | None = None,
 ) -> PipelineRun:
-    """Gradients -> binning -> cell histograms -> block features -> scores.
+    """Gradients -> binning -> cell histograms -> block features -> scores,
+    band by band of cell rows (see the module docstring).
 
     A frame smaller than one window raises GeometryError before any stage runs.
     """
@@ -73,25 +85,36 @@ def run_pipeline(
             f"{WINDOW_W}x{WINDOW_H} window"
         )
     stats = stats if stats is not None else SaturationStats()
-    times: dict[str, float] = {}
+    rows, cols = frame.height // CELL, frame.width // CELL
+    mag = np.empty(frame.pixels.shape, dtype=np.int32)
+    lo = np.empty(frame.pixels.shape, dtype=np.uint8)
+    hist = np.empty((rows, cols, N_BINS), dtype=np.int64)
+    energy = np.empty((rows, cols), dtype=np.int64)
+    blocks = np.empty((rows - 1, cols - 1, BLOCK_VALUES), dtype=np.int64)
+    scorer = ScoreAccumulator(model, rows - 1, cols - 1, profile.final_feature)
+    times = dict.fromkeys(("gradient", "histogram", "normalize", "svm"), 0.0)
 
+    for r0 in range(0, rows, _BAND_CELL_ROWS):
+        r1 = min(r0 + _BAND_CELL_ROWS, rows)
+        px = slice(r0 * CELL, r1 * CELL)
+        t0 = time.perf_counter()
+        mag[px], lo[px] = binned_field(*gradient_field(frame.pixels, px.start, px.stop),
+                                       profile.gradient_magnitude, stats)
+        t1 = time.perf_counter()
+        hist[r0:r1] = cell_histogram_grid(mag[px], lo[px], profile.histogram_value, stats)
+        t2 = time.perf_counter()
+        energy[r0:r1] = cell_energy_grid(hist[r0:r1], profile, stats)
+        # the band's blocks also take the previous band's last cell row
+        b0 = max(r0 - 1, 0)
+        blocks[b0 : r1 - 1] = block_features(hist[b0:r1], energy[b0:r1], profile, stats)
+        t3 = time.perf_counter()
+        scorer.add(blocks[b0 : r1 - 1], b0)
+        t4 = time.perf_counter()
+        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            times[key] += dt
     t0 = time.perf_counter()
-    gx, gy = gradient_field(frame.pixels)
-    mag, lo = binned_field(gx, gy, profile.gradient_magnitude, stats)
-    t1 = time.perf_counter()
-    times["gradient"] = t1 - t0
-
-    hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)
-    t2 = time.perf_counter()
-    times["histogram"] = t2 - t1
-
-    blocks = block_feature_grid(hist, profile, stats)
-    t3 = time.perf_counter()
-    times["normalize"] = t3 - t2
-
-    score_map = score_grid(blocks, model, stats, profile.final_feature)
-    t4 = time.perf_counter()
-    times["svm"] = t4 - t3
+    score_map = scorer.scores(stats)
+    times["svm"] += time.perf_counter() - t0
 
     return PipelineRun(
         mag_raw=mag,
@@ -100,6 +123,7 @@ def run_pipeline(
         block_grid=blocks,
         score_map=score_map,
         stats=stats,
+        profile=profile,
         stage_seconds=times,
     )
 

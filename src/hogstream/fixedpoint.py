@@ -14,7 +14,7 @@ raw with its format only at the API boundary. The policy, applied uniformly:
 * overflow: saturate, never wrap. Saturation events can be recorded through a
   ``SaturationStats`` sink so callers may assert that nominal data never clips.
 
-All raw-level helpers also exist in array form (numpy int64) so whole-frame
+All raw-level helpers also exist in array form (numpy int64) so the grid
 stages can run vectorized while staying bit-identical to the scalar ops.
 """
 
@@ -192,9 +192,20 @@ def quantize_array(
     stats: SaturationStats | None = None,
     stage: str = "quantize",
 ) -> np.ndarray:
-    """Vector form of fx_quantize: floor then saturate, returns int64 raws."""
-    raw = np.floor(np.asarray(values, dtype=np.float64) * fmt.scale).astype(np.int64)
-    return saturate_array(raw, fmt, stats, stage)
+    """Vector form of fx_quantize: floor then saturate, returns int64 raws.
+
+    Saturation happens in float64, before the cast: a float -> int64 cast is
+    undefined beyond the int64 range. The bounds +-2**(width - 1) are exact
+    powers of two, where float(max_raw) rounds up to 2**63 at width 64.
+    """
+    v = np.floor(np.asarray(values, dtype=np.float64) * fmt.scale)
+    top = 2.0 ** (fmt.width - 1)
+    high, low = v >= top, v < -top
+    if stats is not None:
+        stats.record(stage, int(np.count_nonzero(high)) + int(np.count_nonzero(low)))
+    raw = np.where(high | low, 0.0, v).astype(np.int64)
+    raw[high], raw[low] = fmt.max_raw, fmt.min_raw
+    return raw
 
 
 def dump_raws(grid: np.ndarray) -> bytes:

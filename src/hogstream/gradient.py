@@ -13,10 +13,10 @@ comparing gy against gx * tan(boundary) with integer constants. Bin centers
 sit at 10 + 20k degrees (k = 0..8); the pair for theta in [c_k, c_{k+1}) is
 (k, k+1), wrapping to (8, 0) below 10 and at or above 170 degrees. The second
 bin is therefore always the first plus one, mod 9, so the streamed record and
-the whole-frame path carry only the first bin, bin_lo.
+the array path carry only the first bin, bin_lo.
 
 The scalar ops magnitude_approx_raw and orient_bin_pair are the only
-definition of this arithmetic. The whole-frame path (binned_field) gathers
+definition of this arithmetic. The array path (binned_field) gathers
 from a table of both over every gradient of 8-bit pixels, [-255, 255]^2,
 built from those functions on first use.
 """
@@ -150,15 +150,23 @@ def binned_stream(
 
 
 # ---------------------------------------------------------------------------
-# whole-frame array path, gathered from a table of the scalar ops above
+# array path, gathered from a table of the scalar ops above
 
 
-def gradient_field(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradients of a full frame with edge replication."""
-    p = np.pad(pixels.astype(np.int32), 1, mode="edge")
-    gx = p[1:-1, 2:] - p[1:-1, :-2]
-    gy = p[2:, 1:-1] - p[:-2, 1:-1]
-    return gx, gy
+def gradient_field(pixels: np.ndarray, y0: int = 0,
+                   y1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients (int32) of pixel rows y0..y1 of a frame.
+
+    The rows default to the whole frame. A band of rows reads a one-row halo
+    above and below it from the frame; edge pixels are replicated only at
+    the frame's own borders, so any split into bands gives the same values.
+    """
+    h = pixels.shape[0]
+    y1 = h if y1 is None else y1
+    halo = (int(y0 == 0), int(y1 == h))   # rows the frame itself cannot supply
+    p = np.pad(pixels[max(y0 - 1, 0) : y1 + 1], (halo, (1, 1)), mode="edge")
+    return (np.subtract(p[1:-1, 2:], p[1:-1, :-2], dtype=np.int32),
+            np.subtract(p[2:, 1:-1], p[:-2, 1:-1], dtype=np.int32))
 
 
 @functools.cache
@@ -199,7 +207,8 @@ def binned_field(
         raise ValueError(f"gradients must lie in [-{GRADIENT_MAX}, {GRADIENT_MAX}]")
     mag_table, lo_table = _pixel_table()
     n = 2 * GRADIENT_MAX + 1
-    idx = np.multiply(gx, n, dtype=np.int32)
+    idx = np.multiply(gx, n, dtype=np.intp)
     idx += gy
     idx += GRADIENT_MAX * n + GRADIENT_MAX
-    return saturate_array(mag_table[idx], fmt, stats, "magnitude"), lo_table[idx]
+    return (saturate_array(np.take(mag_table, idx), fmt, stats, "magnitude"),
+            np.take(lo_table, idx))

@@ -11,14 +11,17 @@ Magnitudes arrive as raws at MAGNITUDE_FRACTION fractional bits; bins are raws
 in the histogram format, whose fraction is never smaller: widening the halved
 contribution into it is exact, so the only truncation is the halving shift.
 
-The whole-frame array path forms the same sums in another order. A pixel's
-pair is always (bin_lo, bin_lo + 1 mod 9), so one scatter per band of cell
-rows sums the halves per (cell, bin_lo), and bin k is the sum at k plus the
-sum at k - 1. Integer sums are order-free, so both paths agree bit for bit.
+The array path forms the same sums in another order. A pixel's pair is
+always (bin_lo, bin_lo + 1 mod 9), so one scatter over the rows of cells it
+is given sums the halves per (cell, bin_lo), and bin k is the sum at k plus
+the sum at k - 1. Integer sums are order-free, so both paths agree bit for
+bit. run_pipeline calls it once per band of cell rows; the whole grid is
+just one band.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -28,9 +31,6 @@ from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, Saturati
                          saturate_array, saturate_raw)
 from .gradient import N_BINS, BinnedGradient
 from .stream import CELL, GeometryError, StreamProtocolError
-
-# cell rows per bincount band of cell_histogram_grid
-_BAND_CELL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,17 @@ def accumulate_cells(
 
 
 # ---------------------------------------------------------------------------
-# whole-frame array path
+# array path
+
+
+@functools.lru_cache(maxsize=2)
+def _cell_slots(height: int, width: int) -> np.ndarray:
+    """Flat (cell, bin 0) slot of each pixel; two entries hold run_pipeline's
+    full bands and its last, shorter one. Shared, so read-only."""
+    slot = (np.arange(height)[:, None] // CELL * (width // CELL)
+            + np.arange(width) // CELL) * N_BINS
+    slot.flags.writeable = False
+    return slot
 
 
 def cell_histogram_grid(
@@ -107,29 +117,20 @@ def cell_histogram_grid(
     fmt: FxFormat = DEFAULT_PROFILE.histogram_value,
     stats: SaturationStats | None = None,
 ) -> np.ndarray:
-    """Per-cell histograms of a full frame; int64 raws, shape (rows, cols, 9).
+    """Per-cell histograms of whole rows of cells; int64 raws, (rows, cols, 9).
 
     Bit-identical to accumulate_cells, saturation counts included. Every
     pixel's pair is (bin_lo, bin_lo + 1 mod 9), so one scatter of the halves
-    onto (cell, bin_lo) gives S, and bin k holds S[k] + S[k - 1]. The scatter
-    runs in bands of _BAND_CELL_ROWS cell rows to keep its index array small.
+    onto (cell, bin_lo) gives S, and bin k holds S[k] + S[k - 1].
     """
     h, w = mag_raw.shape
     if h % CELL or w % CELL:
         raise GeometryError(f"frame {w}x{h} is not a multiple of {CELL}")
-    rows, cols = h // CELL, w // CELL
-    # flat (cell, bin) slot of bin 0 for each pixel of one band
-    slot = (np.arange(_BAND_CELL_ROWS * CELL)[:, None] // CELL * cols
-            + np.arange(w) // CELL) * N_BINS
-    lo_sums = np.empty((rows, cols, N_BINS), dtype=np.int64)
-    for r0 in range(0, rows, _BAND_CELL_ROWS):
-        n = min(_BAND_CELL_ROWS, rows - r0)
-        px = slice(r0 * CELL, (r0 + n) * CELL)
-        # bincount sums in float64; exact, since magnitude_approx_raw <= 2805
-        # under any profile, so a cell sum of halves is below 64 * 1403 < 2**17
-        s = np.bincount((slot[: n * CELL] + bin_lo[px]).ravel(),
-                        weights=(mag_raw[px] >> 1).ravel(), minlength=n * cols * N_BINS)
-        lo_sums[r0 : r0 + n] = s.reshape(n, cols, N_BINS)
+    # bincount sums in float64; exact, since magnitude_approx_raw <= 2805
+    # under any profile, so a cell sum of halves is below 64 * 1403 < 2**17
+    s = np.bincount((_cell_slots(h, w) + bin_lo).ravel(), weights=(mag_raw >> 1).ravel(),
+                    minlength=h * w // (CELL * CELL) * N_BINS)
+    lo_sums = s.astype(np.int64).reshape(h // CELL, w // CELL, N_BINS)
     # summing the halves and then widening equals widening each half and then
     # summing: the left shift is a multiplication, exact in int64
     grid = (lo_sums + np.roll(lo_sums, 1, axis=2)) << (fmt.fraction - MAGNITUDE_FRACTION)

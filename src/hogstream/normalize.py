@@ -19,6 +19,9 @@ inverse-sqrt quantizations and the two per-entry product truncations.
 
 Records carry raw ints; every format comes from the PrecisionProfile. Each
 square, cell energy (computed once per cell) and block energy saturates once.
+The array path has the same two parts: cell_energy_grid squares and sums each
+cell, block_features forms and normalizes the blocks over cells whose
+energies are given, and block_feature_grid is the one composed with the other.
 """
 
 from __future__ import annotations
@@ -198,7 +201,54 @@ def normalize_block(
 
 
 # ---------------------------------------------------------------------------
-# whole-frame array path
+# array path: a cell part and a block part, so a band of cell rows can run
+# its own cells and take the cell row above it from the band before
+
+
+def cell_energy_grid(hist_grid: np.ndarray, profile: PrecisionProfile = DEFAULT_PROFILE,
+                     stats: SaturationStats | None = None) -> np.ndarray:
+    """Squared-bin sum of every cell, each square and sum saturated once into
+    prepare_first_norm; int64, (rows, cols)."""
+    h = hist_grid.astype(np.int64, copy=False)
+    sq = requantize_array(h * h, 2 * profile.histogram_value.fraction,
+                          profile.prepare_first_norm, stats, "prepare_norm")
+    return saturate_array(sq.sum(axis=2), profile.prepare_first_norm, stats, "prepare_norm")
+
+
+def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
+                   profile: PrecisionProfile = DEFAULT_PROFILE,
+                   stats: SaturationStats | None = None) -> np.ndarray:
+    """Normalized features of the blocks of a cell grid whose cell energies
+    are given (see cell_energy_grid); int64, (R-1, C-1, 36)."""
+    prep_fmt, f1_fmt = profile.prepare_first_norm, profile.feature_after_first_norm
+    n1_fmt, n2_fmt = profile.first_inv_sqrt, profile.second_inv_sqrt
+
+    e = cell_energy
+    block_sq = saturate_array(e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:],
+                              prep_fmt, stats, "prepare_norm")
+
+    # feature layout: [cell(i,j), cell(i+1,j), cell(i,j+1), cell(i+1,j+1)]
+    h = hist_grid.astype(np.int64, copy=False)
+    f4 = np.concatenate(
+        (h[:-1, :-1], h[1:, :-1], h[:-1, 1:], h[1:, 1:]), axis=2
+    )
+
+    x1 = (block_sq + 1) / prep_fmt.scale
+    n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
+
+    f_l2 = requantize_array(
+        f4 * n1[:, :, None], profile.histogram_value.fraction + n1_fmt.fraction, f1_fmt,
+        stats, "norm1"
+    )
+    clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
+    f_th = np.minimum(f_l2, clip_raw)
+
+    s2 = np.einsum("ijk,ijk->ij", f_th, f_th) + 1
+    x2 = s2 / (1 << (2 * f1_fmt.fraction))
+    n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, "inv_sqrt2")
+
+    return requantize_array(f_th * n2[:, :, None], f1_fmt.fraction + n2_fmt.fraction,
+                            profile.final_feature, stats, "norm2")
 
 
 def block_feature_grid(
@@ -213,38 +263,4 @@ def block_feature_grid(
     rows, cols, _ = hist_grid.shape
     if rows < 2 or cols < 2:
         raise GeometryError(f"cell grid {rows}x{cols} is too small to form a block")
-    prep_fmt = profile.prepare_first_norm
-    n1_fmt = profile.first_inv_sqrt
-    f1_fmt = profile.feature_after_first_norm
-    n2_fmt = profile.second_inv_sqrt
-    out_fmt = profile.final_feature
-    hist_fraction = profile.histogram_value.fraction
-
-    h = hist_grid.astype(np.int64)
-    sq = requantize_array(h * h, 2 * hist_fraction, prep_fmt, stats, "prepare_norm")
-    cell_sq = saturate_array(sq.sum(axis=2), prep_fmt, stats, "prepare_norm")
-    block_sq = cell_sq[:-1, :-1] + cell_sq[1:, :-1] + cell_sq[:-1, 1:] + cell_sq[1:, 1:]
-    block_sq = saturate_array(block_sq, prep_fmt, stats, "prepare_norm")
-
-    # feature layout: [cell(i,j), cell(i+1,j), cell(i,j+1), cell(i+1,j+1)]
-    f4 = np.concatenate(
-        (h[:-1, :-1], h[1:, :-1], h[:-1, 1:], h[1:, 1:]), axis=2
-    )
-
-    x1 = (block_sq + 1) / prep_fmt.scale
-    n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
-
-    f_l2 = requantize_array(
-        f4 * n1[:, :, None], hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1"
-    )
-    clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
-    f_th = np.minimum(f_l2, clip_raw)
-
-    s2 = (f_th * f_th).sum(axis=2) + 1
-    x2 = s2 / (1 << (2 * f1_fmt.fraction))
-    n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, "inv_sqrt2")
-
-    out = requantize_array(
-        f_th * n2[:, :, None], f1_fmt.fraction + n2_fmt.fraction, out_fmt, stats, "norm2"
-    )
-    return out
+    return block_features(hist_grid, cell_energy_grid(hist_grid, profile, stats), profile, stats)

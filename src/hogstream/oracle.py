@@ -28,7 +28,7 @@ from .gradient import N_BINS, BIN_STEP_DEG, FIRST_CENTER_DEG, gradient_field
 from .histogram import CELL
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD
 from .stream import Frame, GeometryError
-from .svm import WINDOW_BLOCKS, SvmModel, window_sums
+from .svm import WINDOW_BLOCKS, SvmModel, anchor_grid, window_sums
 
 EPSILON = 1e-6
 
@@ -87,7 +87,7 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
         br, bc = blocks.shape[0], blocks.shape[1]
         wmat = np.asarray(weights, dtype=np.float64).reshape(WINDOW_BLOCKS, BLOCK_VALUES)
         dots = (blocks.reshape(br * bc, BLOCK_VALUES) @ wmat.T).reshape(br, bc, WINDOW_BLOCKS)
-        scores = window_sums(dots.transpose(2, 0, 1), bias)
+        scores = window_sums(dots.transpose(2, 0, 1), anchor_grid(br, bc, bias))
     return ReferenceRun(
         magnitude=m,
         bin_lo=lo.astype(np.uint8),
@@ -137,13 +137,16 @@ def compare_paths(
     gap reflects the datapath plus weight quantization. Zero-magnitude pixels
     are excluded from the bin-pair rate (their pair carries no mass). The
     frame must hold at least one window (see run_pipeline) and the threshold
-    must be finite (see ScoreMap.above).
+    must be finite (see ScoreMap.above). A given ``fixed_run`` must have run
+    under ``profile``, or ValueError is raised.
     """
+    if fixed_run is not None and fixed_run.profile != profile:
+        raise ValueError("fixed_run ran under another profile than the one given")
     fixed = fixed_run if fixed_run is not None else run_pipeline(frame, model, profile)
     fixed_pos = fixed.score_map.above(threshold)
     ref = reference_run(frame, float_weights, float_bias)
 
-    mag_fixed = fixed.mag_raw / profile.gradient_magnitude.scale
+    mag_fixed = fixed.mag_raw / fixed.profile.gradient_magnitude.scale
     mag_err = np.abs(mag_fixed - ref.magnitude)
 
     # both paths pair bin_lo with bin_lo + 1 mod 9, so the pairs differ
@@ -153,7 +156,7 @@ def compare_paths(
     n_carrying = int(carrying.sum())
     pair_rate = float(pair_diff.sum() / n_carrying) if n_carrying else 0.0
 
-    blk_fixed = fixed.block_grid / profile.final_feature.scale
+    blk_fixed = fixed.block_grid / fixed.profile.final_feature.scale
     blk_err = np.abs(blk_fixed - ref.block_grid)
 
     score_fixed = fixed.score_map.decode()

@@ -8,9 +8,10 @@ the 105 block dots inside each window to the bias. Products of feature
 fraction (19), so accumulation is exact integer arithmetic: any evaluation
 order gives the same raw score, and the single saturation check happens on
 the final per-anchor total. The hardware's four sequential 9-value partial
-dots are one such order; score_grid uses another, one 36-wide dot per block
-in float64, which is exact because it refuses formats whose worst-case sum
-could reach 2**53.
+dots are one such order. ScoreAccumulator uses another: one 36-wide dot per
+block in float64, added into the window totals band by band of block rows,
+which is exact because it refuses formats whose worst-case sum could reach
+2**53.
 
 Model files are line-oriented text. Quantized ("HOGSVM1"):
 
@@ -108,25 +109,83 @@ class ScoreMap:
         return self.scores_raw > fx_quantize(threshold, self.fmt).raw
 
 
-def window_sums(dots: np.ndarray, start: float) -> np.ndarray:
-    """Float64 window totals, one per anchor, starting from ``start``.
+def anchor_grid(block_rows: int, block_cols: int, start: float) -> np.ndarray:
+    """Float64 window totals of every anchor of a block grid, set to ``start``.
 
-    dots: (105, block_rows, block_cols); row r*7 + c holds, per block, the
-    term that block adds to the window anchored r block rows above and c
-    block columns left of it. The slices are added in that r-major order.
     A block grid smaller than one window has no anchor: GeometryError.
     """
-    br, bc = dots.shape[1], dots.shape[2]
-    ar = br - (WINDOW_BLOCK_ROWS - 1)
-    ac = bc - (WINDOW_BLOCK_COLS - 1)
+    ar = block_rows - (WINDOW_BLOCK_ROWS - 1)
+    ac = block_cols - (WINDOW_BLOCK_COLS - 1)
     if ar <= 0 or ac <= 0:
-        raise GeometryError(f"block grid {br}x{bc} is smaller than one "
+        raise GeometryError(f"block grid {block_rows}x{block_cols} is smaller than one "
                             f"{WINDOW_BLOCK_ROWS}x{WINDOW_BLOCK_COLS}-block window")
-    sums = np.full((ar, ac), float(start))
+    return np.full((ar, ac), float(start))
+
+
+def window_sums(dots: np.ndarray, sums: np.ndarray, row0: int = 0) -> np.ndarray:
+    """Add the terms of block rows row0.. to the window totals ``sums``.
+
+    dots: (105, n, block_cols) for block rows row0..row0 + n - 1; row r*7 + c
+    holds, per block, the term that block adds to the window anchored r block
+    rows above and c block columns left of it. The slices are added in that
+    r-major order; each block row feeds at most 15 anchor rows. Returns sums.
+    """
+    ar, ac = sums.shape
+    n = dots.shape[1]
     for r in range(WINDOW_BLOCK_ROWS):
+        a0, a1 = max(row0 - r, 0), min(row0 + n - r, ar)
+        if a0 >= a1:
+            continue
         for c in range(WINDOW_BLOCK_COLS):
-            sums += dots[r * WINDOW_BLOCK_COLS + c, r : r + ar, c : c + ac]
+            sums[a0:a1] += dots[r * WINDOW_BLOCK_COLS + c, a0 + r - row0 : a1 + r - row0,
+                                c : c + ac]
     return sums
+
+
+class ScoreAccumulator:
+    """Window totals of a block grid, added band by band of block rows.
+
+    Construction checks the formats and the geometry once. Formats whose
+    worst-case score magnitude reaches 2**53, where float64 stops being exact,
+    raise ValueError: below it every partial sum of the 3780 products and the
+    bias is an exact integer, so the bands may arrive in any order. ``add``
+    range-checks each raw once; ``scores`` saturates each total once.
+    """
+
+    def __init__(self, model: SvmModel, block_rows: int, block_cols: int,
+                 feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature) -> None:
+        coeff_fmt, bias_fmt = model.coeff_fmt, model.bias_fmt
+        # the largest |score| any partial sum of the 3780 products and the bias
+        # can reach: a raw's magnitude is at most 2**(width - 1), a coefficient's max_raw
+        worst = (WINDOW_FEATURES * (1 << (feature_fmt.width - 1)) * coeff_fmt.max_raw
+                 + (1 << (bias_fmt.width - 1)))
+        if worst >= 1 << 53:
+            raise ValueError(f"features {feature_fmt}, coefficients {coeff_fmt} and bias "
+                             f"{bias_fmt} can reach 2**53: float64 scoring would not be exact")
+        if bias_fmt.fraction != feature_fmt.fraction + coeff_fmt.fraction:
+            raise GeometryError("feature and coefficient fractions must sum to the "
+                                "accumulator fraction")
+        self.feature_fmt, self.bias_fmt = feature_fmt, bias_fmt
+        self.wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
+        self.sums = anchor_grid(block_rows, block_cols, model.bias_raw)
+
+    def add(self, block_raw: np.ndarray, row0: int) -> None:
+        """Add block rows row0.. (int64 raws, (n, block_cols, 36)); a raw
+        outside the feature format raises ValueError."""
+        n, bc, nv = block_raw.shape
+        if nv != BLOCK_VALUES:
+            raise GeometryError(f"block features carry {nv} values, expected {BLOCK_VALUES}")
+        fmt = self.feature_fmt
+        if block_raw.size and (block_raw.min() < fmt.min_raw or block_raw.max() > fmt.max_raw):
+            raise ValueError(f"block feature raws do not fit {fmt}")
+        # one 36-wide dot of every block with each of the 105 coefficient sets
+        flat = block_raw.reshape(n * bc, BLOCK_VALUES).astype(np.float64)
+        window_sums((self.wmat @ flat.T).reshape(WINDOW_BLOCKS, n, bc), self.sums, row0)
+
+    def scores(self, stats: SaturationStats | None = None) -> ScoreMap:
+        """The window totals, each saturated once into the bias format."""
+        raw = saturate_array(self.sums.astype(np.int64), self.bias_fmt, stats, "svm")
+        return ScoreMap(scores_raw=raw, fmt=self.bias_fmt)
 
 
 def score_grid(
@@ -135,43 +194,12 @@ def score_grid(
     stats: SaturationStats | None = None,
     feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature,
 ) -> ScoreMap:
-    """Score every window anchor of a block-feature grid.
-
-    block_raw: int64 (block_rows, block_cols, 36) in ``feature_fmt``; a raw
-    outside that format raises ValueError, as do formats whose worst-case
-    score magnitude reaches 2**53, where float64 stops being exact. A grid
-    smaller than one window raises GeometryError (see window_sums).
-    """
-    br, bc, nv = block_raw.shape
-    if nv != BLOCK_VALUES:
-        raise GeometryError(f"block features carry {nv} values, expected {BLOCK_VALUES}")
-    coeff_fmt, bias_fmt = model.coeff_fmt, model.bias_fmt
-    # the largest |score| any partial sum of the 3780 products and the bias
-    # can reach: a raw's magnitude is at most 2**(width - 1), a coefficient's max_raw
-    feat_abs = 1 << (feature_fmt.width - 1)
-    coeff_abs = (1 << (coeff_fmt.width - 1)) - 1
-    worst = WINDOW_FEATURES * feat_abs * coeff_abs + (1 << (bias_fmt.width - 1))
-    if worst >= 1 << 53:
-        raise ValueError(f"features {feature_fmt}, coefficients {coeff_fmt} and bias "
-                         f"{bias_fmt} can reach 2**53: float64 scoring would not be exact")
-    if block_raw.size and (block_raw.min() < feature_fmt.min_raw
-                           or block_raw.max() > feature_fmt.max_raw):
-        raise ValueError(f"block feature raws do not fit {feature_fmt}")
-    shift = bias_fmt.fraction - (feature_fmt.fraction + coeff_fmt.fraction)
-    if shift != 0:
-        raise GeometryError(
-            "feature and coefficient fractions must sum to the accumulator fraction"
-        )
-
-    # one 36-wide dot of every block with each of the 105 coefficient sets.
-    # The guard above keeps every integer partial sum below 2**53, so the
-    # matmul and the float64 accumulation are exact in any order.
-    flat = block_raw.reshape(br * bc, BLOCK_VALUES).astype(np.float64)
-    wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
-    dots = (wmat @ flat.T).reshape(WINDOW_BLOCKS, br, bc)
-    scores = window_sums(dots, model.bias_raw)
-    scores = saturate_array(scores.astype(np.int64), bias_fmt, stats, "svm")
-    return ScoreMap(scores_raw=scores, fmt=bias_fmt)
+    """Score every window anchor of a block-feature grid: int64 raws
+    (block_rows, block_cols, 36) in ``feature_fmt``, checked as ScoreAccumulator
+    checks them; a grid smaller than one window raises GeometryError."""
+    acc = ScoreAccumulator(model, block_raw.shape[0], block_raw.shape[1], feature_fmt)
+    acc.add(block_raw, 0)
+    return acc.scores(stats)
 
 
 def score_windows(

@@ -172,6 +172,19 @@ def test_array_ops_match_scalar():
     assert [fx_quantize(float(v), fmt).raw for v in vals] == qa.tolist()
 
 
+@pytest.mark.parametrize("fmt", [FxFormat(24, 18), FxFormat(63, 0), FxFormat(64, 40)],
+                         ids=str)
+@pytest.mark.parametrize("value", [2.0**62, -(2.0**62), 2.0**63, -(2.0**63), 1e30, -1e30])
+def test_quantize_array_saturates_beyond_int64_like_scalar(fmt, value):
+    # floor(value * scale) can lie beyond the int64 range, where a float -> int64
+    # cast is undefined; both forms must saturate to the same end and count it
+    array_stats, scalar_stats = SaturationStats(), SaturationStats()
+    got = quantize_array(np.array([value, 0.0]), fmt, array_stats, "q")
+    want = fx_quantize(value, fmt, scalar_stats, "q").raw
+    assert got.tolist() == [want, 0]
+    assert array_stats.counts == scalar_stats.counts
+
+
 def test_array_saturation_counts():
     stats = SaturationStats()
     saturate_array(np.array([10**6, -(10**6), 0]), F11_3, stats, "x")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hogstream.detector import run_pipeline
+from hogstream.fixedpoint import FxFormat, PrecisionProfile
 from hogstream.gradient import orient_bin_pair
 from hogstream.oracle import (
     _interp_weights,
@@ -216,6 +217,26 @@ def test_compare_paths_accepts_preshared_run():
     a = compare_paths(f, qm, w * qm.scale_applied, 0.0)
     b = compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=run)
     assert a == b
+
+
+def test_compare_paths_decodes_a_given_run_with_its_own_profile():
+    # a run from a narrow profile: passing that profile reports as a fresh
+    # compare does; omitting it once decoded the run at the default scales
+    profile = PrecisionProfile(feature_after_first_norm=FxFormat(12, 11),
+                               final_feature=FxFormat(12, 11),
+                               svm_coefficient=FxFormat(11, 8))
+    rng = np.random.default_rng(0)
+    f = frame_of(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
+    w = rng.uniform(-0.3, 0.3, WINDOW_FEATURES)
+    qm = quantize_model(FloatModel(weights=w, bias=0.0), profile)
+    run = run_pipeline(f, qm, profile)
+    assert run.profile == profile
+    fw = w * qm.scale_applied
+    rep = compare_paths(f, qm, fw, 0.0, profile=profile, fixed_run=run)
+    assert rep == compare_paths(f, qm, fw, 0.0, profile=profile)
+    assert rep.block_feature_max_abs_err < 0.15
+    with pytest.raises(ValueError, match="profile"):
+        compare_paths(f, qm, fw, 0.0, fixed_run=run)
 
 
 @pytest.mark.parametrize("thr", [float("nan"), float("inf"), -float("inf")])

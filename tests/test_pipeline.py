@@ -11,11 +11,11 @@ import pytest
 
 from hogstream.detector import detections_from_scores, detections_to_text, run_pipeline
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
-from hogstream.gradient import binned_stream
-from hogstream.histogram import accumulate_cells
-from hogstream.normalize import normalize_block, block_stream
+from hogstream.gradient import binned_field, binned_stream, gradient_field
+from hogstream.histogram import accumulate_cells, cell_histogram_grid
+from hogstream.normalize import block_feature_grid, block_stream, normalize_block
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
-from hogstream.svm import SvmModel, score_windows
+from hogstream.svm import SvmModel, score_grid, score_windows
 
 
 def streaming_scores(frame, model, ppc, stats=None, profile=DEFAULT_PROFILE):
@@ -88,12 +88,62 @@ def test_streaming_saturation_stats_match():
     check_saturation_stats_match(DEFAULT_PROFILE)
 
 
+# narrow block-energy accumulator: saturates prepare_norm on noise
+NARROW_PREPARE_NORM = PrecisionProfile(prepare_first_norm=FxFormat(30, 8))
+# narrow histogram: saturates cell bins on noise
+NARROW_HISTOGRAM = PrecisionProfile(histogram_value=FxFormat(14, 4))
+
+
 @pytest.mark.parametrize("profile, stage", [
-    # narrow block-energy accumulator: saturates prepare_norm on noise
-    (PrecisionProfile(prepare_first_norm=FxFormat(30, 8)), "prepare_norm"),
-    # narrow histogram: saturates cell bins on noise
-    (PrecisionProfile(histogram_value=FxFormat(14, 4)), "histogram"),
+    (NARROW_PREPARE_NORM, "prepare_norm"),
+    (NARROW_HISTOGRAM, "histogram"),
 ], ids=["narrow_prepare_norm", "narrow_histogram"])
 def test_streaming_saturation_stats_match_narrow_profile(profile, stage):
     # each stage saturates every value it writes at most once, on both paths
     assert check_saturation_stats_match(profile)[stage] > 0
+
+
+@pytest.mark.parametrize("profile, stage", [
+    (DEFAULT_PROFILE, "magnitude"),
+    (NARROW_PREPARE_NORM, "prepare_norm"),
+    (NARROW_HISTOGRAM, "histogram"),
+], ids=["default", "narrow_prepare_norm", "narrow_histogram"])
+@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
+    # run_pipeline streams bands of 16 cell rows: one whole band, a band plus
+    # one row, two plus one and two plus three, with saturating cell stages
+    rng = np.random.default_rng(103 + cell_rows)
+    frame = Frame.from_array(rng.integers(0, 256, size=(cell_rows * 8, 64), dtype=np.uint8))
+    model = SvmModel(weights_raw=rng.integers(-1023, 1024, size=(15, 7, 36)),
+                     bias_raw=int(rng.integers(-(1 << 20), 1 << 20)))
+    run = run_pipeline(frame, model, profile)
+    assert run.stats[stage] > 0
+
+    s_stream = SaturationStats()
+    sm = streaming_scores(frame, model, 8, stats=s_stream, profile=profile)
+    assert np.array_equal(sm.scores_raw, run.score_map.scores_raw)
+    assert s_stream.counts == run.stats.counts
+
+    s_grid = SaturationStats()
+    mag, lo = binned_field(*gradient_field(frame.pixels), profile.gradient_magnitude, s_grid)
+    hist = cell_histogram_grid(mag, lo, profile.histogram_value, s_grid)
+    blocks = block_feature_grid(hist, profile, s_grid)
+    scores = score_grid(blocks, model, s_grid, profile.final_feature)
+    for got, want in [(run.mag_raw, mag), (run.bin_lo, lo), (run.hist_grid, hist),
+                      (run.block_grid, blocks), (run.score_map.scores_raw, scores.scores_raw)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert s_grid.counts == run.stats.counts
+
+
+def test_flat_frame_saturates_both_inverse_square_roots_on_both_paths():
+    # a zero block energy under a 62-fraction accumulator makes 1/sqrt about
+    # 2**31, which quantizes far beyond the int64 range at 40 fraction bits
+    profile = PrecisionProfile(prepare_first_norm=FxFormat(64, 62),
+                               first_inv_sqrt=FxFormat(64, 40))
+    frame = Frame.from_array(np.full((128, 64), 90, dtype=np.uint8))
+    model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0)
+    s_stream = SaturationStats()
+    sm = streaming_scores(frame, model, 8, stats=s_stream, profile=profile)
+    run = run_pipeline(frame, model, profile)
+    assert np.array_equal(sm.scores_raw, run.score_map.scores_raw)
+    assert run.stats.counts == s_stream.counts == {"inv_sqrt1": 105, "inv_sqrt2": 105}
