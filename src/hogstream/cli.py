@@ -89,11 +89,23 @@ def _score_threshold(text: str) -> float:
     return value
 
 
-def _repetitions(text: str) -> int:
-    """argparse type of ``--reps``: an int of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"reps must be at least 1, got {text!r}")
+def _at_least_one(what: str):
+    """argparse type of an int option that must be at least 1."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {text!r}")
+        return value
+
+    parse.__name__ = "int"   # argparse names the type in its "invalid int value" error
+    return parse
+
+
+def _regularization(text: str) -> float:
+    """argparse type of ``--lambda``: a finite float above 0, as ``train`` requires."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"lambda must be finite and positive, got {text!r}")
     return value
 
 
@@ -129,6 +141,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    if not args.out:
+        raise TrainingError("train needs --out to place the model files")
     if args.manifest:
         samples = load_manifest(args.manifest)
     elif args.synthetic > 0:
@@ -138,8 +152,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise TrainingError("train needs --manifest or --synthetic N")
     fm = train(samples, lam=args.lam, epochs=args.epochs, seed=args.seed)
     qm = quantize_model(fm)
-    if not args.out:
-        raise TrainingError("train needs --out to place the model files")
     save_model(qm, args.out)
     save_float_model(fm.weights, fm.bias, args.out + ".float")
     correct = sum(1 for s in samples if (fm.score(s.features) > 0) == (s.label > 0))
@@ -232,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", help="text file of '<+1|-1> <image path>' lines")
     sp.add_argument("--synthetic", type=int, default=0, metavar="N",
                     help="use N synthetic samples per class instead of a manifest")
-    sp.add_argument("--lambda", dest="lam", type=float, default=1e-4)
-    sp.add_argument("--epochs", type=int, default=10)
+    sp.add_argument("--lambda", dest="lam", type=_regularization, default=1e-4)
+    sp.add_argument("--epochs", type=_at_least_one("epochs"), default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="output model path (HOGSVM1; float copy at <out>.float)")
 
@@ -241,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, model=True)
     sp.add_argument("--threshold", type=_score_threshold, default=0.0)
     sp.add_argument("--iou", type=_iou_threshold, default=0.5)
-    sp.add_argument("--reps", type=_repetitions, default=1)
+    sp.add_argument("--reps", type=_at_least_one("reps"), default=1)
 
     sp = sub.add_parser("dump", help="binary dump of an intermediate stage")
     add_common(sp)

@@ -15,7 +15,9 @@ raw with its format only at the API boundary. The policy, applied uniformly:
   ``SaturationStats`` sink so callers may assert that nominal data never clips.
 
 All raw-level helpers also exist in array form (numpy int64) so the grid
-stages can run vectorized while staying bit-identical to the scalar ops.
+stages can run vectorized while staying bit-identical to the scalar ops;
+requantize_raws is the list form the packet path uses for a cell's or a
+block's values, so each list reads its format's bounds once.
 """
 
 from __future__ import annotations
@@ -139,6 +141,33 @@ def requantize_raw(
     elif fraction < fmt.fraction:
         raw <<= fmt.fraction - fraction
     return saturate_raw(raw, fmt, stats, stage)
+
+
+def requantize_raws(
+    raws: list[int],
+    fraction: int,
+    fmt: FxFormat,
+    stats: SaturationStats | None = None,
+    stage: str = "requantize",
+) -> list[int]:
+    """List form of requantize_raw: one shift pass and one bounds read per list.
+
+    When nothing clips, the shifted list comes back as is (``raws`` itself
+    if no shift was needed); otherwise every clipped element is clamped and
+    counted in one record.
+    """
+    if fraction > fmt.fraction:
+        shift = fraction - fmt.fraction
+        raws = [r >> shift for r in raws]
+    elif fraction < fmt.fraction:
+        shift = fmt.fraction - fraction
+        raws = [r << shift for r in raws]
+    low, high = fmt.min_raw, fmt.max_raw
+    if not raws or (min(raws) >= low and max(raws) <= high):
+        return raws
+    if stats is not None:
+        stats.record(stage, sum(r > high or r < low for r in raws))
+    return [high if r > high else low if r < low else r for r in raws]
 
 
 def fx_quantize(

@@ -16,9 +16,11 @@ bin is therefore always the first plus one, mod 9, so the streamed record and
 the array path carry only the first bin, bin_lo.
 
 The scalar ops magnitude_approx_raw and orient_bin_pair are the only
-definition of this arithmetic. The array path (binned_field) gathers
-from a table of both over every gradient of 8-bit pixels, [-255, 255]^2,
-built from those functions on first use.
+definition of this arithmetic. The packet path (binned_stream) calls both
+per pixel and clamps the magnitude against a bound it reads once per
+stream. The array path (binned_field) gathers from a table of both over
+every gradient of 8-bit pixels, [-255, 255]^2, built from those functions
+on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_array, saturate_raw
+from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_array
 from .stream import ContextPacket
 
 # Bin indices are plain ints 0..8. The hardware's 4-bit bin-number field is
@@ -82,8 +84,8 @@ def magnitude_approx_raw(gx: int, gy: int) -> int:
     Computed exactly as the datapath does: at 3 fractional bits,
     0.875a = a - (a >> 3) and 0.5b = b >> 1 are exact for integer gradients,
     so this equals max(0.875a + 0.5b, a) with no rounding error. No width
-    limit is applied here; encoding into the magnitude format (and any
-    saturation) happens in magnitude_approx.
+    limit is applied here; binned_stream and binned_field saturate it into
+    the magnitude format.
     """
     a = abs(gx)
     b = abs(gy)
@@ -92,16 +94,6 @@ def magnitude_approx_raw(gx: int, gy: int) -> int:
     ra = a << 3
     rb = b << 3
     return max(ra - (ra >> 3) + (rb >> 1), ra)
-
-
-def magnitude_approx(
-    gx: int,
-    gy: int,
-    fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
-    stats: SaturationStats | None = None,
-) -> int:
-    """Shift-add magnitude raw, saturated into the magnitude format."""
-    return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude")
 
 
 def orient_bin_pair(gx: int, gy: int) -> tuple[int, int]:
@@ -139,13 +131,24 @@ def binned_stream(
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
 ) -> Iterator[tuple[BinnedGradient, ...]]:
-    """Map a context stream to per-lane BinnedGradient packets."""
+    """Map a context stream to per-lane BinnedGradient packets.
+
+    The magnitude bound is read once. Magnitudes are never negative, so only
+    the upper bound can clip; each packet records its clipped lanes at once.
+    """
+    top = fmt.max_raw
     for cp in contexts:
         out = []
+        clipped = 0
         for ctx in cp.contexts:
             gx, gy = compute_gradients(ctx)
-            out.append(BinnedGradient(magnitude_approx(gx, gy, fmt, stats),
-                                      orient_bin_pair(gx, gy)[0]))
+            m = magnitude_approx_raw(gx, gy)
+            if m > top:
+                m = top
+                clipped += 1
+            out.append(BinnedGradient(m, orient_bin_pair(gx, gy)[0]))
+        if clipped and stats is not None:
+            stats.record("magnitude", clipped)
         yield tuple(out)
 
 

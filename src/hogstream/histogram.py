@@ -28,9 +28,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, SaturationStats,
-                         saturate_array, saturate_raw)
+                         requantize_raws, saturate_array)
 from .gradient import N_BINS, BinnedGradient
 from .stream import CELL, GeometryError, StreamProtocolError
+
+# the other bin of a pair: _NEXT_BIN[bin_lo] == (bin_lo + 1) % N_BINS
+_NEXT_BIN = tuple((k + 1) % N_BINS for k in range(N_BINS))
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def accumulate_cells(
 
     Both bins of a pixel's pair, bin_lo and bin_lo + 1 mod 9, receive
     magnitude >> 1 (raw 5 gives raw 2 each). No contribution is negative, so
-    each bin saturates once, on emission.
+    each bin saturates once, on emission, in one requantize_raws call per cell.
 
     The frame height is implied by the stream length and must be a multiple
     of 8, as must the width; a packet that straddles a row boundary or a
@@ -73,18 +76,19 @@ def accumulate_cells(
         ppc = len(pkt)
         if ppc == 0 or width % ppc or x % ppc:
             raise StreamProtocolError(f"packet of {ppc} lanes misaligned at x={x}")
-        for lane, bg in enumerate(pkt):
-            px = x + lane
+        last_row = y % CELL == CELL - 1
+        for px, bg in enumerate(pkt, x):
             col = px // CELL
             half = (bg.magnitude >> 1) << widen
             bins = acc[col]
-            bins[bg.bin_lo] += half
-            bins[(bg.bin_lo + 1) % N_BINS] += half
-            if y % CELL == CELL - 1 and px % CELL == CELL - 1:
+            lo = bg.bin_lo
+            bins[lo] += half
+            bins[_NEXT_BIN[lo]] += half
+            if last_row and px % CELL == CELL - 1:
                 yield CellHistogram(
                     cell_row=y // CELL,
                     cell_col=col,
-                    bins=tuple(saturate_raw(v, fmt, stats, "histogram") for v in bins),
+                    bins=tuple(requantize_raws(bins, fmt.fraction, fmt, stats, "histogram")),
                 )
                 acc[col] = [0] * N_BINS
         x += ppc

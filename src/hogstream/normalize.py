@@ -19,6 +19,10 @@ inverse-sqrt quantizations and the two per-entry product truncations.
 
 Records carry raw ints; every format comes from the PrecisionProfile. Each
 square, cell energy (computed once per cell) and block energy saturates once.
+The packet path saturates whole lists: a cell's nine squares and a block's
+36 norm1 and 36 norm2 products are one requantize_raws call each, and the
+cell and block energies, never negative, clamp against a max_raw that
+block_stream reads once.
 The array path has the same two parts: cell_energy_grid squares and sums each
 cell, block_features forms and normalizes the blocks over cells whose
 energies are given, and block_feature_grid is the one composed with the other.
@@ -40,9 +44,8 @@ from .fixedpoint import (
     fx_quantize,
     quantize_array,
     requantize_array,
-    requantize_raw,
+    requantize_raws,
     saturate_array,
-    saturate_raw,
 )
 from .gradient import N_BINS
 from .histogram import CellHistogram
@@ -106,10 +109,18 @@ class BlockFeature:
 def _cell_sq_sum(
     cell: CellHistogram, profile: PrecisionProfile, stats: SaturationStats | None
 ) -> int:
+    """A cell's squared-bin sum in prepare_first_norm: each square and the
+    total saturate once; the total, never negative, clamps only at max_raw."""
     fmt = profile.prepare_first_norm
-    sq_fraction = 2 * profile.histogram_value.fraction
-    total = sum(requantize_raw(b * b, sq_fraction, fmt, stats, "prepare_norm") for b in cell.bins)
-    return saturate_raw(total, fmt, stats, "prepare_norm")
+    total = sum(requantize_raws([b * b for b in cell.bins],
+                                2 * profile.histogram_value.fraction, fmt, stats,
+                                "prepare_norm"))
+    top = fmt.max_raw
+    if total > top:
+        if stats is not None:
+            stats.record("prepare_norm")
+        return top
+    return total
 
 
 def block_stream(
@@ -126,7 +137,7 @@ def block_stream(
     """
     if cell_cols < 1:
         raise GeometryError(f"cell_cols must be positive, got {cell_cols}")
-    fmt = profile.prepare_first_norm
+    top = profile.prepare_first_norm.max_raw
     prev: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
     cur: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
     rows_seen = 0
@@ -149,12 +160,16 @@ def block_stream(
             br = entry
             if tl is None or bl is None or tr is None:
                 raise GeometryError(f"cell ({r},{c}) arrived before its block neighbors")
+            block_sq_sum = tl[1] + bl[1] + tr[1] + br[1]
+            if block_sq_sum > top:
+                block_sq_sum = top
+                if stats is not None:
+                    stats.record("prepare_norm")
             yield BlockGroup(
                 block_row=r - 1,
                 block_col=c - 1,
                 cells=(tl[0], bl[0], tr[0], br[0]),
-                block_sq_sum=saturate_raw(tl[1] + bl[1] + tr[1] + br[1], fmt, stats,
-                                          "prepare_norm"),
+                block_sq_sum=block_sq_sum,
             )
     if rows_seen < 2 or cell_cols < 2:
         raise GeometryError(
@@ -179,11 +194,8 @@ def normalize_block(
     x1 = (group.block_sq_sum + 1) / prep_fmt.scale
     n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, "inv_sqrt1").raw
 
-    f_l2 = [
-        requantize_raw(b * n1, hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1")
-        for cell in group.cells
-        for b in cell.bins
-    ]
+    f_l2 = requantize_raws([b * n1 for cell in group.cells for b in cell.bins],
+                           hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1")
 
     clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
     f_th = [min(v, clip_raw) for v in f_l2]
@@ -193,10 +205,8 @@ def normalize_block(
     s2 = sum(v * v for v in f_th) + 1   # + one raw LSB
     n2 = fx_quantize(fast_inv_sqrt(s2 / (1 << sq_fraction)), n2_fmt, stats, "inv_sqrt2").raw
 
-    values = tuple(
-        requantize_raw(v * n2, f1_fmt.fraction + n2_fmt.fraction, out_fmt, stats, "norm2")
-        for v in f_th
-    )
+    values = tuple(requantize_raws([v * n2 for v in f_th], f1_fmt.fraction + n2_fmt.fraction,
+                                   out_fmt, stats, "norm2"))
     return BlockFeature(block_row=group.block_row, block_col=group.block_col, values=values)
 
 

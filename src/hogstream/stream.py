@@ -6,6 +6,11 @@ packet and an end-of-line flag on the last packet of every row. The context
 stage rebuilds the 3x3 neighborhood of every pixel using two full row buffers,
 replicating edge pixels outward. The model is functional: emission order and
 values are exact, cycle timing is not modeled.
+
+Both stages work a row at a time in plain Python ints: pack_frame converts
+each pixel row once, and context_stream holds each buffered row as the
+(left, centre, right) triples of its pixels, built once when the row
+completes, so a row's contexts are one zip of the three rows' triples.
 """
 
 from __future__ import annotations
@@ -93,30 +98,21 @@ def pack_frame(frame: Frame, ppc: int) -> Iterator[StreamPacket]:
         raise GeometryError(f"ppc must be one of {VALID_PPC}, got {ppc}")
     if frame.width % ppc:
         raise GeometryError(f"ppc {ppc} does not divide width {frame.width}")
-    px = frame.pixels
     last = frame.width - ppc
     for y in range(frame.height):
-        row = px[y]
+        row = frame.pixels[y].tolist()
         for x0 in range(0, frame.width, ppc):
             yield StreamPacket(
-                pixels=tuple(int(v) for v in row[x0 : x0 + ppc]),
+                pixels=tuple(row[x0 : x0 + ppc]),
                 sof=(y == 0 and x0 == 0),
                 eol=(x0 == last),
             )
 
 
-def _row_contexts(above: list[int], row: list[int], below: list[int],
-                  x0: int, ppc: int, width: int) -> ContextPacket:
-    ctxs = []
-    for x in range(x0, x0 + ppc):
-        xl = max(x - 1, 0)
-        xr = min(x + 1, width - 1)
-        ctxs.append((
-            (above[xl], above[x], above[xr]),
-            (row[xl], row[x], row[xr]),
-            (below[xl], below[x], below[xr]),
-        ))
-    return ContextPacket(contexts=tuple(ctxs))
+def _triples(row: list[int]) -> list[tuple[int, int, int]]:
+    """(left, centre, right) of every pixel of a row, edge pixels replicated."""
+    padded = [row[0], *row, row[-1]]
+    return list(zip(padded, padded[1:], padded[2:]))
 
 
 def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[ContextPacket]:
@@ -132,16 +128,19 @@ def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[Cont
         raise GeometryError(f"width must be positive, got {width}")
     ppc = None
     per_row = None
-    prev: list[int] | None = None   # row y-1
-    cur: list[int] = []             # row being assembled
+    cur: list[int] = []   # row being assembled
     done_rows = 0
     packet_in_row = 0
+    # the two buffered rows, each held as its pixels' (left, centre, right)
+    # triples, built once per row and shared by the three rows' contexts
+    prev: list[tuple[int, int, int]] | None = None     # row y-1
+    pending: list[tuple[int, int, int]] | None = None  # row y, waiting for row y+1
 
-    def emit_row(above: list[int], row: list[int], below: list[int]) -> Iterator[ContextPacket]:
+    def emit_row(above, row, below) -> Iterator[ContextPacket]:
+        contexts = list(zip(above, row, below))
         for x0 in range(0, width, ppc):
-            yield _row_contexts(above, row, below, x0, ppc, width)
+            yield ContextPacket(contexts=tuple(contexts[x0 : x0 + ppc]))
 
-    pending: list[int] | None = None  # completed row waiting for the row below
     first = True
     for pkt in packets:
         if ppc is None:
@@ -164,11 +163,11 @@ def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[Cont
             )
         cur.extend(pkt.pixels)
         if pkt.eol:
+            below = _triples(cur)
             if pending is not None:
-                above = prev if prev is not None else pending
-                yield from emit_row(above, pending, cur)
+                yield from emit_row(prev if prev is not None else pending, pending, below)
                 prev = pending
-            pending = cur
+            pending = below
             cur = []
             done_rows += 1
             packet_in_row = 0
@@ -177,5 +176,4 @@ def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[Cont
     if packet_in_row:
         raise StreamProtocolError("stream ended mid-row (missing eol)")
     # bottom row: the row below replicates the row itself
-    above = prev if prev is not None else pending
-    yield from emit_row(above, pending, pending)
+    yield from emit_row(prev if prev is not None else pending, pending, pending)

@@ -210,7 +210,11 @@ def score_windows(
     stats: SaturationStats | None = None,
     feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature,
 ) -> ScoreMap:
-    """Score a raster-order stream of ``feature_fmt`` block raws (see score_grid)."""
+    """Score a raster-order stream of ``feature_fmt`` block raws (see score_grid).
+
+    Every block of the grid must arrive exactly once: a block outside the
+    grid, one that arrives twice or a grid left uncovered raises GeometryError.
+    """
     if block_rows < 1 or block_cols < 1:
         raise GeometryError(f"block grid {block_rows}x{block_cols} is empty")
     grid = np.zeros((block_rows, block_cols, BLOCK_VALUES), dtype=np.int64)
@@ -219,6 +223,8 @@ def score_windows(
         r, c = bf.block_row, bf.block_col
         if not (0 <= r < block_rows and 0 <= c < block_cols):
             raise GeometryError(f"block ({r},{c}) outside {block_rows}x{block_cols} grid")
+        if seen[r, c]:
+            raise GeometryError(f"block ({r},{c}) arrived twice")
         grid[r, c] = bf.values
         seen[r, c] = True
     if not seen.all():

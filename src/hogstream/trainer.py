@@ -75,14 +75,20 @@ def train(
     epochs: int = 10,
     seed: int = 0,
 ) -> FloatModel:
-    """Hinge-loss subgradient training, averaged iterate."""
+    """Hinge-loss subgradient training, averaged iterate.
+
+    Fewer than one epoch, or a lambda that is not finite and positive, would
+    return no model (all zeros) or a non-finite one: TrainingError.
+    """
     if not samples:
         raise TrainingError("no training samples")
     labels = {s.label for s in samples}
     if len(labels) < 2:
         raise TrainingError("training needs both classes present")
-    if lam <= 0:
-        raise TrainingError(f"lambda must be positive, got {lam}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise TrainingError(f"lambda must be finite and positive, got {lam}")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be at least 1, got {epochs}")
     n = len(samples)
     x = np.stack([s.features for s in samples]).astype(np.float64)
     y = np.array([s.label for s in samples], dtype=np.float64)

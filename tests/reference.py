@@ -1,7 +1,8 @@
 """Reference implementations that only the tests compare against.
 
 Per-pixel and per-window float references for the oracle's whole-frame path,
-exact IoU, the packet-stream decoder and a PGM writer for fixtures. None of
+the saturated scalar magnitude, exact IoU, the packet-stream decoder and a
+PGM writer for fixtures. None of
 them runs in the detector, so they live beside the tests, not in the package.
 """
 
@@ -16,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from hogstream.detector import Detection, _inter_union
-from hogstream.gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, N_BINS
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
+from hogstream.gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, N_BINS, magnitude_approx_raw
 from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
 from hogstream.oracle import EPSILON
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
@@ -45,6 +47,17 @@ def oracle_gradient(frame: Frame, x: int, y: int) -> OracleGradient:
     m = math.hypot(gx, gy)
     theta = math.degrees(math.atan2(gy, gx)) % 180.0 if (gx or gy) else 0.0
     return OracleGradient(gx=gx, gy=gy, magnitude=m, theta_deg=theta)
+
+
+def magnitude_approx(
+    gx: int,
+    gy: int,
+    fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
+    stats: SaturationStats | None = None,
+) -> int:
+    """Shift-add magnitude raw, saturated into the magnitude format by the
+    scalar saturate_raw: what binned_stream emits for one pixel."""
+    return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude")
 
 
 def oracle_bin_pair(gx: int, gy: int) -> tuple[int, int]:

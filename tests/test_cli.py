@@ -171,6 +171,33 @@ def test_train_needs_source(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--epochs", "0", "epochs must be at least 1"),
+    ("--epochs", "-2", "epochs must be at least 1"),
+    ("--lambda", "nan", "lambda must be finite and positive"),
+    ("--lambda", "inf", "lambda must be finite and positive"),
+    ("--lambda", "0", "lambda must be finite and positive"),
+])
+def test_train_rejects_arguments_that_make_no_model(tmp_path, capsys, option, value, message):
+    out = tmp_path / "z.svm"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--synthetic", "5", option, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_checks_out_before_building_samples(monkeypatch, capsys):
+    import hogstream.cli
+
+    def no_samples(*args, **kwargs):
+        raise AssertionError("samples built before --out was checked")
+
+    monkeypatch.setattr(hogstream.cli, "make_synthetic_set", no_samples)
+    assert main(["train", "--synthetic", "5"]) == 1
+    assert "train needs --out" in capsys.readouterr().err
+
+
 def test_train_manifest_cli(tmp_path):
     from hogstream.trainer import make_synthetic_set
 

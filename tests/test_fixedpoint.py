@@ -19,6 +19,7 @@ from hogstream.fixedpoint import (
     quantize_array,
     requantize_array,
     requantize_raw,
+    requantize_raws,
     saturate_array,
     saturate_raw,
 )
@@ -183,6 +184,50 @@ def test_quantize_array_saturates_beyond_int64_like_scalar(fmt, value):
     want = fx_quantize(value, fmt, scalar_stats, "q").raw
     assert got.tolist() == [want, 0]
     assert array_stats.counts == scalar_stats.counts
+
+
+@st.composite
+def raw_lists(draw):
+    """(raws, fraction, fmt): a format of any width, a source fraction on
+    either side of its own, and raws that land inside it, next to either
+    bound after the shift, or lie beyond the int64 range."""
+    width = draw(st.integers(min_value=1, max_value=64))
+    fmt = FxFormat(width, draw(st.integers(min_value=0, max_value=width - 1)))
+    fraction = draw(st.integers(min_value=0, max_value=80))
+    shift = fraction - fmt.fraction
+
+    def at_source(raw):
+        return raw << shift if shift >= 0 else raw >> -shift
+
+    inside = st.integers(fmt.min_raw, fmt.max_raw).map(at_source)
+    step = 1 << max(shift, 0)
+    near = st.sampled_from([fmt.min_raw, fmt.max_raw]).flatmap(
+        lambda b: st.integers(at_source(b) - 3 * step, at_source(b) + 3 * step))
+    huge = st.sampled_from([1, -1]).flatmap(
+        lambda sign: st.integers(1 << 63, 1 << 90).map(lambda r: sign * r))
+    element = draw(st.sampled_from([inside, st.one_of(inside, near, huge)]))
+    return draw(st.lists(element, max_size=40)), fraction, fmt
+
+
+@given(raw_lists())
+@settings(max_examples=400)
+def test_requantize_raws_matches_scalar(case):
+    raws, fraction, fmt = case
+    list_stats, scalar_stats = SaturationStats(), SaturationStats()
+    got = requantize_raws(list(raws), fraction, fmt, list_stats, "q")
+    want = [requantize_raw(r, fraction, fmt, scalar_stats, "q") for r in raws]
+    assert got == want
+    assert list_stats.counts == scalar_stats.counts
+
+
+def test_requantize_raws_returns_an_unclipped_list_as_is():
+    raws = [F10_9.min_raw, 0, F10_9.max_raw]
+    stats = SaturationStats()
+    assert requantize_raws(raws, F10_9.fraction, F10_9, stats) is raws
+    assert requantize_raws([], 12, F10_9, stats) == []
+    assert stats.counts == {}
+    assert requantize_raws([4096, -4096, 4], 11, F10_9, stats, "x") == [511, -512, 1]
+    assert stats.counts == {"x": 2}
 
 
 def test_array_saturation_counts():

@@ -15,11 +15,11 @@ from hogstream.gradient import (
     binned_stream,
     compute_gradients,
     gradient_field,
-    magnitude_approx,
     magnitude_approx_raw,
     orient_bin_pair,
 )
 from hogstream.stream import Frame, context_stream, pack_frame
+from reference import magnitude_approx
 
 MAG_FMT = DEFAULT_PROFILE.gradient_magnitude
 

@@ -9,7 +9,6 @@ from hogstream.gradient import (
     binned_field,
     binned_stream,
     gradient_field,
-    magnitude_approx,
     orient_bin_pair,
 )
 from hogstream.histogram import (
@@ -25,6 +24,7 @@ from hogstream.stream import (
     context_stream,
     pack_frame,
 )
+from reference import magnitude_approx
 
 MAG_FMT = DEFAULT_PROFILE.gradient_magnitude
 HIST_FMT = DEFAULT_PROFILE.histogram_value

@@ -67,7 +67,8 @@ def check_saturation_stats_match(profile):
     # actually saturates the magnitude stage (full-range noise does)
     rng = np.random.default_rng(102)
     frame = Frame.from_array(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
-    model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0)
+    model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0,
+                     coeff_fmt=profile.svm_coefficient, bias_fmt=profile.svm_bias)
 
     s_stream = SaturationStats()
     sm = streaming_scores(frame, model, 4, stats=s_stream, profile=profile)
@@ -92,15 +93,24 @@ def test_streaming_saturation_stats_match():
 NARROW_PREPARE_NORM = PrecisionProfile(prepare_first_norm=FxFormat(30, 8))
 # narrow histogram: saturates cell bins on noise
 NARROW_HISTOGRAM = PrecisionProfile(histogram_value=FxFormat(14, 4))
+# narrow magnitude and everything after it: on noise the magnitude, histogram
+# and prepare_norm clamps of the packet path all fire
+NARROW_MAGNITUDE = PrecisionProfile(
+    gradient_magnitude=FxFormat(9, 3), histogram_value=FxFormat(12, 4),
+    prepare_first_norm=FxFormat(20, 4), first_inv_sqrt=FxFormat(12, 11),
+    feature_after_first_norm=FxFormat(8, 7), second_inv_sqrt=FxFormat(10, 8),
+    final_feature=FxFormat(8, 7), svm_bias=FxFormat(33, 17))
 
 
-@pytest.mark.parametrize("profile, stage", [
-    (NARROW_PREPARE_NORM, "prepare_norm"),
-    (NARROW_HISTOGRAM, "histogram"),
-], ids=["narrow_prepare_norm", "narrow_histogram"])
-def test_streaming_saturation_stats_match_narrow_profile(profile, stage):
+@pytest.mark.parametrize("profile, stages", [
+    (NARROW_PREPARE_NORM, ("prepare_norm",)),
+    (NARROW_HISTOGRAM, ("histogram",)),
+    (NARROW_MAGNITUDE, ("magnitude", "histogram", "prepare_norm")),
+], ids=["narrow_prepare_norm", "narrow_histogram", "narrow_magnitude"])
+def test_streaming_saturation_stats_match_narrow_profile(profile, stages):
     # each stage saturates every value it writes at most once, on both paths
-    assert check_saturation_stats_match(profile)[stage] > 0
+    counts = check_saturation_stats_match(profile)
+    assert all(counts[stage] > 0 for stage in stages)
 
 
 @pytest.mark.parametrize("profile, stage", [

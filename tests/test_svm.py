@@ -246,6 +246,17 @@ def test_score_windows_stream():
         score_windows(feats, m, block_rows=14, block_cols=8)  # block outside grid
 
 
+def test_score_windows_rejects_a_block_that_arrives_twice():
+    # a second copy of one block would silently replace the first
+    rng = np.random.default_rng(57)
+    blocks = random_blocks(rng, 15, 7)
+    feats = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+             for r in range(15) for c in range(7)]
+    again = BlockFeature(3, 2, values=(0,) * BLOCK_VALUES)
+    with pytest.raises(GeometryError, match=r"block \(3,2\) arrived twice"):
+        score_windows(feats + [again], random_model(rng), block_rows=15, block_cols=7)
+
+
 def test_scoremap_decode():
     sm = ScoreMap(scores_raw=np.array([[1 << 19]], dtype=np.int64))
     assert sm.decode()[0, 0] == 1.0

@@ -88,6 +88,21 @@ def test_train_input_errors():
         train(toy_samples(rng, n=8), lam=0.0)
 
 
+@pytest.mark.parametrize("epochs", [0, -2])
+def test_train_rejects_fewer_than_one_epoch(epochs):
+    # no step would run: the model would be all zeros
+    rng = np.random.default_rng(85)
+    with pytest.raises(TrainingError, match="epochs"):
+        train(toy_samples(rng, n=8), epochs=epochs)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1e-4])
+def test_train_rejects_a_lambda_that_is_not_finite_and_positive(lam):
+    rng = np.random.default_rng(86)
+    with pytest.raises(TrainingError, match="lambda"):
+        train(toy_samples(rng, n=8), lam=lam, epochs=1)
+
+
 def test_quantize_plain_values():
     w = np.zeros(WINDOW_FEATURES)
     w[0] = 0.5
