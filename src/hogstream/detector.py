@@ -77,13 +77,17 @@ def run_pipeline(
     """Gradients -> binning -> cell histograms -> block features -> scores,
     band by band of cell rows (see the module docstring).
 
-    A frame smaller than one window raises GeometryError before any stage runs.
+    Before any stage runs, a frame smaller than one window raises GeometryError
+    and a model in other coefficient or bias formats than the profile's ValueError.
     """
     if frame.width < WINDOW_W or frame.height < WINDOW_H:
         raise GeometryError(
             f"frame {frame.width}x{frame.height} is smaller than one "
             f"{WINDOW_W}x{WINDOW_H} window"
         )
+    if (model.coeff_fmt, model.bias_fmt) != (profile.svm_coefficient, profile.svm_bias):
+        raise ValueError(f"model formats {model.coeff_fmt}, {model.bias_fmt} are not the "
+                         f"profile's {profile.svm_coefficient}, {profile.svm_bias}")
     stats = stats if stats is not None else SaturationStats()
     rows, cols = frame.height // CELL, frame.width // CELL
     mag = np.empty(frame.pixels.shape, dtype=np.int32)

@@ -14,10 +14,10 @@ raw with its format only at the API boundary. The policy, applied uniformly:
 * overflow: saturate, never wrap. Saturation events can be recorded through a
   ``SaturationStats`` sink so callers may assert that nominal data never clips.
 
-All raw-level helpers also exist in array form (numpy int64) so the grid
-stages can run vectorized while staying bit-identical to the scalar ops;
-requantize_raws is the list form the packet path uses for a cell's or a
-block's values, so each list reads its format's bounds once.
+saturate_raw and fx_quantize are the scalar ops, and requantize_raws is the
+list form the packet path applies to a cell's or a block's values, reading
+the format's bounds once per list. The array forms (numpy int64) let the
+grid stages run vectorized while staying bit-identical to them.
 """
 
 from __future__ import annotations
@@ -124,25 +124,6 @@ def saturate_raw(
     return raw
 
 
-def requantize_raw(
-    raw: int,
-    fraction: int,
-    fmt: FxFormat,
-    stats: SaturationStats | None = None,
-    stage: str = "requantize",
-) -> int:
-    """Move a raw integer carrying ``fraction`` fractional bits into ``fmt``.
-
-    Narrowing truncates toward minus infinity (arithmetic shift), widening is
-    exact; the result is saturated into ``fmt``.
-    """
-    if fraction > fmt.fraction:
-        raw >>= fraction - fmt.fraction
-    elif fraction < fmt.fraction:
-        raw <<= fmt.fraction - fraction
-    return saturate_raw(raw, fmt, stats, stage)
-
-
 def requantize_raws(
     raws: list[int],
     fraction: int,
@@ -150,11 +131,11 @@ def requantize_raws(
     stats: SaturationStats | None = None,
     stage: str = "requantize",
 ) -> list[int]:
-    """List form of requantize_raw: one shift pass and one bounds read per list.
-
-    When nothing clips, the shifted list comes back as is (``raws`` itself
-    if no shift was needed); otherwise every clipped element is clamped and
-    counted in one record.
+    """Move raws carrying ``fraction`` fractional bits into ``fmt``: narrowing
+    truncates toward minus infinity (arithmetic shift), widening is exact, and
+    each result saturates. One shift pass and one bounds read per list; when
+    nothing clips, the shifted list (``raws`` itself if no shift was needed)
+    comes back as is, else the clipped elements are clamped and counted once.
     """
     if fraction > fmt.fraction:
         shift = fraction - fmt.fraction
@@ -207,7 +188,7 @@ def requantize_array(
     stats: SaturationStats | None = None,
     stage: str = "requantize",
 ) -> np.ndarray:
-    """Vector form of requantize_raw (arithmetic shifts are floor for int64)."""
+    """Array form of requantize_raws (arithmetic shifts are floor for int64)."""
     if fraction > fmt.fraction:
         raw = raw >> (fraction - fmt.fraction)
     elif fraction < fmt.fraction:

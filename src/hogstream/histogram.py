@@ -30,7 +30,7 @@ import numpy as np
 from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, SaturationStats,
                          requantize_raws, saturate_array)
 from .gradient import N_BINS, BinnedGradient
-from .stream import CELL, GeometryError, StreamProtocolError
+from .stream import CELL, VALID_PPC, GeometryError, StreamProtocolError
 
 # the other bin of a pair: _NEXT_BIN[bin_lo] == (bin_lo + 1) % N_BINS
 _NEXT_BIN = tuple((k + 1) % N_BINS for k in range(N_BINS))
@@ -62,8 +62,8 @@ def accumulate_cells(
     each bin saturates once, on emission, in one requantize_raws call per cell.
 
     The frame height is implied by the stream length and must be a multiple
-    of 8, as must the width; a packet that straddles a row boundary or a
-    stream that ends mid-cell is a protocol error.
+    of 8, as must the width; a lane count outside VALID_PPC, a packet that
+    straddles a row boundary or a stream that ends mid-cell is a protocol error.
     """
     if width % CELL or width <= 0:
         raise GeometryError(f"width must be a positive multiple of {CELL}, got {width}")
@@ -74,7 +74,9 @@ def accumulate_cells(
     y = 0
     for pkt in packets:
         ppc = len(pkt)
-        if ppc == 0 or width % ppc or x % ppc:
+        if ppc not in VALID_PPC:
+            raise StreamProtocolError(f"packet of {ppc} lanes not in {VALID_PPC}")
+        if x % ppc:
             raise StreamProtocolError(f"packet of {ppc} lanes misaligned at x={x}")
         last_row = y % CELL == CELL - 1
         for px, bg in enumerate(pkt, x):

@@ -20,12 +20,13 @@ inverse-sqrt quantizations and the two per-entry product truncations.
 Records carry raw ints; every format comes from the PrecisionProfile. Each
 square, cell energy (computed once per cell) and block energy saturates once.
 The packet path saturates whole lists: a cell's nine squares and a block's
-36 norm1 and 36 norm2 products are one requantize_raws call each, and the
-cell and block energies, never negative, clamp against a max_raw that
-block_stream reads once.
+36 norm1 and 36 norm2 products are one requantize_raws call each, and each
+cell and block energy is one saturate_raw call.
 The array path has the same two parts: cell_energy_grid squares and sums each
 cell, block_features forms and normalizes the blocks over cells whose
 energies are given, and block_feature_grid is the one composed with the other.
+block_cells is the one definition of the block layout over a grid; the
+float oracle shares it, as it shares the window sum.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .fixedpoint import (
     requantize_array,
     requantize_raws,
     saturate_array,
+    saturate_raw,
 )
 from .gradient import N_BINS
 from .histogram import CellHistogram
@@ -110,17 +112,12 @@ def _cell_sq_sum(
     cell: CellHistogram, profile: PrecisionProfile, stats: SaturationStats | None
 ) -> int:
     """A cell's squared-bin sum in prepare_first_norm: each square and the
-    total saturate once; the total, never negative, clamps only at max_raw."""
+    total saturate once."""
     fmt = profile.prepare_first_norm
     total = sum(requantize_raws([b * b for b in cell.bins],
                                 2 * profile.histogram_value.fraction, fmt, stats,
                                 "prepare_norm"))
-    top = fmt.max_raw
-    if total > top:
-        if stats is not None:
-            stats.record("prepare_norm")
-        return top
-    return total
+    return saturate_raw(total, fmt, stats, "prepare_norm")
 
 
 def block_stream(
@@ -132,12 +129,11 @@ def block_stream(
     """Group raster-order cells into overlapping 2x2 blocks.
 
     Block (i, j) is emitted when cell (i+1, j+1) arrives, so blocks stream out
-    in raster order one cell row behind the input. A cell grid smaller than
-    2x2 cannot form a block and raises a geometry error.
+    in raster order one cell row behind the input. A cell that arrives twice,
+    or a cell grid smaller than 2x2, raises a geometry error.
     """
     if cell_cols < 1:
         raise GeometryError(f"cell_cols must be positive, got {cell_cols}")
-    top = profile.prepare_first_norm.max_raw
     prev: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
     cur: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
     rows_seen = 0
@@ -151,25 +147,20 @@ def block_stream(
             if rows_seen:
                 prev, cur = cur, [None] * cell_cols
             rows_seen += 1
+        if cur[c] is not None:
+            raise GeometryError(f"cell ({r},{c}) arrived twice")
         entry = (cell, _cell_sq_sum(cell, profile, stats))
         cur[c] = entry
         if r >= 1 and c >= 1:
-            tl = prev[c - 1]
-            bl = cur[c - 1]
-            tr = prev[c]
-            br = entry
+            tl, bl, tr, br = prev[c - 1], cur[c - 1], prev[c], entry
             if tl is None or bl is None or tr is None:
                 raise GeometryError(f"cell ({r},{c}) arrived before its block neighbors")
-            block_sq_sum = tl[1] + bl[1] + tr[1] + br[1]
-            if block_sq_sum > top:
-                block_sq_sum = top
-                if stats is not None:
-                    stats.record("prepare_norm")
             yield BlockGroup(
                 block_row=r - 1,
                 block_col=c - 1,
                 cells=(tl[0], bl[0], tr[0], br[0]),
-                block_sq_sum=block_sq_sum,
+                block_sq_sum=saturate_raw(tl[1] + bl[1] + tr[1] + br[1],
+                                          profile.prepare_first_norm, stats, "prepare_norm"),
             )
     if rows_seen < 2 or cell_cols < 2:
         raise GeometryError(
@@ -215,6 +206,16 @@ def normalize_block(
 # its own cells and take the cell row above it from the band before
 
 
+def block_cells(grid: np.ndarray) -> np.ndarray:
+    """The cells of every block of a (R, C, K) grid of any dtype as one (R-1,
+    C-1, 4K) array, [cell(i,j), cell(i+1,j), cell(i,j+1), cell(i+1,j+1)]; a
+    grid smaller than 2x2 cannot form a block and raises GeometryError."""
+    rows, cols = grid.shape[:2]
+    if rows < 2 or cols < 2:
+        raise GeometryError(f"cell grid {rows}x{cols} is too small to form a block")
+    return np.concatenate((grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:]), axis=2)
+
+
 def cell_energy_grid(hist_grid: np.ndarray, profile: PrecisionProfile = DEFAULT_PROFILE,
                      stats: SaturationStats | None = None) -> np.ndarray:
     """Squared-bin sum of every cell, each square and sum saturated once into
@@ -236,12 +237,7 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
     e = cell_energy
     block_sq = saturate_array(e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:],
                               prep_fmt, stats, "prepare_norm")
-
-    # feature layout: [cell(i,j), cell(i+1,j), cell(i,j+1), cell(i+1,j+1)]
-    h = hist_grid.astype(np.int64, copy=False)
-    f4 = np.concatenate(
-        (h[:-1, :-1], h[1:, :-1], h[:-1, 1:], h[1:, 1:]), axis=2
-    )
+    f4 = block_cells(hist_grid.astype(np.int64, copy=False))
 
     x1 = (block_sq + 1) / prep_fmt.scale
     n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
@@ -270,7 +266,4 @@ def block_feature_grid(
 
     Bit-identical composition of block_stream + normalize_block over the grid.
     """
-    rows, cols, _ = hist_grid.shape
-    if rows < 2 or cols < 2:
-        raise GeometryError(f"cell grid {rows}x{cols} is too small to form a block")
     return block_features(hist_grid, cell_energy_grid(hist_grid, profile, stats), profile, stats)

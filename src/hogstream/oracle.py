@@ -4,12 +4,13 @@ The oracle recomputes every stage the honest way: Euclidean magnitude,
 atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
-shares nothing with the fixed-point path except geometry (the window sum
-is svm.window_sums), so differences between the two measure the hardware
-approximations and nothing else. The histogram scatters each pixel's two
-interpolated shares onto its cell's bins lo and lo + 1 mod 9, one
-np.bincount per share. Per-pixel, per-block and per-window references that
-only tests compare against live in tests/reference.py.
+shares nothing with the fixed-point path except geometry (the block layout
+is normalize.block_cells, the window sum svm.window_sums), so differences
+between the two measure the hardware approximations and nothing else. The
+histogram scatters each pixel's two interpolated shares onto its cell's
+bins lo and lo + 1 mod 9, one np.bincount per share. Per-pixel, per-block
+and per-window references that only tests compare against live in
+tests/reference.py.
 
 compare_paths runs both paths on one frame with a quantized model and its
 float source, and reports per-stage error statistics plus the classification
@@ -26,8 +27,8 @@ from .detector import PipelineRun, run_pipeline
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
 from .gradient import N_BINS, BIN_STEP_DEG, FIRST_CENTER_DEG, gradient_field
 from .histogram import CELL
-from .normalize import BLOCK_VALUES, CLIP_THRESHOLD
-from .stream import Frame, GeometryError
+from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells
+from .stream import Frame
 from .svm import WINDOW_BLOCKS, SvmModel, anchor_grid, window_sums
 
 EPSILON = 1e-6
@@ -54,8 +55,9 @@ class ReferenceRun:
 
 def reference_run(frame: Frame, weights: np.ndarray | None = None,
                   bias: float = 0.0) -> ReferenceRun:
-    """Whole-frame float path; scores are computed only if weights are given,
-    and then a frame smaller than one window raises GeometryError."""
+    """Whole-frame float path. A cell grid smaller than 2x2 raises
+    GeometryError (see block_cells); scores are computed only if weights are
+    given, and then a frame smaller than one window raises GeometryError."""
     gx, gy = gradient_field(frame.pixels)
     m = np.hypot(gx, gy)
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
@@ -72,10 +74,7 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
             + np.bincount((cell + (lo + 1) % N_BINS).ravel(), weights=(m * frac).ravel(),
                           minlength=n)).reshape(rows, cols, N_BINS)
 
-    if rows < 2 or cols < 2:
-        raise GeometryError(f"cell grid {rows}x{cols} is too small to form a block")
-    f4 = np.concatenate((grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:]),
-                        axis=2)
+    f4 = block_cells(grid)
     sq = (f4 * f4).sum(axis=2)
     f_l2 = f4 / np.sqrt(sq + EPSILON * EPSILON)[:, :, None]
     f_th = np.minimum(f_l2, CLIP_THRESHOLD)

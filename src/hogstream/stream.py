@@ -81,13 +81,6 @@ class StreamPacket:
     eol: bool = False
 
 
-@dataclass(frozen=True)
-class ContextPacket:
-    """One 3x3 neighborhood per lane, rows top-to-bottom, columns left-to-right."""
-
-    contexts: tuple[tuple[tuple[int, int, int], ...], ...]
-
-
 def pack_frame(frame: Frame, ppc: int) -> Iterator[StreamPacket]:
     """Serialize a frame into raster-order packets of ``ppc`` pixels.
 
@@ -115,9 +108,11 @@ def _triples(row: list[int]) -> list[tuple[int, int, int]]:
     return list(zip(padded, padded[1:], padded[2:]))
 
 
-def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[ContextPacket]:
-    """Recover the 3x3 neighborhood of every pixel, one ContextPacket per
-    input packet position, emitted in raster order.
+def context_stream(packets: Iterable[StreamPacket],
+                   width: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Recover the 3x3 neighborhood of every pixel, emitted in raster order:
+    per input packet position, a tuple with one context per lane, each three
+    rows top-to-bottom of three pixels left-to-right.
 
     Functional model of the two-row delay buffer: a row's contexts are emitted
     once the row below it has arrived; border pixels replicate the nearest
@@ -136,10 +131,10 @@ def context_stream(packets: Iterable[StreamPacket], width: int) -> Iterator[Cont
     prev: list[tuple[int, int, int]] | None = None     # row y-1
     pending: list[tuple[int, int, int]] | None = None  # row y, waiting for row y+1
 
-    def emit_row(above, row, below) -> Iterator[ContextPacket]:
-        contexts = list(zip(above, row, below))
+    def emit_row(above, row, below):
+        contexts = tuple(zip(above, row, below))
         for x0 in range(0, width, ppc):
-            yield ContextPacket(contexts=tuple(contexts[x0 : x0 + ppc]))
+            yield contexts[x0 : x0 + ppc]
 
     first = True
     for pkt in packets:

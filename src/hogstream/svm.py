@@ -145,11 +145,13 @@ def window_sums(dots: np.ndarray, sums: np.ndarray, row0: int = 0) -> np.ndarray
 class ScoreAccumulator:
     """Window totals of a block grid, added band by band of block rows.
 
-    Construction checks the formats and the geometry once. Formats whose
-    worst-case score magnitude reaches 2**53, where float64 stops being exact,
-    raise ValueError: below it every partial sum of the 3780 products and the
-    bias is an exact integer, so the bands may arrive in any order. ``add``
-    range-checks each raw once; ``scores`` saturates each total once.
+    Construction checks the formats and the geometry once. Feature and
+    coefficient fractions that do not sum to the bias fraction raise
+    ValueError, as do formats whose worst-case score magnitude reaches 2**53,
+    where float64 stops being exact: below it every partial sum of the 3780
+    products and the bias is an exact integer, so the bands may arrive in any
+    order. ``add`` range-checks each raw once; ``scores`` saturates each total
+    once.
     """
 
     def __init__(self, model: SvmModel, block_rows: int, block_cols: int,
@@ -163,8 +165,8 @@ class ScoreAccumulator:
             raise ValueError(f"features {feature_fmt}, coefficients {coeff_fmt} and bias "
                              f"{bias_fmt} can reach 2**53: float64 scoring would not be exact")
         if bias_fmt.fraction != feature_fmt.fraction + coeff_fmt.fraction:
-            raise GeometryError("feature and coefficient fractions must sum to the "
-                                "accumulator fraction")
+            raise ValueError("feature and coefficient fractions must sum to the "
+                             "accumulator fraction")
         self.feature_fmt, self.bias_fmt = feature_fmt, bias_fmt
         self.wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
         self.sums = anchor_grid(block_rows, block_cols, model.bias_raw)
@@ -236,30 +238,24 @@ def score_windows(
 # model file IO
 
 
-def _canonical_rows() -> Iterable[tuple[int, int, int]]:
-    for r in range(WINDOW_BLOCK_ROWS):
-        for c in range(WINDOW_BLOCK_COLS):
-            for k in range(BLOCK_VALUES):
-                yield r, c, k
+def _write_rows(path: str | Path, magic: str, bias: int | float, values: np.ndarray) -> None:
+    """Write a model file: the magic, the bias and one row per coefficient of
+    the (15, 7, 36) ``values`` in canonical order, each number as the repr
+    of its Python value."""
+    rows = (f"{r} {c} {k} {v!r}" for (r, c, k), v in zip(
+        np.ndindex(WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES), values.ravel().tolist()))
+    Path(path).write_text("\n".join([magic, f"bias {bias!r}", *rows]) + "\n")
 
 
 def save_model(model: SvmModel, path: str | Path) -> None:
     """Write the quantized model in the HOGSVM1 text format."""
-    lines = [QUANT_MAGIC, f"bias {model.bias_raw}"]
-    for r, c, k in _canonical_rows():
-        lines.append(f"{r} {c} {k} {int(model.weights_raw[r, c, k])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, QUANT_MAGIC, int(model.bias_raw), model.weights_raw)
 
 
 def save_float_model(weights: np.ndarray, bias: float, path: str | Path) -> None:
     """Write a float model (3780 weights + bias) in the HOGSVMF1 text format."""
-    w = np.asarray(weights, dtype=np.float64).reshape(
-        WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES
-    )
-    lines = [FLOAT_MAGIC, f"bias {float(bias)!r}"]
-    for r, c, k in _canonical_rows():
-        lines.append(f"{r} {c} {k} {float(w[r, c, k])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, FLOAT_MAGIC, float(bias), np.asarray(weights, dtype=np.float64).reshape(
+        WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES))
 
 
 def _parse_rows(lines: list[str], parse_bias, parse, what: str) -> tuple[np.ndarray, object]:

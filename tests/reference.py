@@ -1,9 +1,9 @@
 """Reference implementations that only the tests compare against.
 
 Per-pixel and per-window float references for the oracle's whole-frame path,
-the saturated scalar magnitude, exact IoU, the packet-stream decoder and a
-PGM writer for fixtures. None of
-them runs in the detector, so they live beside the tests, not in the package.
+the saturated scalar magnitude, the scalar requantization, exact IoU, the
+packet-stream decoder and a PGM writer for fixtures. None of them runs in
+the detector, so they live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -58,6 +58,26 @@ def magnitude_approx(
     """Shift-add magnitude raw, saturated into the magnitude format by the
     scalar saturate_raw: what binned_stream emits for one pixel."""
     return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude")
+
+
+def requantize_raw(
+    raw: int,
+    fraction: int,
+    fmt: FxFormat,
+    stats: SaturationStats | None = None,
+    stage: str = "requantize",
+) -> int:
+    """Move one raw carrying ``fraction`` fractional bits into ``fmt``: the
+    scalar definition that requantize_raws and requantize_array must match.
+
+    Narrowing truncates toward minus infinity (arithmetic shift), widening is
+    exact; the result is saturated into ``fmt``.
+    """
+    if fraction > fmt.fraction:
+        raw >>= fraction - fmt.fraction
+    elif fraction < fmt.fraction:
+        raw <<= fmt.fraction - fraction
+    return saturate_raw(raw, fmt, stats, stage)
 
 
 def oracle_bin_pair(gx: int, gy: int) -> tuple[int, int]:

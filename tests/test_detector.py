@@ -14,9 +14,9 @@ from hogstream.detector import (
     nms,
     run_pipeline,
 )
-from hogstream.fixedpoint import DEFAULT_PROFILE
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile
 from hogstream.stream import Frame, GeometryError
-from hogstream.svm import ScoreMap, SvmModel
+from hogstream.svm import ScoreMap, SvmModel, load_model, save_model
 from reference import iou
 
 SCORE_FMT = DEFAULT_PROFILE.svm_bias
@@ -240,6 +240,18 @@ def test_run_pipeline_shapes_and_timers():
     assert run.score_map.scores_raw.shape == (1, 1)
     assert set(run.stage_seconds) == {"gradient", "histogram", "normalize", "svm"}
     assert all(t >= 0 for t in run.stage_seconds.values())
+
+
+def test_run_pipeline_rejects_a_model_of_other_formats(tmp_path):
+    # a model loaded under the default profile scores in (33,19); a profile
+    # asking for a (40,19) score must not run it silently
+    path = tmp_path / "m.svm"
+    save_model(zero_model(bias=5), path)
+    f = Frame.from_array(np.zeros((128, 64), dtype=np.uint8))
+    wide_bias = PrecisionProfile(svm_bias=FxFormat(40, 19))
+    with pytest.raises(ValueError, match="profile"):
+        run_pipeline(f, load_model(path), wide_bias)
+    assert run_pipeline(f, load_model(path, wide_bias), wide_bias).score_map.fmt == FxFormat(40, 19)
 
 
 def test_detections_to_text():

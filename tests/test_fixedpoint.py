@@ -18,11 +18,11 @@ from hogstream.fixedpoint import (
     fx_quantize,
     quantize_array,
     requantize_array,
-    requantize_raw,
     requantize_raws,
     saturate_array,
     saturate_raw,
 )
+from reference import requantize_raw
 
 F10_9 = FxFormat(10, 9)
 F11_3 = FxFormat(11, 3)

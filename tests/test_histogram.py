@@ -169,6 +169,12 @@ def test_protocol_errors():
     with pytest.raises(StreamProtocolError):
         list(accumulate_cells([[bg] * 3], width=8))  # 3 lanes misaligned
 
+    # lane counts that divide the width but are no pixels-per-clock setting
+    for lanes in (3, 12):
+        pkts = [[bg] * lanes for _ in range(8 * 24 // lanes)]
+        with pytest.raises(StreamProtocolError, match="not in"):
+            list(accumulate_cells(pkts, width=24))
+
     pkts = [[bg] * 8 for _ in range(7)]
     with pytest.raises(StreamProtocolError):
         list(accumulate_cells(pkts, width=8))  # ends mid-cell

@@ -1,6 +1,7 @@
 """Fast inverse sqrt, block grouping, two-pass fixed-point normalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from hogstream.normalize import (
     CLIP_THRESHOLD,
     BlockFeature,
     block_feature_grid,
+    block_features,
     block_stream,
+    cell_energy_grid,
     fast_inv_sqrt,
     fast_inv_sqrt_field,
     _cell_sq_sum,
     normalize_block,
 )
-from hogstream.stream import GeometryError
+from hogstream.oracle import reference_run
+from hogstream.stream import Frame, GeometryError
 from reference import oracle_block_normalize
 
 HIST_FMT = DEFAULT_PROFILE.histogram_value
@@ -112,6 +116,19 @@ def test_block_stream_geometry_errors():
     cells = [cell([0] * 9, 0, 5)]
     with pytest.raises(GeometryError):
         list(block_stream(iter(cells), cell_cols=2))  # column outside grid
+    # a cell that arrives twice, before or after its block was emitted
+    for order, twice in (([(0, 0), (0, 1), (0, 1), (1, 0), (1, 1)], "(0,1)"),
+                         ([(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)], "(1,1)")):
+        cells = [cell([0] * 9, r, c) for r, c in order]
+        with pytest.raises(GeometryError, match=re.escape(f"cell {twice} arrived twice")):
+            list(block_stream(iter(cells), cell_cols=2))
+    # the whole-grid paths share one too-small check
+    for rows, cols in ((1, 3), (3, 1)):
+        with pytest.raises(GeometryError, match="too small to form a block"):
+            block_feature_grid(np.zeros((rows, cols, 9), dtype=np.int64))
+        frame = Frame.from_array(np.zeros((rows * 8, cols * 8), dtype=np.uint8))
+        with pytest.raises(GeometryError, match="too small to form a block"):
+            reference_run(frame)
 
 
 def test_normalize_one_hot_block():
@@ -164,6 +181,15 @@ def test_feature_layout_order():
     v = list(feat.values)
     assert len(set(v[0:9])) == 1 and len(set(v[9:18])) == 1
     assert v[0] < v[9] < v[18] < v[27]
+    # the array path lays the same grid out the same way
+    assert block_features(g, cell_energy_grid(g))[0, 0].tolist() == v
+    # and so does the oracle: cells of a 16x16 frame of distinct contrast
+    rng = np.random.default_rng(45)
+    amp = np.repeat(np.repeat([[10, 40], [20, 80]], 8, axis=0), 8, axis=1)
+    ref = reference_run(Frame.from_array(rng.integers(0, amp + 1, size=(16, 16))))
+    h = ref.hist_grid
+    want = oracle_block_normalize(np.stack([h[0, 0], h[1, 0], h[0, 1], h[1, 1]]))
+    assert np.allclose(ref.block_grid[0, 0], want, rtol=1e-12, atol=0)
 
 
 def test_block_feature_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from hogstream.stream import (
     VALID_PPC,
-    ContextPacket,
     Frame,
     GeometryError,
     StreamPacket,
@@ -126,18 +125,18 @@ def test_context_corner_replication():
     rows = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
     ctxs = list(context_stream(hand_packets(rows, 4), width=4))
     assert len(ctxs) == 4
-    top_left = ctxs[0].contexts[0]
+    top_left = ctxs[0][0]
     assert top_left == ((0, 0, 1), (0, 0, 1), (4, 4, 5))
-    bottom_right = ctxs[3].contexts[3]
+    bottom_right = ctxs[3][3]
     assert bottom_right == ((10, 11, 11), (14, 15, 15), (14, 15, 15))
     # interior pixel (1,1) sees its true neighborhood
-    assert ctxs[1].contexts[1] == ((0, 1, 2), (4, 5, 6), (8, 9, 10))
+    assert ctxs[1][1] == ((0, 1, 2), (4, 5, 6), (8, 9, 10))
 
 
 def test_context_constant_frame():
     rows = [[9] * 8 for _ in range(3)]
     flat = [c for pkt in context_stream(hand_packets(rows, 8), width=8)
-            for c in pkt.contexts]
+            for c in pkt]
     assert len(flat) == 24
     assert all(c == ((9,) * 3,) * 3 for c in flat)
 
@@ -148,7 +147,7 @@ def test_context_invariant_across_ppc():
     ref = None
     for ppc in VALID_PPC:
         flat = [c for pkt in context_stream(pack_frame(f, ppc), width=f.width)
-                for c in pkt.contexts]
+                for c in pkt]
         if ref is None:
             ref = flat
         else:
@@ -160,7 +159,7 @@ def test_context_packet_granularity():
     f = random_frame(rng, 16, 8)
     pkts = list(context_stream(pack_frame(f, 4), width=16))
     assert len(pkts) == (16 // 4) * 8
-    assert all(isinstance(p, ContextPacket) and len(p.contexts) == 4 for p in pkts)
+    assert all(isinstance(p, tuple) and len(p) == 4 for p in pkts)
 
 
 def test_context_protocol_errors():

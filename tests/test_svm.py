@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from hogstream.detector import run_pipeline
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
 from hogstream.normalize import BLOCK_VALUES, BlockFeature
-from hogstream.stream import GeometryError
+from hogstream.stream import Frame, GeometryError
 from hogstream.svm import (
     FLOAT_MAGIC,
     QUANT_MAGIC,
@@ -220,6 +221,18 @@ def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
         assert np.array_equal(score_grid(blocks, m, feature_fmt=feat).scores_raw, want)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             score_grid(blocks, m, feature_fmt=FxFormat(23, 9))
+
+
+def test_fractions_that_miss_the_accumulator_are_a_format_error(tmp_path):
+    # an admitted profile whose feature and coefficient fractions (11 + 10)
+    # do not sum to the bias fraction (19): a ValueError, not a GeometryError
+    narrow = PrecisionProfile(final_feature=FxFormat(12, 11))
+    path = tmp_path / "m.svm"
+    save_model(random_model(np.random.default_rng(60)), path)
+    frame = Frame.from_array(np.zeros((128, 64), dtype=np.uint8))
+    with pytest.raises(ValueError, match="fractions must sum") as err:
+        run_pipeline(frame, load_model(path, narrow), narrow)
+    assert not isinstance(err.value, GeometryError)
 
 
 def test_empty_anchor_grid():
