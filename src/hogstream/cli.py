@@ -2,7 +2,8 @@
 
 Outputs are deterministic for identical inputs, configuration, and seed.
 Errors print one diagnostic line to stderr and exit nonzero; an option value
-outside its range is rejected by the parser.
+outside its range is rejected by the parser. No command composes stages:
+dump writes the bands of detector.cell_bands or block_bands as they come.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import time
 from pathlib import Path
 
 from .detector import (
+    block_bands,
+    cell_bands,
     detect_frame,
     detections_from_scores,
     detections_to_text,
@@ -21,9 +24,6 @@ from .detector import (
     run_pipeline,
 )
 from .fixedpoint import DEFAULT_PROFILE, SaturationStats, dump_raws
-from .gradient import binned_field, gradient_field
-from .histogram import cell_histogram_grid
-from .normalize import block_feature_grid
 from .oracle import compare_paths
 from .pnm import PnmError, load_image  # noqa: F401  (load_image is this module's API)
 from .stream import GeometryError, StreamProtocolError
@@ -207,13 +207,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    frame = load_image(args.image)
     if not args.out:
         raise GeometryError("dump needs --out for the binary blob")
-    mag, lo = binned_field(*gradient_field(frame.pixels))
-    hist = cell_histogram_grid(mag, lo)
-    grid = hist if args.dump == "cells" else block_feature_grid(hist)
-    Path(args.out).write_bytes(dump_raws(grid))
+    frame = load_image(args.image)
+    # a grid too small for a block fails here, before --out is opened
+    bands = (cell_bands if args.dump == "cells" else block_bands)(frame, DEFAULT_PROFILE, None, {})
+    with open(args.out, "wb") as f:
+        for band in bands:
+            f.write(dump_raws(band[-1]))   # a band's last item is its last stage's grid
     return 0
 
 
@@ -224,20 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, image=True, model=False):
-        if image:
-            sp.add_argument("image", help="input PGM (P5) or PPM (P6), maxval 255")
-        if model:
+    def add_common(sp, model=True):
+        sp.add_argument("image", help="input PGM (P5) or PPM (P6), maxval 255")
+        if model:   # detect, compare and bench write text, to stdout by default
             sp.add_argument("--model", required=True, help="model file (HOGSVM1 or HOGSVMF1)")
-        sp.add_argument("--out", help="output path (default: stdout)")
+            sp.add_argument("--out", help="output path (default: stdout)")
 
     sp = sub.add_parser("detect", help="run the fixed-point detector on one frame")
-    add_common(sp, model=True)
+    add_common(sp)
     sp.add_argument("--threshold", type=_score_threshold, default=0.0)
     sp.add_argument("--iou", type=_iou_threshold, default=0.5, help="NMS IoU threshold")
 
     sp = sub.add_parser("compare", help="error report of fixed path vs float oracle")
-    add_common(sp, model=True)
+    add_common(sp)
     sp.add_argument("--threshold", type=_score_threshold, default=0.0)
 
     sp = sub.add_parser("train", help="train a float model and quantize it")
@@ -250,13 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output model path (HOGSVM1; float copy at <out>.float)")
 
     sp = sub.add_parser("bench", help="timing run on one frame")
-    add_common(sp, model=True)
+    add_common(sp)
     sp.add_argument("--threshold", type=_score_threshold, default=0.0)
     sp.add_argument("--iou", type=_iou_threshold, default=0.5)
     sp.add_argument("--reps", type=_at_least_one("reps"), default=1)
 
     sp = sub.add_parser("dump", help="binary dump of an intermediate stage")
-    add_common(sp)
+    add_common(sp, model=False)
+    sp.add_argument("--out", help="output path of the binary blob (required)")
     sp.add_argument("--dump", required=True, choices=("cells", "blocks"),
                     help="which stage to serialize")
     return p

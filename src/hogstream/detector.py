@@ -4,16 +4,16 @@ detect_frame runs the whole fixed-point path on one frame and returns every
 window whose score strictly exceeds the threshold, in raster anchor order.
 run_pipeline rejects a frame smaller than one svm.WINDOW_W x WINDOW_H window.
 
-As the datapath's line buffers do, run_pipeline streams the frame in bands of
-_BAND_CELL_ROWS cell rows, and each band runs every stage before the next
-band starts. A band's gradients read a one-pixel-row halo above and below it;
-its blocks also take the previous band's last cell row, whose cell energies
-are kept. Each stage saturates and counts only the values the band owns, so
-every value is counted once and every grid equals the whole-grid composition
-of the same stage functions. No pixels-per-clock setting applies: the
-packet-level stream ops produce bit-identical values at every ppc (the tests
-assert the equivalence), as every per-pixel op is pointwise and histogram
-accumulation is exact integer addition, hence order-free.
+As the datapath's line buffers do, the array path streams the frame in bands
+of _BAND_CELL_ROWS cell rows, each band running every stage before the next
+starts. cell_bands and block_bands hold the one band loop; run_pipeline adds
+the SVM, and the CLI's dump writes each band as it comes. Each stage
+saturates and counts only the values the band owns, so every value is
+counted once and every grid equals the whole-grid composition of the same
+stage functions. No pixels-per-clock setting applies: the packet-level
+stream ops produce bit-identical values at every ppc (the tests assert the
+equivalence), as every per-pixel op is pointwise and histogram accumulation
+is exact integer addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
@@ -29,17 +29,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from typing import Iterator
 
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats
 from .gradient import N_BINS, binned_field, gradient_field
 from .histogram import cell_histogram_grid
-from .normalize import BLOCK_VALUES, block_features, cell_energy_grid
+from .normalize import BLOCK_VALUES, block_cells, block_features, cell_energy_grid
 from .stream import CELL, Frame, GeometryError
 from .svm import WINDOW_H, WINDOW_W, ScoreAccumulator, ScoreMap, SvmModel
 
-# cell rows per band of run_pipeline: the depth of its line buffers
+# cell rows per band of the array path: the depth of its line buffers
 _BAND_CELL_ROWS = 16
 
 
@@ -68,6 +69,51 @@ class PipelineRun:
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
+def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
+               times: dict[str, float]) -> Iterator[tuple]:
+    """The gradient and histogram stages, band by band of cell rows: yields
+    (r0, mag, lo, hist) per band, r0 its first cell row, and adds each stage's
+    seconds to ``times``. It is a map, as block_bands is, so no name holds a
+    band while the consumer runs."""
+    rows = frame.height // CELL
+
+    def cells(r0: int) -> tuple:
+        t0 = time.perf_counter()
+        mag, lo = binned_field(
+            *gradient_field(frame.pixels, r0 * CELL, min(r0 + _BAND_CELL_ROWS, rows) * CELL),
+            profile.gradient_magnitude, stats)
+        t1 = time.perf_counter()
+        hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)
+        times["gradient"] = times.get("gradient", 0.0) + t1 - t0
+        times["histogram"] = times.get("histogram", 0.0) + time.perf_counter() - t1
+        return r0, mag, lo, hist
+
+    return map(cells, range(0, rows, _BAND_CELL_ROWS))
+
+
+def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
+                times: dict[str, float]) -> Iterator[tuple]:
+    """cell_bands plus the normalize stage: yields (r0, mag, lo, hist, b0,
+    blocks) per band, b0 its first block row. Its blocks also take the
+    previous band's last cell row, whose histograms and energies are carried.
+    A cell grid smaller than 2x2 raises GeometryError before any stage runs."""
+    rows, cols = frame.height // CELL, frame.width // CELL
+    block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block
+    last = [np.empty((0, cols, N_BINS), np.int64), np.empty((0, cols), np.int64)]
+
+    def blocks(band: tuple) -> tuple:
+        hist = band[3]
+        t0 = time.perf_counter()
+        energy = cell_energy_grid(hist, profile, stats)
+        out = block_features(np.concatenate((last[0], hist)), np.concatenate((last[1], energy)),
+                             profile, stats)
+        last[:] = hist[-1:].copy(), energy[-1:].copy()
+        times["normalize"] = times.get("normalize", 0.0) + time.perf_counter() - t0
+        return (*band, max(band[0] - 1, 0), out)
+
+    return map(blocks, cell_bands(frame, profile, stats, times))
+
+
 def run_pipeline(
     frame: Frame,
     model: SvmModel,
@@ -75,16 +121,14 @@ def run_pipeline(
     stats: SaturationStats | None = None,
 ) -> PipelineRun:
     """Gradients -> binning -> cell histograms -> block features -> scores,
-    band by band of cell rows (see the module docstring).
+    one loop over block_bands.
 
     Before any stage runs, a frame smaller than one window raises GeometryError
     and a model in other coefficient or bias formats than the profile's ValueError.
     """
     if frame.width < WINDOW_W or frame.height < WINDOW_H:
-        raise GeometryError(
-            f"frame {frame.width}x{frame.height} is smaller than one "
-            f"{WINDOW_W}x{WINDOW_H} window"
-        )
+        raise GeometryError(f"frame {frame.width}x{frame.height} is smaller than one "
+                            f"{WINDOW_W}x{WINDOW_H} window")
     if (model.coeff_fmt, model.bias_fmt) != (profile.svm_coefficient, profile.svm_bias):
         raise ValueError(f"model formats {model.coeff_fmt}, {model.bias_fmt} are not the "
                          f"profile's {profile.svm_coefficient}, {profile.svm_bias}")
@@ -93,43 +137,24 @@ def run_pipeline(
     mag = np.empty(frame.pixels.shape, dtype=np.int32)
     lo = np.empty(frame.pixels.shape, dtype=np.uint8)
     hist = np.empty((rows, cols, N_BINS), dtype=np.int64)
-    energy = np.empty((rows, cols), dtype=np.int64)
     blocks = np.empty((rows - 1, cols - 1, BLOCK_VALUES), dtype=np.int64)
     scorer = ScoreAccumulator(model, rows - 1, cols - 1, profile.final_feature)
-    times = dict.fromkeys(("gradient", "histogram", "normalize", "svm"), 0.0)
+    times: dict[str, float] = {}   # the band maps add their stages' seconds
 
-    for r0 in range(0, rows, _BAND_CELL_ROWS):
-        r1 = min(r0 + _BAND_CELL_ROWS, rows)
-        px = slice(r0 * CELL, r1 * CELL)
+    for r0, band_mag, band_lo, band_hist, b0, band_blocks in block_bands(
+            frame, profile, stats, times):
+        r1 = r0 + len(band_hist)
+        mag[r0 * CELL : r1 * CELL], lo[r0 * CELL : r1 * CELL] = band_mag, band_lo
+        hist[r0:r1], blocks[b0 : r1 - 1] = band_hist, band_blocks
+        del band_mag, band_lo, band_hist, band_blocks   # copied: free them before the SVM
         t0 = time.perf_counter()
-        mag[px], lo[px] = binned_field(*gradient_field(frame.pixels, px.start, px.stop),
-                                       profile.gradient_magnitude, stats)
-        t1 = time.perf_counter()
-        hist[r0:r1] = cell_histogram_grid(mag[px], lo[px], profile.histogram_value, stats)
-        t2 = time.perf_counter()
-        energy[r0:r1] = cell_energy_grid(hist[r0:r1], profile, stats)
-        # the band's blocks also take the previous band's last cell row
-        b0 = max(r0 - 1, 0)
-        blocks[b0 : r1 - 1] = block_features(hist[b0:r1], energy[b0:r1], profile, stats)
-        t3 = time.perf_counter()
         scorer.add(blocks[b0 : r1 - 1], b0)
-        t4 = time.perf_counter()
-        for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
-            times[key] += dt
+        times["svm"] = times.get("svm", 0.0) + time.perf_counter() - t0
     t0 = time.perf_counter()
     score_map = scorer.scores(stats)
     times["svm"] += time.perf_counter() - t0
-
-    return PipelineRun(
-        mag_raw=mag,
-        bin_lo=lo,
-        hist_grid=hist,
-        block_grid=blocks,
-        score_map=score_map,
-        stats=stats,
-        profile=profile,
-        stage_seconds=times,
-    )
+    return PipelineRun(mag_raw=mag, bin_lo=lo, hist_grid=hist, block_grid=blocks,
+                       score_map=score_map, stats=stats, profile=profile, stage_seconds=times)
 
 
 def detect_frame(
@@ -148,19 +173,10 @@ def detections_from_scores(score_map: ScoreMap, threshold: float = 0.0) -> list[
     """Threshold a score map with ``ScoreMap.above`` (strict, quantized; a
     non-finite threshold raises ValueError)."""
     scale = score_map.fmt.scale
-    out: list[Detection] = []
     rows, cols = np.nonzero(score_map.above(threshold))
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out.append(
-            Detection(
-                x=c * CELL,
-                y=r * CELL,
-                w=WINDOW_W,
-                h=WINDOW_H,
-                score=int(score_map.scores_raw[r, c]) / scale,
-            )
-        )
-    return out
+    return [Detection(x=c * CELL, y=r * CELL, w=WINDOW_W, h=WINDOW_H,
+                      score=int(score_map.scores_raw[r, c]) / scale)
+            for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 def _inter_union(a: Detection, b: Detection) -> tuple[int, int]:

@@ -15,8 +15,8 @@ The array path forms the same sums in another order. A pixel's pair is
 always (bin_lo, bin_lo + 1 mod 9), so one scatter over the rows of cells it
 is given sums the halves per (cell, bin_lo), and bin k is the sum at k plus
 the sum at k - 1. Integer sums are order-free, so both paths agree bit for
-bit. run_pipeline calls it once per band of cell rows; the whole grid is
-just one band.
+bit. detector.cell_bands calls it once per band of cell rows; the whole grid
+is just one band.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def accumulate_cells(
 
 @functools.lru_cache(maxsize=2)
 def _cell_slots(height: int, width: int) -> np.ndarray:
-    """Flat (cell, bin 0) slot of each pixel; two entries hold run_pipeline's
-    full bands and its last, shorter one. Shared, so read-only."""
+    """Flat (cell, bin 0) slot of each pixel; two entries hold the full bands
+    of detector.cell_bands and its last, shorter one. Shared, so read-only."""
     slot = (np.arange(height)[:, None] // CELL * (width // CELL)
             + np.arange(width) // CELL) * N_BINS
     slot.flags.writeable = False

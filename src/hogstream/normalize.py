@@ -23,8 +23,9 @@ The packet path saturates whole lists: a cell's nine squares and a block's
 36 norm1 and 36 norm2 products are one requantize_raws call each, and each
 cell and block energy is one saturate_raw call.
 The array path has the same two parts: cell_energy_grid squares and sums each
-cell, block_features forms and normalizes the blocks over cells whose
-energies are given, and block_feature_grid is the one composed with the other.
+cell, and block_features forms and normalizes the blocks over cells whose
+energies are given, so a band of cell rows can reuse the energies of the row
+above it (detector.block_bands).
 block_cells is the one definition of the block layout over a grid; the
 float oracle shares it, as it shares the window sum.
 """
@@ -237,17 +238,16 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
     e = cell_energy
     block_sq = saturate_array(e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:],
                               prep_fmt, stats, "prepare_norm")
-    f4 = block_cells(hist_grid.astype(np.int64, copy=False))
-
     x1 = (block_sq + 1) / prep_fmt.scale
     n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
 
+    # no name holds the block cells or f_l2 past its last use, so a band's
+    # blocks peak at four block-sized arrays
     f_l2 = requantize_array(
-        f4 * n1[:, :, None], profile.histogram_value.fraction + n1_fmt.fraction, f1_fmt,
-        stats, "norm1"
+        block_cells(hist_grid.astype(np.int64, copy=False)) * n1[:, :, None],
+        profile.histogram_value.fraction + n1_fmt.fraction, f1_fmt, stats, "norm1"
     )
-    clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
-    f_th = np.minimum(f_l2, clip_raw)
+    f_th = np.minimum(f_l2, fx_quantize(CLIP_THRESHOLD, f1_fmt).raw, out=f_l2)
 
     s2 = np.einsum("ijk,ijk->ij", f_th, f_th) + 1
     x2 = s2 / (1 << (2 * f1_fmt.fraction))
@@ -255,15 +255,3 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
 
     return requantize_array(f_th * n2[:, :, None], f1_fmt.fraction + n2_fmt.fraction,
                             profile.final_feature, stats, "norm2")
-
-
-def block_feature_grid(
-    hist_grid: np.ndarray,
-    profile: PrecisionProfile = DEFAULT_PROFILE,
-    stats: SaturationStats | None = None,
-) -> np.ndarray:
-    """Normalized block features of a whole cell grid; int64, (R-1, C-1, 36).
-
-    Bit-identical composition of block_stream + normalize_block over the grid.
-    """
-    return block_features(hist_grid, cell_energy_grid(hist_grid, profile, stats), profile, stats)

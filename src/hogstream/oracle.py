@@ -28,7 +28,7 @@ from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
 from .gradient import N_BINS, BIN_STEP_DEG, FIRST_CENTER_DEG, gradient_field
 from .histogram import CELL
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells
-from .stream import Frame
+from .stream import Frame, GeometryError
 from .svm import WINDOW_BLOCKS, SvmModel, anchor_grid, window_sums
 
 EPSILON = 1e-6
@@ -137,10 +137,14 @@ def compare_paths(
     are excluded from the bin-pair rate (their pair carries no mass). The
     frame must hold at least one window (see run_pipeline) and the threshold
     must be finite (see ScoreMap.above). A given ``fixed_run`` must have run
-    under ``profile``, or ValueError is raised.
+    under ``profile`` (else ValueError), on a frame of this shape (else
+    GeometryError).
     """
     if fixed_run is not None and fixed_run.profile != profile:
         raise ValueError("fixed_run ran under another profile than the one given")
+    if fixed_run is not None and fixed_run.mag_raw.shape != frame.pixels.shape:
+        h, w = fixed_run.mag_raw.shape
+        raise GeometryError(f"fixed_run ran on a {w}x{h} frame, not {frame.width}x{frame.height}")
     fixed = fixed_run if fixed_run is not None else run_pipeline(frame, model, profile)
     fixed_pos = fixed.score_map.above(threshold)
     ref = reference_run(frame, float_weights, float_bias)

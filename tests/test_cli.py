@@ -1,10 +1,16 @@
 """Image ingestion and the command-line front end."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hogstream.cli import main
 from hogstream.detector import run_pipeline
+from hogstream.fixedpoint import dump_raws
+from hogstream.gradient import binned_field, gradient_field
+from hogstream.histogram import cell_histogram_grid
+from hogstream.normalize import block_features, cell_energy_grid
 from hogstream.pnm import PnmError, load_image
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import QUANT_MAGIC, SvmModel, load_model, save_float_model, save_model
@@ -254,21 +260,71 @@ def test_frame_smaller_than_window_rejected(tmp_path, capsys, command):
     assert "smaller than one 64x128 window" in capsys.readouterr().err
 
 
-def test_dump_blobs(workspace):
-    tmp, img, _ = workspace
-    cells = tmp / "cells.bin"
+def whole_cell_grid(frame):
+    """The cell histograms of a frame, composed over its whole grids."""
+    return cell_histogram_grid(*binned_field(*gradient_field(frame.pixels)))
+
+
+def noise_pgm(path, w, h, seed):
+    frame = Frame.from_array(np.random.default_rng(seed).integers(0, 256, size=(h, w),
+                                                                  dtype=np.uint8))
+    save_pgm(frame, path)
+    return frame
+
+
+# one band; a band plus one cell row; two bands plus one cell row
+@pytest.mark.parametrize("w, h", [(64, 128), (72, 136), (40, 264)])
+def test_dump_blobs(tmp_path, w, h):
+    img = tmp_path / "frame.pgm"
+    hist = whole_cell_grid(noise_pgm(img, w, h, seed=w + h))
+    want = {"cells": dump_raws(hist),
+            "blocks": dump_raws(block_features(hist, cell_energy_grid(hist)))}
+    rows, cols = h // 8, w // 8
+    assert len(want["cells"]) == rows * cols * 9 * 4
+    assert len(want["blocks"]) == (rows - 1) * (cols - 1) * 36 * 4
+    for kind, blob in want.items():
+        out = tmp_path / f"{kind}.bin"
+        assert main(["dump", str(img), "--dump", kind, "--out", str(out)]) == 0
+        assert out.read_bytes() == blob
+
+
+@pytest.mark.parametrize("w, h", [(8, 8), (64, 8), (8, 64), (8, 200)])
+def test_dump_of_a_grid_too_small_for_a_block(tmp_path, capsys, w, h):
+    # the cells are written; the blocks fail on the frame's grid, not on its
+    # first band's (8x200 spans two bands), and leave no file behind
+    img = tmp_path / "frame.pgm"
+    frame = noise_pgm(img, w, h, seed=w + h)
+    cells, blocks = tmp_path / "cells.bin", tmp_path / "blocks.bin"
     assert main(["dump", str(img), "--dump", "cells", "--out", str(cells)]) == 0
-    # 64x128 frame: 16x8 cells x 9 bins x 4 bytes
-    assert len(cells.read_bytes()) == 16 * 8 * 9 * 4
-    blocks = tmp / "blocks.bin"
-    assert main(["dump", str(img), "--dump", "blocks", "--out", str(blocks)]) == 0
-    assert len(blocks.read_bytes()) == 15 * 7 * 36 * 4
+    assert cells.read_bytes() == dump_raws(whole_cell_grid(frame))
+    assert main(["dump", str(img), "--dump", "blocks", "--out", str(blocks)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cell grid {h // 8}x{w // 8} is too small to form a block" in err
+    assert not blocks.exists()
+
+
+@pytest.mark.parametrize("kind", ["cells", "blocks"])
+def test_dump_streams_the_frame(tmp_path, kind):
+    # dump holds one band of intermediates at a time; on this 1080p frame a
+    # composition over the whole grids peaked above 50 MiB
+    img = tmp_path / "hd.pgm"
+    noise_pgm(img, 1920, 1080, seed=96)
+    tracemalloc.start()
+    try:
+        assert main(["dump", str(img), "--dump", kind, "--out", str(tmp_path / "o.bin")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20
 
 
 def test_dump_needs_out(workspace, capsys):
-    _, img, _ = workspace
+    tmp, img, _ = workspace
     assert main(["dump", str(img), "--dump", "cells"]) == 1
     assert "error:" in capsys.readouterr().err
+    # --out is checked before the image is read
+    assert main(["dump", str(tmp / "missing.pgm"), "--dump", "cells"]) == 1
+    assert "dump needs --out" in capsys.readouterr().err
 
 
 def test_missing_image_is_user_error(workspace, capsys):

@@ -13,7 +13,6 @@ from hogstream.normalize import (
     BLOCK_VALUES,
     CLIP_THRESHOLD,
     BlockFeature,
-    block_feature_grid,
     block_features,
     block_stream,
     cell_energy_grid,
@@ -125,7 +124,8 @@ def test_block_stream_geometry_errors():
     # the whole-grid paths share one too-small check
     for rows, cols in ((1, 3), (3, 1)):
         with pytest.raises(GeometryError, match="too small to form a block"):
-            block_feature_grid(np.zeros((rows, cols, 9), dtype=np.int64))
+            g = np.zeros((rows, cols, 9), dtype=np.int64)
+            block_features(g, cell_energy_grid(g))
         frame = Frame.from_array(np.zeros((rows * 8, cols * 8), dtype=np.uint8))
         with pytest.raises(GeometryError, match="too small to form a block"):
             reference_run(frame)
@@ -203,7 +203,7 @@ def test_grid_matches_stream_path():
     gx, gy = gradient_field(px)
     mag, lo = binned_field(gx, gy)
     hist = cell_histogram_grid(mag, lo)
-    grid = block_feature_grid(hist)
+    grid = block_features(hist, cell_energy_grid(hist))
     assert grid.shape == (3, 4, BLOCK_VALUES)
     for blk in block_stream(grid_cells(hist), cell_cols=hist.shape[1]):
         feat = normalize_block(blk)
@@ -213,7 +213,7 @@ def test_grid_matches_stream_path():
 def test_grid_matches_stream_on_synthetic_raws():
     rng = np.random.default_rng(45)
     raws = rng.integers(0, 65408, size=(4, 3, 9))
-    grid = block_feature_grid(raws)
+    grid = block_features(raws, cell_energy_grid(raws))
     for blk in block_stream(grid_cells(raws), cell_cols=3):
         feat = normalize_block(blk)
         assert grid[blk.block_row, blk.block_col].tolist() == list(feat.values)
@@ -226,7 +226,7 @@ def test_fixed_tracks_oracle_normalize():
     gx, gy = gradient_field(px)
     mag, lo = binned_field(gx, gy)
     hist = cell_histogram_grid(mag, lo)
-    fixed = block_feature_grid(hist) / OUT_FMT.scale
+    fixed = block_features(hist, cell_energy_grid(hist)) / OUT_FMT.scale
     hist_f = hist.astype(np.float64) / HIST_FMT.scale
     worst = 0.0
     for r in range(fixed.shape[0]):

@@ -239,6 +239,17 @@ def test_compare_paths_decodes_a_given_run_with_its_own_profile():
         compare_paths(f, qm, fw, 0.0, fixed_run=run)
 
 
+def test_compare_paths_rejects_a_run_of_another_frame_shape():
+    # a 64x128 run given for a 72x136 frame once failed deep in numpy broadcasting
+    rng = np.random.default_rng(79)
+    w = rng.uniform(-0.3, 0.3, WINDOW_FEATURES)
+    qm = quantize_model(FloatModel(weights=w, bias=0.0))
+    run = run_pipeline(frame_of(rng.integers(0, 256, size=(128, 64), dtype=np.uint8)), qm)
+    f = frame_of(rng.integers(0, 256, size=(136, 72), dtype=np.uint8))
+    with pytest.raises(GeometryError, match="64x128 frame, not 72x136"):
+        compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=run)
+
+
 @pytest.mark.parametrize("thr", [float("nan"), float("inf"), -float("inf")])
 def test_compare_paths_rejects_non_finite_threshold(thr):
     rng = np.random.default_rng(78)

@@ -13,7 +13,8 @@ from hogstream.detector import detections_from_scores, detections_to_text, run_p
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
 from hogstream.gradient import binned_field, binned_stream, gradient_field
 from hogstream.histogram import accumulate_cells, cell_histogram_grid
-from hogstream.normalize import block_feature_grid, block_stream, normalize_block
+from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
+                                 normalize_block)
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_grid, score_windows
 
@@ -137,7 +138,7 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
     s_grid = SaturationStats()
     mag, lo = binned_field(*gradient_field(frame.pixels), profile.gradient_magnitude, s_grid)
     hist = cell_histogram_grid(mag, lo, profile.histogram_value, s_grid)
-    blocks = block_feature_grid(hist, profile, s_grid)
+    blocks = block_features(hist, cell_energy_grid(hist, profile, s_grid), profile, s_grid)
     scores = score_grid(blocks, model, s_grid, profile.final_feature)
     for got, want in [(run.mag_raw, mag), (run.bin_lo, lo), (run.hist_grid, hist),
                       (run.block_grid, blocks), (run.score_map.scores_raw, scores.scores_raw)]:
