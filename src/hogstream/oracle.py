@@ -4,9 +4,10 @@ The oracle recomputes every stage the honest way: Euclidean magnitude,
 atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
-shares nothing with the fixed-point path except geometry (the block layout
-is normalize.block_cells, the window sum svm.window_sums), so differences
-between the two measure the hardware approximations and nothing else. The
+shares only layout with the fixed-point path (the block layout
+normalize.block_cells, the dot layout svm.block_dots, the window sum
+svm.window_sums) and none of its arithmetic, so differences between the two
+measure the hardware approximations and nothing else. The
 histogram scatters each pixel's two interpolated shares onto its cell's
 bins lo and lo + 1 mod 9, one np.bincount per share. Per-pixel, per-block
 and per-window references that only tests compare against live in
@@ -29,7 +30,7 @@ from .gradient import N_BINS, BIN_STEP_DEG, FIRST_CENTER_DEG, gradient_field
 from .histogram import CELL
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells
 from .stream import Frame, GeometryError
-from .svm import WINDOW_BLOCKS, SvmModel, anchor_grid, window_sums
+from .svm import WINDOW_FEATURES, SvmModel, anchor_grid, block_dots, window_sums
 
 EPSILON = 1e-6
 
@@ -57,7 +58,15 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
                   bias: float = 0.0) -> ReferenceRun:
     """Whole-frame float path. A cell grid smaller than 2x2 raises
     GeometryError (see block_cells); scores are computed only if weights are
-    given, and then a frame smaller than one window raises GeometryError."""
+    given: then weights that are not 3780 finite values or a bias that is
+    not finite raise ValueError before any stage runs, and a frame smaller
+    than one window raises GeometryError."""
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if not (weights.size == WINDOW_FEATURES and np.isfinite(weights).all()
+                and np.isfinite(bias)):
+            raise ValueError(f"a float model needs {WINDOW_FEATURES} finite weights "
+                             "and a finite bias")
     gx, gy = gradient_field(frame.pixels)
     m = np.hypot(gx, gy)
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
@@ -83,10 +92,8 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
 
     scores = np.zeros((0, 0), dtype=np.float64)
     if weights is not None:
-        br, bc = blocks.shape[0], blocks.shape[1]
-        wmat = np.asarray(weights, dtype=np.float64).reshape(WINDOW_BLOCKS, BLOCK_VALUES)
-        dots = (blocks.reshape(br * bc, BLOCK_VALUES) @ wmat.T).reshape(br, bc, WINDOW_BLOCKS)
-        scores = window_sums(dots.transpose(2, 0, 1), anchor_grid(br, bc, bias))
+        scores = window_sums(block_dots(blocks, weights.reshape(-1, BLOCK_VALUES)),
+                             anchor_grid(*blocks.shape[:2], bias))
     return ReferenceRun(
         magnitude=m,
         bin_lo=lo.astype(np.uint8),

@@ -9,9 +9,9 @@ fraction (19), so accumulation is exact integer arithmetic: any evaluation
 order gives the same raw score, and the single saturation check happens on
 the final per-anchor total. The hardware's four sequential 9-value partial
 dots are one such order. ScoreAccumulator uses another: one 36-wide dot per
-block in float64, added into the window totals band by band of block rows,
-which is exact because it refuses formats whose worst-case sum could reach
-2**53.
+block in float64 (block_dots), added into the window totals as block rows
+complete, which is exact because it refuses formats whose worst-case sum
+could reach 2**53. Both execution styles score through it.
 
 Model files are line-oriented text. Quantized ("HOGSVM1"):
 
@@ -27,6 +27,7 @@ loaders accept any order but require every coefficient exactly once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -66,7 +67,8 @@ class SvmModel:
 
     weights_raw is int64 of shape (15, 7, 36) in the coefficient format;
     decoded magnitudes are strictly below 1. Flattened in C order it lines up
-    with the window feature vector (block_row, block_col, index).
+    with the window feature vector (block_row, block_col, index). Raws that
+    are not finite integers raise ValueError before any cast.
     """
 
     weights_raw: np.ndarray
@@ -77,16 +79,22 @@ class SvmModel:
     max_weight_quant_error: float = 0.0
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights_raw, dtype=np.int64)
+        w, bias = np.asarray(self.weights_raw), self.bias_raw
         if w.shape != (WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES):
             raise ValueError(f"weights shape {w.shape} is not "
                              f"({WINDOW_BLOCK_ROWS}, {WINDOW_BLOCK_COLS}, {BLOCK_VALUES})")
+        if w.dtype.kind == "f" and not (np.isfinite(w).all() and (w == np.floor(w)).all()):
+            raise ValueError("weight raws must be finite integers")
+        if not isinstance(bias, numbers.Integral):
+            if not (isinstance(bias, numbers.Real) and float(bias).is_integer()):
+                raise ValueError(f"bias raw {bias!r} is not an integer")
+            bias = int(bias)
         limit = self.coeff_fmt.max_raw
         if w.min() < -limit or w.max() > limit:
             raise ValueError("coefficient magnitude reaches 1.0; model must be rescaled")
-        if not self.bias_fmt.min_raw <= self.bias_raw <= self.bias_fmt.max_raw:
-            raise ValueError(f"bias raw {self.bias_raw} does not fit {self.bias_fmt}")
-        self.weights_raw = w
+        if not self.bias_fmt.min_raw <= bias <= self.bias_fmt.max_raw:
+            raise ValueError(f"bias raw {bias} does not fit {self.bias_fmt}")
+        self.weights_raw, self.bias_raw = w.astype(np.int64), int(bias)
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,15 @@ def window_sums(dots: np.ndarray, sums: np.ndarray, row0: int = 0) -> np.ndarray
     return sums
 
 
+def block_dots(blocks: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """The (105, n, block_cols) terms window_sums adds: the dot of every block
+    of blocks (n, block_cols, 36) with each of the 105 rows of wmat."""
+    n, bc, nv = blocks.shape
+    return (wmat @ blocks.reshape(n * bc, nv).T).reshape(WINDOW_BLOCKS, n, bc)
+
+
 class ScoreAccumulator:
-    """Window totals of a block grid, added band by band of block rows.
+    """Window totals of a block grid, added as its block rows complete.
 
     Construction checks the formats and the geometry once. Feature and
     coefficient fractions that do not sum to the bias fraction raise
@@ -180,28 +195,12 @@ class ScoreAccumulator:
         fmt = self.feature_fmt
         if block_raw.size and (block_raw.min() < fmt.min_raw or block_raw.max() > fmt.max_raw):
             raise ValueError(f"block feature raws do not fit {fmt}")
-        # one 36-wide dot of every block with each of the 105 coefficient sets
-        flat = block_raw.reshape(n * bc, BLOCK_VALUES).astype(np.float64)
-        window_sums((self.wmat @ flat.T).reshape(WINDOW_BLOCKS, n, bc), self.sums, row0)
+        window_sums(block_dots(block_raw.astype(np.float64), self.wmat), self.sums, row0)
 
     def scores(self, stats: SaturationStats | None = None) -> ScoreMap:
         """The window totals, each saturated once into the bias format."""
         raw = saturate_array(self.sums.astype(np.int64), self.bias_fmt, stats, "svm")
         return ScoreMap(scores_raw=raw, fmt=self.bias_fmt)
-
-
-def score_grid(
-    block_raw: np.ndarray,
-    model: SvmModel,
-    stats: SaturationStats | None = None,
-    feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature,
-) -> ScoreMap:
-    """Score every window anchor of a block-feature grid: int64 raws
-    (block_rows, block_cols, 36) in ``feature_fmt``, checked as ScoreAccumulator
-    checks them; a grid smaller than one window raises GeometryError."""
-    acc = ScoreAccumulator(model, block_raw.shape[0], block_raw.shape[1], feature_fmt)
-    acc.add(block_raw, 0)
-    return acc.scores(stats)
 
 
 def score_windows(
@@ -212,26 +211,32 @@ def score_windows(
     stats: SaturationStats | None = None,
     feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature,
 ) -> ScoreMap:
-    """Score a raster-order stream of ``feature_fmt`` block raws (see score_grid).
+    """Score a raster-order stream of ``feature_fmt`` block raws, holding one
+    block row and adding it to a ScoreAccumulator when it completes.
 
-    Every block of the grid must arrive exactly once: a block outside the
-    grid, one that arrives twice or a grid left uncovered raises GeometryError.
+    The accumulator checks formats and grid before the first block is pulled.
+    A block outside the grid, one that arrives twice or out of raster order,
+    or a stream that ends short raises GeometryError naming the block.
     """
-    if block_rows < 1 or block_cols < 1:
-        raise GeometryError(f"block grid {block_rows}x{block_cols} is empty")
-    grid = np.zeros((block_rows, block_cols, BLOCK_VALUES), dtype=np.int64)
-    seen = np.zeros((block_rows, block_cols), dtype=bool)
+    acc = ScoreAccumulator(model, block_rows, block_cols, feature_fmt)
+    row = np.empty((1, block_cols, BLOCK_VALUES), dtype=np.int64)
+    due = 0   # raster index of the next block
     for bf in blocks:
         r, c = bf.block_row, bf.block_col
         if not (0 <= r < block_rows and 0 <= c < block_cols):
             raise GeometryError(f"block ({r},{c}) outside {block_rows}x{block_cols} grid")
-        if seen[r, c]:
-            raise GeometryError(f"block ({r},{c}) arrived twice")
-        grid[r, c] = bf.values
-        seen[r, c] = True
-    if not seen.all():
-        raise GeometryError("block stream did not cover the full grid")
-    return score_grid(grid, model, stats, feature_fmt)
+        at = r * block_cols + c
+        if at != due:
+            raise GeometryError(f"block ({r},{c}) arrived "
+                                + ("twice" if at < due else "out of raster order"))
+        row[0, c] = bf.values
+        due += 1
+        if c == block_cols - 1:
+            acc.add(row, r)
+    if due < block_rows * block_cols:
+        raise GeometryError(f"block stream ended before block "
+                            f"({due // block_cols},{due % block_cols})")
+    return acc.scores(stats)
 
 
 # ---------------------------------------------------------------------------

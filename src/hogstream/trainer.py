@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, saturate_raw
+from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, fx_quantize, quantize_array
 from .normalize import BLOCK_VALUES
 from .oracle import reference_run
 from .stream import Frame, GeometryError
@@ -117,9 +117,10 @@ def quantize_model(
 
     Weights with magnitude >= 1 force a uniform power-of-two rescale of the
     whole model (max |w| = 3 -> scale 1/4); decisions at threshold 0 are
-    invariant under the positive scale. Weight raws are clamped symmetric
-    (floor would map w in [-1, -1023/1024) onto the raw whose decode is
-    exactly -1.0, which the model format excludes).
+    invariant under the positive scale. Weights are encoded by quantize_array
+    and the bias by fx_quantize (floor, then saturate); weight raws are then
+    clamped symmetric (floor would map w in [-1, -1023/1024) onto the raw
+    whose decode is exactly -1.0, which the model format excludes).
     """
     coeff_fmt = profile.svm_coefficient
     bias_fmt = profile.svm_bias
@@ -134,15 +135,11 @@ def quantize_model(
     if peak >= 1.0:
         scale = 2.0 ** -(math.floor(math.log2(peak)) + 1)
     ws = w * scale
-    raw = np.floor(ws * coeff_fmt.scale).astype(np.int64)
-    limit = coeff_fmt.max_raw
-    raw = np.clip(raw, -limit, limit)
+    raw = np.maximum(quantize_array(ws, coeff_fmt), -coeff_fmt.max_raw)
     max_err = float(np.abs(raw / coeff_fmt.scale - ws).max()) if w.size else 0.0
-
-    bias_raw = saturate_raw(math.floor(fm.bias * scale * bias_fmt.scale), bias_fmt)
     return SvmModel(
         weights_raw=raw.reshape(WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES),
-        bias_raw=bias_raw,
+        bias_raw=fx_quantize(fm.bias * scale, bias_fmt).raw,
         coeff_fmt=coeff_fmt,
         bias_fmt=bias_fmt,
         scale_applied=scale,

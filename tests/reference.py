@@ -1,9 +1,10 @@
 """Reference implementations that only the tests compare against.
 
 Per-pixel and per-window float references for the oracle's whole-frame path,
-the saturated scalar magnitude, the scalar requantization, exact IoU, the
-packet-stream decoder and a PGM writer for fixtures. None of them runs in
-the detector, so they live beside the tests, not in the package.
+the saturated scalar magnitude, the scalar requantization, whole-grid window
+scoring through one ScoreAccumulator, exact IoU, the packet-stream decoder
+and a PGM writer for fixtures. None of them runs in the detector, so they
+live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
 from hogstream.oracle import EPSILON
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
                               StreamProtocolError)
-from hogstream.svm import WINDOW_FEATURES
+from hogstream.svm import WINDOW_FEATURES, ScoreAccumulator, ScoreMap, SvmModel
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,15 @@ def oracle_score(features: np.ndarray, weights: np.ndarray, bias: float) -> floa
         raise GeometryError(f"expected {WINDOW_FEATURES}-value vectors, "
                             f"got {f.shape} and {w.shape}")
     return float(np.dot(w, f) + bias)
+
+
+def score_grid(block_raw: np.ndarray, model: SvmModel, stats: SaturationStats | None = None,
+               feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature) -> ScoreMap:
+    """Every window score of a whole (block_rows, block_cols, 36) raw grid,
+    added to one ScoreAccumulator in a single band."""
+    acc = ScoreAccumulator(model, block_raw.shape[0], block_raw.shape[1], feature_fmt)
+    acc.add(block_raw, 0)
+    return acc.scores(stats)
 
 
 def iou(a: Detection, b: Detection) -> Fraction:

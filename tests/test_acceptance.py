@@ -29,14 +29,14 @@ from hogstream.histogram import accumulate_cells
 from hogstream.normalize import block_stream, fast_inv_sqrt_field, normalize_block
 from hogstream.oracle import compare_paths, reference_run
 from hogstream.stream import CELL, Frame, context_stream, pack_frame
-from hogstream.svm import SvmModel, save_model, score_grid, score_windows
+from hogstream.svm import SvmModel, save_model, score_windows
 from hogstream.trainer import (
     make_synthetic_set,
     quantize_model,
     samples_from_frames,
     train,
 )
-from reference import save_pgm
+from reference import save_pgm, score_grid
 
 
 def _check(name: str, condition: bool, detail: str = "") -> None:

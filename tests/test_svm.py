@@ -1,5 +1,7 @@
 """Window scoring: exact accumulation, anchor alignment, model file IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,10 @@ from hogstream.svm import (
     load_model,
     save_float_model,
     save_model,
-    score_grid,
     score_windows,
     sniff_model_format,
 )
+from reference import score_grid
 
 COEFF_FMT = DEFAULT_PROFILE.svm_coefficient
 BIAS_FMT = DEFAULT_PROFILE.svm_bias
@@ -78,6 +80,25 @@ def test_model_validation():
         SvmModel(weights_raw=np.zeros((15, 7, 36)), bias_raw=1 << 40)
     m = random_model(rng)
     assert m.coeff_fmt == COEFF_FMT
+
+
+def test_model_rejects_non_integral_raws_before_the_cast():
+    # a cast to int64 would turn every 0.7 into 0 and keep the bias a float
+    with pytest.raises(ValueError, match="finite integers"):
+        SvmModel(weights_raw=np.full((15, 7, 36), 0.7), bias_raw=0)
+    for bad in (np.nan, np.inf, 2.0 ** 63):
+        w = np.zeros((15, 7, 36))
+        w[4, 5, 6] = bad
+        with pytest.raises(ValueError):
+            SvmModel(weights_raw=w, bias_raw=0)
+    for bias in (0.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=bias)
+    m = SvmModel(weights_raw=np.full((15, 7, 36), -3.0), bias_raw=np.float64(-7.0))
+    assert m.weights_raw.dtype == np.int64 and int(m.weights_raw.min()) == -3
+    assert type(m.bias_raw) is int and m.bias_raw == -7
+    with pytest.raises(ValueError, match="does not fit"):
+        SvmModel(weights_raw=np.zeros((15, 7, 36)), bias_raw=2.0 ** 40)
 
 
 @pytest.mark.parametrize("bad", [np.iinfo(np.int64).min, -1024])
@@ -268,6 +289,56 @@ def test_score_windows_rejects_a_block_that_arrives_twice():
     again = BlockFeature(3, 2, values=(0,) * BLOCK_VALUES)
     with pytest.raises(GeometryError, match=r"block \(3,2\) arrived twice"):
         score_windows(feats + [again], random_model(rng), block_rows=15, block_cols=7)
+
+
+def test_score_windows_rejects_a_block_out_of_raster_order():
+    # blocks are added row by row as each row completes, so a column-major
+    # stream cannot be scored; nor can one that stops short
+    rng = np.random.default_rng(61)
+    blocks = random_blocks(rng, 15, 7)
+    m = random_model(rng)
+    column_major = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+                    for c in range(7) for r in range(15)]
+    with pytest.raises(GeometryError, match=r"block \(1,0\) arrived out of raster order"):
+        score_windows(column_major, m, block_rows=15, block_cols=7)
+    raster = sorted(column_major, key=lambda bf: (bf.block_row, bf.block_col))
+    with pytest.raises(GeometryError, match=r"ended before block \(14,6\)"):
+        score_windows(raster[:-1], m, block_rows=15, block_cols=7)
+
+
+def test_score_windows_checks_the_grid_before_pulling_a_block():
+    rng = np.random.default_rng(62)
+    blocks = random_blocks(rng, 14, 7)
+    pulled = []
+
+    def stream():
+        for r in range(14):
+            for c in range(7):
+                pulled.append((r, c))
+                yield BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+
+    with pytest.raises(GeometryError, match="smaller than one"):
+        score_windows(stream(), random_model(rng), block_rows=14, block_cols=7)
+    assert pulled == []
+
+
+def test_score_windows_holds_one_block_row():
+    # a 1080p block grid: the whole grid as int64 raws would be 9 MiB, and
+    # its blocks as records several times that
+    rows, cols = 134, 239
+    rng = np.random.default_rng(63)
+    pool = [tuple(int(v) for v in b) for b in random_blocks(rng, 1, 11)[0]]
+    m = random_model(rng)
+    stream = (BlockFeature(r, c, values=pool[(r + c) % len(pool)])
+              for r in range(rows) for c in range(cols))
+    tracemalloc.start()
+    try:
+        sm = score_windows(stream, m, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sm.scores_raw.shape == (rows - 14, cols - 6)
+    assert peak <= 4 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_scoremap_decode():
