@@ -5,9 +5,10 @@ window whose score strictly exceeds the threshold, in raster anchor order.
 run_pipeline rejects a frame smaller than one svm.WINDOW_W x WINDOW_H window.
 
 As the datapath's line buffers do, the array path streams the frame in bands
-of _BAND_CELL_ROWS cell rows, each band running every stage before the next
+of BAND_CELL_ROWS cell rows, each band running every stage before the next
 starts. cell_bands and block_bands hold the one band loop; run_pipeline adds
-the SVM, and the CLI's dump writes each band as it comes. Each stage
+the SVM, the CLI's dump writes each band as it comes, and oracle.compare_paths
+reads each beside the float path's band of the same rows. Each stage
 saturates and counts only the values the band owns, so every value is
 counted once and every grid equals the whole-grid composition of the same
 stage functions. No pixels-per-clock setting applies: the packet-level
@@ -29,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -36,12 +38,12 @@ import numpy as np
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats
 from .gradient import N_BINS, binned_field, gradient_field
 from .histogram import cell_histogram_grid
-from .normalize import BLOCK_VALUES, block_cells, block_features, cell_energy_grid
+from .normalize import block_cells, block_features, cell_energy_grid
 from .stream import CELL, Frame, GeometryError
 from .svm import WINDOW_H, WINDOW_W, ScoreAccumulator, ScoreMap, SvmModel
 
-# cell rows per band of the array path: the depth of its line buffers
-_BAND_CELL_ROWS = 16
+# cell rows per band of the array path (the depth of its line buffers), and of the oracle's
+BAND_CELL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,9 @@ class Detection:
 
 @dataclass
 class PipelineRun:
-    """Everything the fixed-point path produced for one frame, and its profile."""
+    """The window scores of one frame, its saturation counts, profile and stage
+    seconds: no band of intermediates outlives the SVM (see block_bands)."""
 
-    mag_raw: np.ndarray
-    bin_lo: np.ndarray
-    hist_grid: np.ndarray
-    block_grid: np.ndarray
     score_map: ScoreMap
     stats: SaturationStats
     profile: PrecisionProfile
@@ -80,7 +79,7 @@ def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats |
     def cells(r0: int) -> tuple:
         t0 = time.perf_counter()
         mag, lo = binned_field(
-            *gradient_field(frame.pixels, r0 * CELL, min(r0 + _BAND_CELL_ROWS, rows) * CELL),
+            *gradient_field(frame.pixels, r0 * CELL, min(r0 + BAND_CELL_ROWS, rows) * CELL),
             profile.gradient_magnitude, stats)
         t1 = time.perf_counter()
         hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)
@@ -88,7 +87,7 @@ def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats |
         times["histogram"] = times.get("histogram", 0.0) + time.perf_counter() - t1
         return r0, mag, lo, hist
 
-    return map(cells, range(0, rows, _BAND_CELL_ROWS))
+    return map(cells, range(0, rows, BAND_CELL_ROWS))
 
 
 def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
@@ -133,28 +132,18 @@ def run_pipeline(
         raise ValueError(f"model formats {model.coeff_fmt}, {model.bias_fmt} are not the "
                          f"profile's {profile.svm_coefficient}, {profile.svm_bias}")
     stats = stats if stats is not None else SaturationStats()
-    rows, cols = frame.height // CELL, frame.width // CELL
-    mag = np.empty(frame.pixels.shape, dtype=np.int32)
-    lo = np.empty(frame.pixels.shape, dtype=np.uint8)
-    hist = np.empty((rows, cols, N_BINS), dtype=np.int64)
-    blocks = np.empty((rows - 1, cols - 1, BLOCK_VALUES), dtype=np.int64)
-    scorer = ScoreAccumulator(model, rows - 1, cols - 1, profile.final_feature)
+    scorer = ScoreAccumulator(model, frame.height // CELL - 1, frame.width // CELL - 1,
+                              profile.final_feature)
     times: dict[str, float] = {}   # the band maps add their stages' seconds
-
-    for r0, band_mag, band_lo, band_hist, b0, band_blocks in block_bands(
-            frame, profile, stats, times):
-        r1 = r0 + len(band_hist)
-        mag[r0 * CELL : r1 * CELL], lo[r0 * CELL : r1 * CELL] = band_mag, band_lo
-        hist[r0:r1], blocks[b0 : r1 - 1] = band_hist, band_blocks
-        del band_mag, band_lo, band_hist, band_blocks   # copied: free them before the SVM
+    # only the blocks reach the SVM: each band's pixels and cells go first
+    for b0, blocks in map(itemgetter(4, 5), block_bands(frame, profile, stats, times)):
         t0 = time.perf_counter()
-        scorer.add(blocks[b0 : r1 - 1], b0)
+        scorer.add(blocks, b0)
         times["svm"] = times.get("svm", 0.0) + time.perf_counter() - t0
     t0 = time.perf_counter()
     score_map = scorer.scores(stats)
     times["svm"] += time.perf_counter() - t0
-    return PipelineRun(mag_raw=mag, bin_lo=lo, hist_grid=hist, block_grid=blocks,
-                       score_map=score_map, stats=stats, profile=profile, stage_seconds=times)
+    return PipelineRun(score_map=score_map, stats=stats, profile=profile, stage_seconds=times)
 
 
 def detect_frame(

@@ -4,33 +4,37 @@ The oracle recomputes every stage the honest way: Euclidean magnitude,
 atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
-shares only layout with the fixed-point path (the block layout
-normalize.block_cells, the dot layout svm.block_dots, the window sum
-svm.window_sums) and none of its arithmetic, so differences between the two
-measure the hardware approximations and nothing else. The
-histogram scatters each pixel's two interpolated shares onto its cell's
-bins lo and lo + 1 mod 9, one np.bincount per share. Per-pixel, per-block
-and per-window references that only tests compare against live in
-tests/reference.py.
+shares only layout with the fixed-point path (the bands of
+detector.BAND_CELL_ROWS cell rows, the block layout normalize.block_cells,
+the dot layout svm.block_dots, the window sum svm.window_sums) and none of
+its arithmetic, so differences between the two measure the hardware
+approximations and nothing else. The histogram scatters each pixel's two
+interpolated shares onto its cell's bins lo and lo + 1 mod 9, one
+np.bincount per share. Per-pixel, per-block and per-window references that
+only tests compare against live in tests/reference.py.
 
-compare_paths runs both paths on one frame with a quantized model and its
-float source, and reports per-stage error statistics plus the classification
-disagreement rate, serialized as a flat key-value text block.
+reference_bands runs the float path over the fixed path's bands, and
+reference_run composes them into whole grids. compare_paths reads both band
+maps side by side with a quantized model and its float source, and reports
+per-stage error statistics plus the classification disagreement rate,
+serialized as a flat key-value text block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
-from .detector import PipelineRun, run_pipeline
+from .detector import BAND_CELL_ROWS, PipelineRun, block_bands, run_pipeline
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
 from .gradient import N_BINS, BIN_STEP_DEG, FIRST_CENTER_DEG, gradient_field
 from .histogram import CELL
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells
 from .stream import Frame, GeometryError
-from .svm import WINDOW_FEATURES, SvmModel, anchor_grid, block_dots, window_sums
+from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, SvmModel, anchor_grid,
+                  block_dots, window_sums)
 
 EPSILON = 1e-6
 
@@ -45,62 +49,75 @@ def _interp_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ReferenceRun:
-    """Everything the float path produced for one frame."""
+    """The float path's cell histograms and block features of one frame, and
+    its window scores if a float model was given (else an empty array)."""
 
-    magnitude: np.ndarray
-    bin_lo: np.ndarray
     hist_grid: np.ndarray
     block_grid: np.ndarray
     scores: np.ndarray
 
 
+def _float_model(weights: np.ndarray, bias: float) -> np.ndarray:
+    """The (105, 36) coefficient rows block_dots takes; weights that are not
+    3780 finite values or a bias that is not finite raise ValueError."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (weights.size == WINDOW_FEATURES and np.isfinite(weights).all()
+            and np.isfinite(bias)):
+        raise ValueError(f"a float model needs {WINDOW_FEATURES} finite weights "
+                         "and a finite bias")
+    return weights.reshape(-1, BLOCK_VALUES)
+
+
+def reference_bands(frame: Frame) -> Iterator[tuple]:
+    """The float path over detector.block_bands' bands, yielding as it does
+    (r0, m, lo, hist, b0, blocks): m the magnitudes and lo the lower bins
+    (arbitrary where m is 0) of the band's pixels. A cell grid smaller than
+    2x2 raises GeometryError before any stage runs."""
+    rows, cols = frame.height // CELL, frame.width // CELL
+    block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block
+    last = [np.empty((0, cols, N_BINS))]   # the previous band's last cell row
+
+    def band(r0: int) -> tuple:
+        r1 = min(r0 + BAND_CELL_ROWS, rows)
+        gx, gy = gradient_field(frame.pixels, r0 * CELL, r1 * CELL)
+        m = np.hypot(gx, gy)
+        lo, frac = _interp_weights(np.degrees(np.arctan2(gy, gx)) % 180.0)
+
+        # scatter the two shares of each pixel onto its cell's bins lo and lo + 1
+        cell = (np.arange((r1 - r0) * CELL)[:, None] // CELL * cols
+                + np.arange(frame.width) // CELL) * N_BINS
+        n = (r1 - r0) * cols * N_BINS
+        hist = (np.bincount((cell + lo).ravel(), weights=(m * (1.0 - frac)).ravel(), minlength=n)
+                + np.bincount((cell + (lo + 1) % N_BINS).ravel(), weights=(m * frac).ravel(),
+                              minlength=n)).reshape(r1 - r0, cols, N_BINS)
+
+        f4 = block_cells(np.concatenate((last[0], hist)))
+        last[0] = hist[-1:]
+        sq = (f4 * f4).sum(axis=2)
+        f_l2 = f4 / np.sqrt(sq + EPSILON * EPSILON)[:, :, None]
+        f_th = np.minimum(f_l2, CLIP_THRESHOLD)
+        sq2 = (f_th * f_th).sum(axis=2)
+        blocks = f_th / np.sqrt(sq2 + EPSILON * EPSILON)[:, :, None]
+        return r0, m, lo, hist, max(r0 - 1, 0), blocks
+
+    return map(band, range(0, rows, BAND_CELL_ROWS))
+
+
 def reference_run(frame: Frame, weights: np.ndarray | None = None,
                   bias: float = 0.0) -> ReferenceRun:
-    """Whole-frame float path. A cell grid smaller than 2x2 raises
-    GeometryError (see block_cells); scores are computed only if weights are
-    given: then weights that are not 3780 finite values or a bias that is
-    not finite raise ValueError before any stage runs, and a frame smaller
-    than one window raises GeometryError."""
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if not (weights.size == WINDOW_FEATURES and np.isfinite(weights).all()
-                and np.isfinite(bias)):
-            raise ValueError(f"a float model needs {WINDOW_FEATURES} finite weights "
-                             "and a finite bias")
-    gx, gy = gradient_field(frame.pixels)
-    m = np.hypot(gx, gy)
-    theta = np.degrees(np.arctan2(gy, gx)) % 180.0
-    lo, frac = _interp_weights(theta)
-    # a zero gradient carries no mass; give it the fixed path's pair (0, 1)
-    lo = np.where((gx == 0) & (gy == 0), 0, lo)
-
-    # scatter the two shares of each pixel onto its cell's bins lo and lo + 1
-    rows, cols = frame.height // CELL, frame.width // CELL
-    cell = (np.arange(frame.height)[:, None] // CELL * cols
-            + np.arange(frame.width) // CELL) * N_BINS
-    n = rows * cols * N_BINS
-    grid = (np.bincount((cell + lo).ravel(), weights=(m * (1.0 - frac)).ravel(), minlength=n)
-            + np.bincount((cell + (lo + 1) % N_BINS).ravel(), weights=(m * frac).ravel(),
-                          minlength=n)).reshape(rows, cols, N_BINS)
-
-    f4 = block_cells(grid)
-    sq = (f4 * f4).sum(axis=2)
-    f_l2 = f4 / np.sqrt(sq + EPSILON * EPSILON)[:, :, None]
-    f_th = np.minimum(f_l2, CLIP_THRESHOLD)
-    sq2 = (f_th * f_th).sum(axis=2)
-    blocks = f_th / np.sqrt(sq2 + EPSILON * EPSILON)[:, :, None]
-
+    """reference_bands composed into whole grids. A cell grid smaller than
+    2x2 raises GeometryError; scores are computed only if weights are given:
+    then a float model _float_model rejects raises ValueError before any
+    stage runs, and a frame smaller than one window raises GeometryError."""
+    wmat = None if weights is None else _float_model(weights, bias)
+    bands = [band[3:] for band in reference_bands(frame)]   # (hist, b0, blocks): no pixels
     scores = np.zeros((0, 0), dtype=np.float64)
-    if weights is not None:
-        scores = window_sums(block_dots(blocks, weights.reshape(-1, BLOCK_VALUES)),
-                             anchor_grid(*blocks.shape[:2], bias))
-    return ReferenceRun(
-        magnitude=m,
-        bin_lo=lo.astype(np.uint8),
-        hist_grid=grid,
-        block_grid=blocks,
-        scores=scores,
-    )
+    if wmat is not None:
+        scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, bias)
+        for _, b0, blocks in bands:
+            window_sums(block_dots(blocks, wmat), scores, b0)
+    hists, _, blocks = zip(*bands)
+    return ReferenceRun(np.concatenate(hists), np.concatenate(blocks), scores)
 
 
 @dataclass
@@ -121,11 +138,8 @@ class ErrorReport:
     classification_disagreement_rate: float
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            lines.append(f"{f.name} {v!r}" if isinstance(v, float) else f"{f.name} {v}")
-        return "\n".join(lines) + "\n"
+        """One 'name value' line per field, each value its repr (exact for floats)."""
+        return "".join(f"{f.name} {getattr(self, f.name)!r}\n" for f in fields(self))
 
 
 def compare_paths(
@@ -145,48 +159,51 @@ def compare_paths(
     frame must hold at least one window (see run_pipeline) and the threshold
     must be finite (see ScoreMap.above). A given ``fixed_run`` must have run
     under ``profile`` (else ValueError), on a frame of this shape (else
-    GeometryError).
+    GeometryError); it and the float model are checked before any stage.
+    The scores come from ``fixed_run`` or run_pipeline, every other value
+    from block_bands and reference_bands, read side by side band by band.
     """
+    wmat = _float_model(float_weights, float_bias)
     if fixed_run is not None and fixed_run.profile != profile:
         raise ValueError("fixed_run ran under another profile than the one given")
-    if fixed_run is not None and fixed_run.mag_raw.shape != frame.pixels.shape:
-        h, w = fixed_run.mag_raw.shape
-        raise GeometryError(f"fixed_run ran on a {w}x{h} frame, not {frame.width}x{frame.height}")
+    if fixed_run is not None:
+        ar, ac = fixed_run.score_map.scores_raw.shape
+        w, h = (ac + WINDOW_BLOCK_COLS) * CELL, (ar + WINDOW_BLOCK_ROWS) * CELL
+        if (w, h) != (frame.width, frame.height):
+            raise GeometryError(f"fixed_run ran on a {w}x{h} frame, not "
+                                f"{frame.width}x{frame.height}")
     fixed = fixed_run if fixed_run is not None else run_pipeline(frame, model, profile)
     fixed_pos = fixed.score_map.above(threshold)
-    ref = reference_run(frame, float_weights, float_bias)
 
-    mag_fixed = fixed.mag_raw / fixed.profile.gradient_magnitude.scale
-    mag_err = np.abs(mag_fixed - ref.magnitude)
+    # per ErrorReport stage: the largest, the sum and the count of |fixed - float|
+    errs = {"magnitude": [0.0, 0.0, 0], "block_feature": [0.0, 0.0, 0], "score": [0.0, 0.0, 0]}
 
-    # both paths pair bin_lo with bin_lo + 1 mod 9, so the pairs differ
-    # exactly where the lower bins do
-    carrying = ref.magnitude > 0
-    pair_diff = (fixed.bin_lo != ref.bin_lo) & carrying
-    n_carrying = int(carrying.sum())
-    pair_rate = float(pair_diff.sum() / n_carrying) if n_carrying else 0.0
+    def tally(stage: str, err: np.ndarray) -> None:
+        t = errs[stage]
+        t[:] = max(t[0], float(err.max())), t[1] + float(err.sum()), t[2] + err.size
 
-    blk_fixed = fixed.block_grid / fixed.profile.final_feature.scale
-    blk_err = np.abs(blk_fixed - ref.block_grid)
+    scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, float_bias)
+    n_carrying = n_differ = 0
+    for (_, mag, lo, _, b0, blocks), (_, m, ref_lo, _, _, ref_blocks) in zip(
+            block_bands(frame, profile, None, {}), reference_bands(frame)):
+        tally("magnitude", np.abs(mag / profile.gradient_magnitude.scale - m))
+        tally("block_feature", np.abs(blocks / profile.final_feature.scale - ref_blocks))
+        # both paths pair lo with lo + 1 mod 9, so the pairs differ exactly
+        # where the lower bins do
+        carrying = m > 0
+        n_carrying += int(carrying.sum())
+        n_differ += int(((lo != ref_lo) & carrying).sum())
+        window_sums(block_dots(ref_blocks, wmat), scores, b0)
+    tally("score", np.abs(fixed.score_map.decode() - scores))
 
-    score_fixed = fixed.score_map.decode()
-    score_err = np.abs(score_fixed - ref.scores)
-
-    ref_pos = ref.scores > threshold
-    disagree = int((fixed_pos != ref_pos).sum())
-    n_anchors = int(ref.scores.size)
-
+    disagree = int((fixed_pos != (scores > threshold)).sum())
     return ErrorReport(
-        pixels=int(ref.magnitude.size),
-        blocks=int(ref.block_grid.shape[0] * ref.block_grid.shape[1]),
-        anchors=n_anchors,
-        magnitude_max_abs_err=float(mag_err.max()),
-        magnitude_mean_abs_err=float(mag_err.mean()),
-        bin_pair_disagreement_rate=pair_rate,
-        block_feature_max_abs_err=float(blk_err.max()),
-        block_feature_mean_abs_err=float(blk_err.mean()),
-        score_max_abs_err=float(score_err.max()),
-        score_mean_abs_err=float(score_err.mean()),
+        pixels=errs["magnitude"][2],
+        blocks=errs["block_feature"][2] // BLOCK_VALUES,
+        anchors=scores.size,
+        bin_pair_disagreement_rate=n_differ / n_carrying if n_carrying else 0.0,
         classification_disagreements=disagree,
-        classification_disagreement_rate=float(disagree / n_anchors),
+        classification_disagreement_rate=disagree / scores.size,
+        **{f"{stage}_{k}_abs_err": v for stage, (top, total, n) in errs.items()
+           for k, v in (("max", top), ("mean", total / n))},
     )

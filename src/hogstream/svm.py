@@ -164,9 +164,10 @@ class ScoreAccumulator:
     coefficient fractions that do not sum to the bias fraction raise
     ValueError, as do formats whose worst-case score magnitude reaches 2**53,
     where float64 stops being exact: below it every partial sum of the 3780
-    products and the bias is an exact integer, so the bands may arrive in any
-    order. ``add`` range-checks each raw once; ``scores`` saturates each total
-    once.
+    products and the bias is an exact integer, so any split of the grid into
+    bands gives the same totals. ``add`` takes the bands in order, top to
+    bottom, and range-checks each raw once; ``scores`` saturates each total
+    once, after the last block row.
     """
 
     def __init__(self, model: SvmModel, block_rows: int, block_cols: int,
@@ -185,20 +186,31 @@ class ScoreAccumulator:
         self.feature_fmt, self.bias_fmt = feature_fmt, bias_fmt
         self.wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
         self.sums = anchor_grid(block_rows, block_cols, model.bias_raw)
+        self.grid, self.due = (block_rows, block_cols), 0   # due: the next block row to add
 
     def add(self, block_raw: np.ndarray, row0: int) -> None:
         """Add block rows row0.. (int64 raws, (n, block_cols, 36)); a raw
-        outside the feature format raises ValueError."""
+        outside the feature format raises ValueError, a band of another width
+        or not at the next row due, or running past the grid, GeometryError."""
         n, bc, nv = block_raw.shape
-        if nv != BLOCK_VALUES:
-            raise GeometryError(f"block features carry {nv} values, expected {BLOCK_VALUES}")
+        rows, cols = self.grid
+        if (bc, nv) != (cols, BLOCK_VALUES):
+            raise GeometryError(f"a band {bc} blocks wide of {nv} values does not fit a "
+                                f"{rows}x{cols} grid of {BLOCK_VALUES}-value blocks")
+        if row0 != self.due or row0 + n > rows:
+            raise GeometryError(f"block rows {row0}..{row0 + n - 1} arrived after {self.due} "
+                                f"of {rows} rows")
         fmt = self.feature_fmt
         if block_raw.size and (block_raw.min() < fmt.min_raw or block_raw.max() > fmt.max_raw):
             raise ValueError(f"block feature raws do not fit {fmt}")
         window_sums(block_dots(block_raw.astype(np.float64), self.wmat), self.sums, row0)
+        self.due += n
 
     def scores(self, stats: SaturationStats | None = None) -> ScoreMap:
-        """The window totals, each saturated once into the bias format."""
+        """The window totals, each saturated once into the bias format; before
+        the last block row has been added, GeometryError."""
+        if self.due < self.grid[0]:
+            raise GeometryError(f"scores asked after {self.due} of {self.grid[0]} block rows")
         raw = saturate_array(self.sums.astype(np.int64), self.bias_fmt, stats, "svm")
         return ScoreMap(scores_raw=raw, fmt=self.bias_fmt)
 

@@ -18,12 +18,13 @@ import numpy as np
 from hogstream.cli import main
 from hogstream.detector import (
     Detection,
+    block_bands,
     detections_from_scores,
     detections_to_text,
     nms,
     run_pipeline,
 )
-from hogstream.fixedpoint import SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
 from hogstream.gradient import binned_field, binned_stream, magnitude_approx_raw
 from hogstream.histogram import accumulate_cells
 from hogstream.normalize import block_stream, fast_inv_sqrt_field, normalize_block
@@ -245,8 +246,11 @@ def test_07_window_count_4k():
     frame = Frame.from_array(np.zeros((2160, 3840), dtype=np.uint8))
     model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0)
     run = run_pipeline(frame, model)
-    cells = run.hist_grid.shape[:2]
-    blocks = run.block_grid.shape[0] * run.block_grid.shape[1]
+    cell_rows = block_rows = 0
+    for _, _, _, hist, _, band_blocks in block_bands(frame, DEFAULT_PROFILE, None, {}):
+        cell_rows, block_rows = cell_rows + len(hist), block_rows + len(band_blocks)
+    cells = (cell_rows, hist.shape[1])
+    blocks = block_rows * band_blocks.shape[1]
     anchors = run.score_map.scores_raw.size
     _check(
         "4K geometry: 480x270 cells, 128851 blocks, 120615 window anchors",

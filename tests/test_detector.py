@@ -1,5 +1,6 @@
 """Thresholding, exact IoU, greedy NMS, frame-level detection."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import hogstream.detector
 from hogstream.detector import (
     Detection,
+    block_bands,
     detect_frame,
     detections_from_scores,
     detections_to_text,
@@ -234,12 +236,31 @@ def test_run_pipeline_shapes_and_timers():
     rng = np.random.default_rng(66)
     f = Frame.from_array(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
     run = run_pipeline(f, zero_model())
-    assert run.mag_raw.shape == (128, 64)
-    assert run.hist_grid.shape == (16, 8, 9)
-    assert run.block_grid.shape == (15, 7, 36)
+    ((r0, mag, lo, hist, b0, blocks),) = block_bands(f, DEFAULT_PROFILE, None, {})
+    assert (r0, b0) == (0, 0)
+    assert mag.shape == lo.shape == (128, 64)
+    assert hist.shape == (16, 8, 9)
+    assert blocks.shape == (15, 7, 36)
     assert run.score_map.scores_raw.shape == (1, 1)
     assert set(run.stage_seconds) == {"gradient", "histogram", "normalize", "svm"}
     assert all(t >= 0 for t in run.stage_seconds.values())
+
+
+def test_run_pipeline_holds_one_band_at_a_time():
+    # the run keeps only its score map and counts: copying every band into
+    # whole-frame grids peaked at 27.3 MiB on this 1080p frame
+    f = Frame.from_array(np.random.default_rng(67).integers(0, 256, size=(1080, 1920),
+                                                            dtype=np.uint8))
+    model = zero_model()
+    run_pipeline(f, model)   # builds the shared tables outside the trace
+    tracemalloc.start()
+    try:
+        run = run_pipeline(f, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.score_map.scores_raw.shape == (120, 233)
+    assert peak <= 12 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_run_pipeline_rejects_a_model_of_other_formats(tmp_path):

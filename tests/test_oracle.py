@@ -1,14 +1,16 @@
 """Exact float reference path: gradients, interpolation, L2-hys, scoring."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hogstream.oracle
 from hogstream.detector import run_pipeline
 from hogstream.fixedpoint import FxFormat, PrecisionProfile
-from hogstream.gradient import orient_bin_pair
+from hogstream.gradient import gradient_field, orient_bin_pair
 from hogstream.oracle import (
     _interp_weights,
     compare_paths,
@@ -119,21 +121,31 @@ def test_interp_theta_45_quarter_split():
     assert np.delete(h, [1, 2]).sum() == 0.0
 
 
-def test_cell_histogram_mass_conservation():
-    # square and non-square grids: the scatter's cell index is row * cols + col
-    rng = np.random.default_rng(71)
-    for rows, cols in ((2, 2), (3, 5)):
-        f = frame_of(rng.integers(0, 256, size=(rows * 8, cols * 8), dtype=np.uint8))
-        ref = reference_run(f)
-        assert ref.hist_grid.shape == (rows, cols, 9)
-        for r in range(rows):
-            for c in range(cols):
-                h = oracle_cell_histogram(f, r, c)
-                cell_mag = ref.magnitude[r * 8:(r + 1) * 8, c * 8:(c + 1) * 8]
-                assert h.sum() == pytest.approx(cell_mag.sum())
-                assert np.allclose(ref.hist_grid[r, c], h)
-        with pytest.raises(GeometryError):
-            oracle_cell_histogram(f, rows, 0)
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (16, 2), (17, 3), (33, 2), (35, 2)])
+def test_cell_histogram_mass_conservation(rows, cols):
+    # square and non-square grids: the scatter's cell index is row * cols + col;
+    # 16 cell rows or more run over one band or several, the blocks of a band
+    # taking the last cell row of the one before
+    rng = np.random.default_rng(71 + rows)
+    f = frame_of(rng.integers(0, 256, size=(rows * 8, cols * 8), dtype=np.uint8))
+    ref = reference_run(f)
+    assert ref.hist_grid.shape == (rows, cols, 9)
+    assert ref.block_grid.shape == (rows - 1, cols - 1, 36)
+    mag = np.hypot(*gradient_field(f.pixels))
+    want = np.empty((rows, cols, 9))
+    for r in range(rows):
+        for c in range(cols):
+            want[r, c] = oracle_cell_histogram(f, r, c)
+            cell_mag = mag[r * 8:(r + 1) * 8, c * 8:(c + 1) * 8]
+            assert want[r, c].sum() == pytest.approx(cell_mag.sum())
+            assert np.allclose(ref.hist_grid[r, c], want[r, c])
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            cells = want[[r, r + 1, r, r + 1], [c, c, c + 1, c + 1]]
+            assert np.allclose(ref.block_grid[r, c], oracle_block_normalize(cells),
+                               rtol=1e-12, atol=1e-15)
+    with pytest.raises(GeometryError):
+        oracle_cell_histogram(f, rows, 0)
 
 
 def test_block_normalize_properties():
@@ -174,13 +186,14 @@ def test_oracle_score_exact():
         oracle_score(f[:10], w, b)
 
 
-def test_reference_scores_match_window_dot():
-    rng = np.random.default_rng(75)
-    f = frame_of(rng.integers(0, 256, size=(136, 80), dtype=np.uint8))
+@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+def test_reference_scores_match_window_dot(cell_rows):
+    rng = np.random.default_rng(75 + cell_rows)
+    f = frame_of(rng.integers(0, 256, size=(cell_rows * 8, 80), dtype=np.uint8))
     w = rng.uniform(-0.5, 0.5, WINDOW_FEATURES)
     b = 0.25
     ref = reference_run(f, w, b)
-    assert ref.scores.shape == (2, 3)
+    assert ref.scores.shape == (cell_rows - 15, 3)
     for r in range(ref.scores.shape[0]):
         for c in range(ref.scores.shape[1]):
             window = ref.block_grid[r : r + 15, c : c + 7].reshape(WINDOW_FEATURES)
@@ -237,6 +250,39 @@ def test_compare_paths_decodes_a_given_run_with_its_own_profile():
     assert rep.block_feature_max_abs_err < 0.15
     with pytest.raises(ValueError, match="profile"):
         compare_paths(f, qm, fw, 0.0, fixed_run=run)
+
+
+def test_compare_paths_holds_one_band_at_a_time():
+    # both paths stream band by band beside the given run: rebuilding every
+    # float stage over the whole frame peaked at 159 MiB on this 1080p frame
+    rng = np.random.default_rng(80)
+    f = frame_of(rng.integers(0, 256, size=(1080, 1920), dtype=np.uint8))
+    w = rng.uniform(-0.3, 0.3, WINDOW_FEATURES)
+    qm = quantize_model(FloatModel(weights=w, bias=0.0))
+    run = run_pipeline(f, qm)
+    tracemalloc.start()
+    try:
+        rep = compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.pixels, rep.blocks, rep.anchors) == (1080 * 1920, 134 * 239, 120 * 233)
+    assert peak <= 60 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_compare_paths_checks_the_float_model_before_any_stage(monkeypatch):
+    # NaN weights once cost a whole fixed run before the ValueError
+    calls = []
+    monkeypatch.setattr(hogstream.oracle, "run_pipeline",
+                        lambda *args: calls.append(args) or run_pipeline(*args))
+    rng = np.random.default_rng(81)
+    f = frame_of(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
+    qm = quantize_model(FloatModel(np.zeros(WINDOW_FEATURES), 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        compare_paths(f, qm, np.full(WINDOW_FEATURES, np.nan), 0.0)
+    assert calls == []
+    compare_paths(f, qm, np.zeros(WINDOW_FEATURES), 0.0)
+    assert len(calls) == 1
 
 
 def test_compare_paths_rejects_a_run_of_another_frame_shape():

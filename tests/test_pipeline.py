@@ -6,17 +6,22 @@ composition (pack -> context -> binned gradients -> cell histograms -> blocks
 of the final score map for every pixels-per-clock setting.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from hogstream.detector import detections_from_scores, detections_to_text, run_pipeline
+from hogstream.detector import (block_bands, detections_from_scores, detections_to_text,
+                                run_pipeline)
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
 from hogstream.gradient import binned_field, binned_stream, gradient_field
 from hogstream.histogram import accumulate_cells, cell_histogram_grid
 from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
                                  normalize_block)
+from hogstream.oracle import ErrorReport, _interp_weights, compare_paths, reference_run
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_windows
+from hogstream.trainer import FloatModel, quantize_model
 from reference import score_grid
 
 
@@ -115,6 +120,14 @@ def test_streaming_saturation_stats_match_narrow_profile(profile, stages):
     assert all(counts[stage] > 0 for stage in stages)
 
 
+def whole_grids(frame, profile, stats):
+    """The fixed path's stages composed over the whole frame at once."""
+    mag, lo = binned_field(*gradient_field(frame.pixels), profile.gradient_magnitude, stats)
+    hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)
+    return mag, lo, hist, block_features(hist, cell_energy_grid(hist, profile, stats), profile,
+                                         stats)
+
+
 @pytest.mark.parametrize("profile, stage", [
     (DEFAULT_PROFILE, "magnitude"),
     (NARROW_PREPARE_NORM, "prepare_norm"),
@@ -136,15 +149,61 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
     assert np.array_equal(sm.scores_raw, run.score_map.scores_raw)
     assert s_stream.counts == run.stats.counts
 
+    s_bands = SaturationStats()
+    bands = list(block_bands(frame, profile, s_bands, {}))
+    assert [b[0] for b in bands] == list(range(0, cell_rows, 16))
+    banded = [np.concatenate([b[i] for b in bands]) for i in (1, 2, 3, 5)]
+    score_grid(banded[-1], model, s_bands, profile.final_feature)   # counts the svm stage
     s_grid = SaturationStats()
-    mag, lo = binned_field(*gradient_field(frame.pixels), profile.gradient_magnitude, s_grid)
-    hist = cell_histogram_grid(mag, lo, profile.histogram_value, s_grid)
-    blocks = block_features(hist, cell_energy_grid(hist, profile, s_grid), profile, s_grid)
-    scores = score_grid(blocks, model, s_grid, profile.final_feature)
-    for got, want in [(run.mag_raw, mag), (run.bin_lo, lo), (run.hist_grid, hist),
-                      (run.block_grid, blocks), (run.score_map.scores_raw, scores.scores_raw)]:
+    grids = whole_grids(frame, profile, s_grid)
+    scores = score_grid(grids[-1], model, s_grid, profile.final_feature)
+    for got, want in [*zip(banded, grids), (run.score_map.scores_raw, scores.scores_raw)]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert s_grid.counts == run.stats.counts
+    assert s_grid.counts == s_bands.counts == run.stats.counts
+
+
+@pytest.mark.parametrize("profile", [DEFAULT_PROFILE, NARROW_MAGNITUDE],
+                         ids=["default", "narrow_magnitude"])
+@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+def test_streamed_compare_matches_whole_grid_report(profile, cell_rows):
+    # compare_paths reads the fixed and float bands side by side; its report
+    # must be the one the whole grids give
+    rng = np.random.default_rng(110 + cell_rows)
+    frame = Frame.from_array(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
+    w = rng.uniform(-0.3, 0.3, 3780)
+    model = quantize_model(FloatModel(weights=w, bias=0.1), profile)
+    fw, fb = w * model.scale_applied, 0.1 * model.scale_applied
+    report = compare_paths(frame, model, fw, fb, profile=profile)
+
+    mag, lo, _, blocks = whole_grids(frame, profile, None)
+    fixed_scores = score_grid(blocks, model, None, profile.final_feature)
+    ref = reference_run(frame, fw, fb)
+    gx, gy = gradient_field(frame.pixels)
+    m = np.hypot(gx, gy)
+    ref_lo, _ = _interp_weights(np.degrees(np.arctan2(gy, gx)) % 180.0)
+    mag_err = np.abs(mag / profile.gradient_magnitude.scale - m)
+    blk_err = np.abs(blocks / profile.final_feature.scale - ref.block_grid)
+    score_err = np.abs(fixed_scores.decode() - ref.scores)
+    flips = int((fixed_scores.above(0.0) != (ref.scores > 0.0)).sum())
+    carrying = m > 0
+    want = ErrorReport(
+        pixels=m.size, blocks=blocks.shape[0] * blocks.shape[1], anchors=ref.scores.size,
+        magnitude_max_abs_err=float(mag_err.max()),
+        magnitude_mean_abs_err=float(mag_err.mean()),
+        bin_pair_disagreement_rate=float(((lo != ref_lo) & carrying).sum() / carrying.sum()),
+        block_feature_max_abs_err=float(blk_err.max()),
+        block_feature_mean_abs_err=float(blk_err.mean()),
+        score_max_abs_err=float(score_err.max()), score_mean_abs_err=float(score_err.mean()),
+        classification_disagreements=flips,
+        classification_disagreement_rate=flips / ref.scores.size)
+    means = {"magnitude_mean_abs_err", "block_feature_mean_abs_err", "score_mean_abs_err"}
+    for name, value in asdict(want).items():
+        got = getattr(report, name)
+        if name in means:
+            assert got == pytest.approx(value, rel=1e-12, abs=0), name
+        else:
+            assert got == value and type(got) is type(value), name
+    assert report.magnitude_max_abs_err > 0 and report.block_feature_max_abs_err > 0
 
 
 def test_flat_frame_saturates_both_inverse_square_roots_on_both_paths():

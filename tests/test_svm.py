@@ -17,6 +17,7 @@ from hogstream.svm import (
     WINDOW_BLOCKS,
     WINDOW_FEATURES,
     ModelFormatError,
+    ScoreAccumulator,
     ScoreMap,
     SvmModel,
     load_float_model,
@@ -260,6 +261,32 @@ def test_empty_anchor_grid():
     rng = np.random.default_rng(54)
     with pytest.raises(GeometryError, match="smaller than one"):
         score_grid(random_blocks(rng, 14, 7), random_model(rng))
+
+
+def test_score_accumulator_checks_where_a_band_lands():
+    # each of these once passed silently: a band 9 blocks wide was scored as
+    # if 8 wide, a row0 past the grid added nothing, and the same rows added
+    # twice doubled every score (7560 instead of 3780)
+    m = SvmModel(weights_raw=np.ones((15, 7, 36), dtype=np.int64), bias_raw=0)
+    ones = np.ones((15, 8, 36), dtype=np.int64)
+    acc = ScoreAccumulator(m, 15, 8)
+    with pytest.raises(GeometryError, match="9 blocks wide"):
+        acc.add(np.ones((15, 9, 36), dtype=np.int64), 0)
+    with pytest.raises(GeometryError, match=r"rows 15\.\.15 arrived after 0 of 15"):
+        acc.add(ones[:1], 15)
+    with pytest.raises(GeometryError, match=r"rows 3\.\.5 arrived after 0 of 15"):
+        acc.add(ones[:3], 3)   # a gap
+    acc.add(ones[:3], 0)
+    with pytest.raises(GeometryError, match="scores asked after 3 of 15 block rows"):
+        acc.scores()
+    with pytest.raises(GeometryError, match=r"rows 0\.\.2 arrived after 3 of 15"):
+        acc.add(ones[:3], 0)   # a repeat
+    with pytest.raises(GeometryError, match=r"rows 3\.\.15 arrived after 3 of 15"):
+        acc.add(np.ones((13, 8, 36), dtype=np.int64), 3)   # runs past the grid
+    acc.add(ones[3:], 3)
+    assert acc.scores().scores_raw.tolist() == [[3780, 3780]]
+    with pytest.raises(GeometryError, match=r"rows 15\.\.15 arrived after 15 of 15"):
+        acc.add(ones[:1], 15)
 
 
 def test_score_windows_stream():
