@@ -113,17 +113,12 @@ def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats 
     return map(blocks, cell_bands(frame, profile, stats, times))
 
 
-def run_pipeline(
-    frame: Frame,
-    model: SvmModel,
-    profile: PrecisionProfile = DEFAULT_PROFILE,
-    stats: SaturationStats | None = None,
-) -> PipelineRun:
-    """Gradients -> binning -> cell histograms -> block features -> scores,
-    one loop over block_bands.
+def window_scorer(frame: Frame, model: SvmModel, profile: PrecisionProfile) -> ScoreAccumulator:
+    """The ScoreAccumulator of the frame's block grid, for block_bands' blocks.
 
-    Before any stage runs, a frame smaller than one window raises GeometryError
-    and a model in other coefficient or bias formats than the profile's ValueError.
+    A frame smaller than one window raises GeometryError, and a model in other
+    coefficient or bias formats than the profile's ValueError, so callers
+    that build it first check both before any stage runs.
     """
     if frame.width < WINDOW_W or frame.height < WINDOW_H:
         raise GeometryError(f"frame {frame.width}x{frame.height} is smaller than one "
@@ -131,9 +126,22 @@ def run_pipeline(
     if (model.coeff_fmt, model.bias_fmt) != (profile.svm_coefficient, profile.svm_bias):
         raise ValueError(f"model formats {model.coeff_fmt}, {model.bias_fmt} are not the "
                          f"profile's {profile.svm_coefficient}, {profile.svm_bias}")
+    return ScoreAccumulator(model, frame.height // CELL - 1, frame.width // CELL - 1,
+                            profile.final_feature)
+
+
+def run_pipeline(
+    frame: Frame,
+    model: SvmModel,
+    profile: PrecisionProfile = DEFAULT_PROFILE,
+    stats: SaturationStats | None = None,
+) -> PipelineRun:
+    """Gradients -> binning -> cell histograms -> block features -> scores,
+    one loop over block_bands into a window_scorer, which checks the frame
+    and the model before any stage runs.
+    """
+    scorer = window_scorer(frame, model, profile)
     stats = stats if stats is not None else SaturationStats()
-    scorer = ScoreAccumulator(model, frame.height // CELL - 1, frame.width // CELL - 1,
-                              profile.final_feature)
     times: dict[str, float] = {}   # the band maps add their stages' seconds
     # only the blocks reach the SVM: each band's pixels and cells go first
     for b0, blocks in map(itemgetter(4, 5), block_bands(frame, profile, stats, times)):

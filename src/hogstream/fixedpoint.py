@@ -31,6 +31,10 @@ import numpy as np
 # rescaling, so every profile carries the magnitude at this fraction
 MAGNITUDE_FRACTION = 3
 
+# products one window score sums: 15x7 blocks of 36 values (svm.WINDOW_FEATURES;
+# kept here so that a PrecisionProfile can check its score formats)
+SCORE_TERMS = 3780
+
 
 @dataclass(frozen=True)
 class FxFormat:
@@ -218,6 +222,27 @@ def quantize_array(
     return raw
 
 
+def check_score_formats(feature: FxFormat, coefficient: FxFormat, bias: FxFormat) -> None:
+    """ValueError unless a window score of these formats is exact in float64.
+
+    Feature and coefficient fractions that do not sum to the bias fraction
+    have no exact accumulator, and a worst-case score magnitude reaching
+    2**53 is where float64 stops being exact: below it every partial sum of
+    the SCORE_TERMS products and the bias is an exact integer, so any order
+    of summation gives the same total.
+    """
+    # the largest |score| any partial sum can reach: a raw's magnitude is at
+    # most 2**(width - 1), a coefficient's max_raw
+    worst = (SCORE_TERMS * (1 << (feature.width - 1)) * coefficient.max_raw
+             + (1 << (bias.width - 1)))
+    if worst >= 1 << 53:
+        raise ValueError(f"features {feature}, coefficients {coefficient} and bias "
+                         f"{bias} can reach 2**53: float64 scoring would not be exact")
+    if bias.fraction != feature.fraction + coefficient.fraction:
+        raise ValueError("feature and coefficient fractions must sum to the "
+                         "accumulator fraction")
+
+
 def dump_raws(grid: np.ndarray) -> bytes:
     """Flat binary blob of a raw grid: C order, little-endian int32."""
     return np.ascontiguousarray(grid, dtype="<i4").tobytes()
@@ -229,7 +254,9 @@ class PrecisionProfile:
 
     The defaults are the shipped datapath widths; tests pin them, and every
     stage takes its format from here rather than hard-coding widths. Window
-    scores carry ``svm_bias``, the fraction the exact accumulation lands on.
+    scores carry ``svm_bias``, the fraction the exact accumulation lands on;
+    score formats that check_score_formats rejects raise ValueError here,
+    before any frame runs.
     """
 
     gradient_magnitude: FxFormat = field(default=FxFormat(11, 3))
@@ -255,6 +282,7 @@ class PrecisionProfile:
                 f"histogram_value {self.histogram_value} has fewer fractional bits "
                 f"than gradient_magnitude {self.gradient_magnitude}"
             )
+        check_score_formats(self.final_feature, self.svm_coefficient, self.svm_bias)
 
 
 DEFAULT_PROFILE = PrecisionProfile()

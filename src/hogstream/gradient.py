@@ -20,7 +20,8 @@ definition of this arithmetic. The packet path (binned_stream) calls both
 per pixel and clamps the magnitude inline, against a bound it reads once
 per stream. The array path (binned_field) gathers from a table of both over
 every gradient of 8-bit pixels, [-255, 255]^2, built from those functions
-on first use.
+on first use, through table_index, the one layout of such a table; the
+float oracle gathers from its own table through the same index.
 """
 
 from __future__ import annotations
@@ -194,6 +195,17 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     return mag.ravel(), lo.ravel()
 
 
+def table_index(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Flat intp index of each gradient into a table over [-GRADIENT_MAX,
+    GRADIENT_MAX]^2 laid out as _pixel_table's, [gx + G, gy + G]. Gradients
+    outside that square are not checked and index out of the table."""
+    n = 2 * GRADIENT_MAX + 1
+    idx = np.multiply(gx, n, dtype=np.intp)
+    idx += gy
+    idx += GRADIENT_MAX * n + GRADIENT_MAX
+    return idx
+
+
 def binned_field(
     gx: np.ndarray,
     gy: np.ndarray,
@@ -209,9 +221,6 @@ def binned_field(
     if min(gx.min(), gy.min()) < -GRADIENT_MAX or max(gx.max(), gy.max()) > GRADIENT_MAX:
         raise ValueError(f"gradients must lie in [-{GRADIENT_MAX}, {GRADIENT_MAX}]")
     mag_table, lo_table = _pixel_table()
-    n = 2 * GRADIENT_MAX + 1
-    idx = np.multiply(gx, n, dtype=np.intp)
-    idx += gy
-    idx += GRADIENT_MAX * n + GRADIENT_MAX
+    idx = table_index(gx, gy)
     return (saturate_array(np.take(mag_table, idx), fmt, stats, "magnitude"),
             np.take(lo_table, idx))

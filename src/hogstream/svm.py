@@ -39,6 +39,7 @@ from .fixedpoint import (
     FxFormat,
     PrecisionProfile,
     SaturationStats,
+    check_score_formats,
     fx_quantize,
     saturate_array,
 )
@@ -108,13 +109,17 @@ class ScoreMap:
         return self.scores_raw / self.fmt.scale
 
     def above(self, threshold: float) -> np.ndarray:
-        """Anchors whose score strictly exceeds the quantized threshold.
+        """Anchors whose score strictly exceeds the quantized threshold (see
+        threshold_raw)."""
+        return self.scores_raw > threshold_raw(threshold, self.fmt)
 
-        A NaN or infinite threshold has no quantized value and raises ValueError.
-        """
-        if not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold!r}")
-        return self.scores_raw > fx_quantize(threshold, self.fmt).raw
+
+def threshold_raw(threshold: float, fmt: FxFormat) -> int:
+    """The threshold quantized into the score format ``fmt``. A NaN or
+    infinite threshold has no quantized value and raises ValueError."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    return fx_quantize(threshold, fmt).raw
 
 
 def anchor_grid(block_rows: int, block_cols: int, start: float) -> np.ndarray:
@@ -160,30 +165,18 @@ def block_dots(blocks: np.ndarray, wmat: np.ndarray) -> np.ndarray:
 class ScoreAccumulator:
     """Window totals of a block grid, added as its block rows complete.
 
-    Construction checks the formats and the geometry once. Feature and
-    coefficient fractions that do not sum to the bias fraction raise
-    ValueError, as do formats whose worst-case score magnitude reaches 2**53,
-    where float64 stops being exact: below it every partial sum of the 3780
-    products and the bias is an exact integer, so any split of the grid into
-    bands gives the same totals. ``add`` takes the bands in order, top to
-    bottom, and range-checks each raw once; ``scores`` saturates each total
-    once, after the last block row.
+    Construction checks the formats and the geometry once: formats that
+    fixedpoint.check_score_formats rejects raise ValueError, and any others
+    keep every partial sum an exact integer in float64, so any split of the
+    grid into bands gives the same totals. ``add`` takes the bands in order,
+    top to bottom, and range-checks each raw once; ``scores`` saturates each
+    total once, after the last block row.
     """
 
     def __init__(self, model: SvmModel, block_rows: int, block_cols: int,
                  feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature) -> None:
-        coeff_fmt, bias_fmt = model.coeff_fmt, model.bias_fmt
-        # the largest |score| any partial sum of the 3780 products and the bias
-        # can reach: a raw's magnitude is at most 2**(width - 1), a coefficient's max_raw
-        worst = (WINDOW_FEATURES * (1 << (feature_fmt.width - 1)) * coeff_fmt.max_raw
-                 + (1 << (bias_fmt.width - 1)))
-        if worst >= 1 << 53:
-            raise ValueError(f"features {feature_fmt}, coefficients {coeff_fmt} and bias "
-                             f"{bias_fmt} can reach 2**53: float64 scoring would not be exact")
-        if bias_fmt.fraction != feature_fmt.fraction + coeff_fmt.fraction:
-            raise ValueError("feature and coefficient fractions must sum to the "
-                             "accumulator fraction")
-        self.feature_fmt, self.bias_fmt = feature_fmt, bias_fmt
+        check_score_formats(feature_fmt, model.coeff_fmt, model.bias_fmt)
+        self.feature_fmt, self.bias_fmt = feature_fmt, model.bias_fmt
         self.wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
         self.sums = anchor_grid(block_rows, block_cols, model.bias_raw)
         self.grid, self.due = (block_rows, block_cols), 0   # due: the next block row to add

@@ -7,17 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import hogstream.oracle
+import hogstream.detector
 from hogstream.detector import run_pipeline
 from hogstream.fixedpoint import FxFormat, PrecisionProfile
-from hogstream.gradient import gradient_field, orient_bin_pair
+from hogstream.gradient import gradient_field, orient_bin_pair, table_index
+from hogstream.normalize import block_cells
 from hogstream.oracle import (
     _interp_weights,
+    _pixel_table,
     compare_paths,
+    reference_bands,
     reference_run,
 )
 from hogstream.stream import Frame, GeometryError
-from hogstream.svm import WINDOW_FEATURES
+from hogstream.svm import WINDOW_FEATURES, block_dots, window_sums
 from hogstream.trainer import FloatModel, quantize_model
 from reference import (
     oracle_bin_pair,
@@ -270,19 +273,103 @@ def test_compare_paths_holds_one_band_at_a_time():
     assert peak <= 60 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def count_fixed_passes(monkeypatch) -> list:
+    """Record every pass of the fixed path's band loop, detector.cell_bands."""
+    calls = []
+    cell_bands = hogstream.detector.cell_bands
+    monkeypatch.setattr(hogstream.detector, "cell_bands",
+                        lambda *args: calls.append(args) or cell_bands(*args))
+    return calls
+
+
 def test_compare_paths_checks_the_float_model_before_any_stage(monkeypatch):
     # NaN weights once cost a whole fixed run before the ValueError
-    calls = []
-    monkeypatch.setattr(hogstream.oracle, "run_pipeline",
-                        lambda *args: calls.append(args) or run_pipeline(*args))
+    calls = count_fixed_passes(monkeypatch)
     rng = np.random.default_rng(81)
     f = frame_of(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
     qm = quantize_model(FloatModel(np.zeros(WINDOW_FEATURES), 0.0))
     with pytest.raises(ValueError, match="finite"):
         compare_paths(f, qm, np.full(WINDOW_FEATURES, np.nan), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        compare_paths(f, qm, np.zeros(WINDOW_FEATURES), 0.0, threshold=float("nan"))
+    with pytest.raises(GeometryError, match="smaller than one"):
+        compare_paths(frame_of(np.zeros((120, 64))), qm, np.zeros(WINDOW_FEATURES), 0.0)
     assert calls == []
-    compare_paths(f, qm, np.zeros(WINDOW_FEATURES), 0.0)
+
+
+def test_compare_paths_scores_from_its_own_fixed_pass(monkeypatch):
+    # without a fixed_run, compare once ran run_pipeline for the scores and a
+    # second fixed pass for the per-pixel values; 17 cell rows make two bands
+    rng = np.random.default_rng(82)
+    f = frame_of(rng.integers(0, 256, size=(136, 72), dtype=np.uint8))
+    w = rng.uniform(-0.3, 0.3, WINDOW_FEATURES)
+    qm = quantize_model(FloatModel(weights=w, bias=0.1))
+    fw, fb = w * qm.scale_applied, 0.1 * qm.scale_applied
+    calls = count_fixed_passes(monkeypatch)
+    rep = compare_paths(f, qm, fw, fb, threshold=-0.05)
     assert len(calls) == 1
+    run = run_pipeline(f, qm)
+    assert rep == compare_paths(f, qm, fw, fb, threshold=-0.05, fixed_run=run)
+    assert rep.anchors == 2 * 2
+
+
+def test_pixel_table_is_the_whole_grid_expressions():
+    # every entry, bit for bit (so -0.0 against +0.0 too), equals the
+    # per-pixel expressions evaluated over the whole gradient grid in one pass
+    g = np.arange(-255, 256, dtype=np.int32)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    m = np.hypot(gx, gy)
+    lo, frac = _interp_weights(np.degrees(np.arctan2(gy, gx)) % 180.0)
+    tables = _pixel_table()
+    assert [t.dtype for t in tables] == [np.float64, np.uint8, np.float64]
+    for got, want in zip(tables, (m, lo, frac)):
+        assert got.shape == (511 * 511,) and not got.flags.writeable
+        assert np.array_equal(got, want.ravel())
+    for got, want in ((tables[0], m), (tables[2], frac)):
+        assert np.array_equal(got.view(np.uint64), want.ravel().view(np.uint64))
+    # the index the fixed path gathers with addresses the same entries
+    assert np.array_equal(table_index(gx, gy), np.arange(511 * 511).reshape(511, 511))
+
+
+def band_by_expressions(frame, r0, r1, last):
+    """The float path's values over cell rows r0..r1, every per-pixel float
+    evaluated on the band itself, with no table."""
+    cols = frame.width // 8
+    gx, gy = gradient_field(frame.pixels, r0 * 8, r1 * 8)
+    m = np.hypot(gx, gy)
+    lo, frac = _interp_weights(np.degrees(np.arctan2(gy, gx)) % 180.0)
+    cell = (np.arange((r1 - r0) * 8)[:, None] // 8 * cols + np.arange(frame.width) // 8) * 9
+    n = (r1 - r0) * cols * 9
+    hist = (np.bincount((cell + lo).ravel(), weights=(m * (1.0 - frac)).ravel(), minlength=n)
+            + np.bincount((cell + (lo + 1) % 9).ravel(), weights=(m * frac).ravel(),
+                          minlength=n)).reshape(r1 - r0, cols, 9)
+    f4 = block_cells(np.concatenate((last, hist)))
+    f_l2 = f4 / np.sqrt((f4 * f4).sum(axis=2) + 1e-12)[:, :, None]
+    f_th = np.minimum(f_l2, 0.2)
+    blocks = f_th / np.sqrt((f_th * f_th).sum(axis=2) + 1e-12)[:, :, None]
+    return m, lo, hist, blocks
+
+
+@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+def test_reference_bands_match_the_per_pixel_expressions(cell_rows):
+    rng = np.random.default_rng(83 + cell_rows)
+    f = frame_of(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
+    w = rng.uniform(-0.5, 0.5, WINDOW_FEATURES)
+    last = np.empty((0, 9, 9))
+    scores = np.full((cell_rows - 15, 2), 0.25)   # the anchors of 9 cell columns
+    bands = list(reference_bands(f))
+    assert [b[0] for b in bands] == list(range(0, cell_rows, 16))
+    for r0, m, lo, hist, b0, blocks in bands:
+        want_m, want_lo, want_hist, want_blocks = band_by_expressions(
+            f, r0, min(r0 + 16, cell_rows), last)
+        last = want_hist[-1:]
+        assert np.array_equal(m, want_m)
+        assert np.array_equal(lo[m > 0], want_lo[m > 0])
+        assert np.array_equal(hist, want_hist)
+        assert np.array_equal(blocks, want_blocks)
+        assert b0 == max(r0 - 1, 0)
+        window_sums(block_dots(want_blocks, w.reshape(105, 36)), scores, b0)
+    assert np.array_equal(reference_run(f, w, 0.25).scores, scores)
 
 
 def test_compare_paths_rejects_a_run_of_another_frame_shape():

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hogstream.detector import run_pipeline
-from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
+from hogstream.fixedpoint import (DEFAULT_PROFILE, SCORE_TERMS, FxFormat, PrecisionProfile,
+                                 SaturationStats)
 from hogstream.normalize import BLOCK_VALUES, BlockFeature
-from hogstream.stream import Frame, GeometryError
+from hogstream.stream import GeometryError
 from hogstream.svm import (
     FLOAT_MAGIC,
     QUANT_MAGIC,
@@ -215,14 +215,12 @@ def test_score_grid_rejects_raws_outside_feature_format():
 
 
 def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
-    # an admitted profile whose worst-case score reaches 2**53, where float64
-    # rounds the sum
-    wide = PrecisionProfile(final_feature=FxFormat(30, 20), svm_coefficient=FxFormat(30, 20),
-                            svm_bias=FxFormat(64, 40))
+    # formats whose worst-case score reaches 2**53, where float64 rounds the
+    # sum; a PrecisionProfile of them is rejected at construction
+    feat, coeff, bias = FxFormat(30, 20), FxFormat(30, 20), FxFormat(64, 40)
     rng = np.random.default_rng(59)
-    coeff, feat = wide.svm_coefficient, wide.final_feature
     w = rng.integers(-coeff.max_raw, coeff.max_raw + 1, size=(15, 7, 36))
-    m = SvmModel(weights_raw=w, bias_raw=0, coeff_fmt=coeff, bias_fmt=wide.svm_bias)
+    m = SvmModel(weights_raw=w, bias_raw=0, coeff_fmt=coeff, bias_fmt=bias)
     blocks = rng.integers(feat.min_raw, feat.max_raw + 1, size=(15, 7, 36))
     with pytest.raises(ValueError, match="2\\*\\*53"):
         score_grid(blocks, m, feature_fmt=feat)
@@ -245,16 +243,36 @@ def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
             score_grid(blocks, m, feature_fmt=FxFormat(23, 9))
 
 
-def test_fractions_that_miss_the_accumulator_are_a_format_error(tmp_path):
-    # an admitted profile whose feature and coefficient fractions (11 + 10)
-    # do not sum to the bias fraction (19): a ValueError, not a GeometryError
-    narrow = PrecisionProfile(final_feature=FxFormat(12, 11))
-    path = tmp_path / "m.svm"
-    save_model(random_model(np.random.default_rng(60)), path)
-    frame = Frame.from_array(np.zeros((128, 64), dtype=np.uint8))
+def test_fractions_that_miss_the_accumulator_are_a_format_error():
+    # feature and coefficient fractions (11 + 10) that do not sum to the bias
+    # fraction (19): a ValueError, not a GeometryError
+    m = random_model(np.random.default_rng(60))
     with pytest.raises(ValueError, match="fractions must sum") as err:
-        run_pipeline(frame, load_model(path, narrow), narrow)
+        ScoreAccumulator(m, 15, 7, FxFormat(12, 11))
     assert not isinstance(err.value, GeometryError)
+
+
+@pytest.mark.parametrize("formats, match", [
+    # the fraction-sum rule broken: 11 + 10 is not 19
+    (dict(final_feature=FxFormat(12, 11)), "fractions must sum"),
+    # fractions that sum (20 + 20 = 40), but a worst case past 2**53
+    (dict(final_feature=FxFormat(30, 20), svm_coefficient=FxFormat(30, 20),
+          svm_bias=FxFormat(64, 40)), "2\\*\\*53"),
+    # one feature bit past the widest exact format next to (21,10) and (40,19)
+    (dict(final_feature=FxFormat(23, 9), svm_coefficient=FxFormat(21, 10),
+          svm_bias=FxFormat(40, 19)), "2\\*\\*53"),
+], ids=["fraction_sum", "wide", "one_bit_past"])
+def test_profile_rejects_score_formats_float64_cannot_hold(formats, match):
+    # each of these profiles once constructed and failed only inside
+    # ScoreAccumulator, on the first frame run under it
+    with pytest.raises(ValueError, match=match):
+        PrecisionProfile(**formats)
+    PrecisionProfile(final_feature=FxFormat(22, 9), svm_coefficient=FxFormat(21, 10),
+                     svm_bias=FxFormat(40, 19))
+
+
+def test_score_terms_are_the_window_features():
+    assert SCORE_TERMS == WINDOW_FEATURES
 
 
 def test_empty_anchor_grid():
