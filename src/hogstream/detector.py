@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats
-from .gradient import N_BINS, binned_field, gradient_field
+from .gradient import N_BINS, binned_field, gradient_index
 from .histogram import cell_histogram_grid
 from .normalize import block_cells, block_features, cell_energy_grid
 from .stream import CELL, Frame, GeometryError
@@ -79,7 +79,7 @@ def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats |
     def cells(r0: int) -> tuple:
         t0 = time.perf_counter()
         mag, lo = binned_field(
-            *gradient_field(frame.pixels, r0 * CELL, min(r0 + BAND_CELL_ROWS, rows) * CELL),
+            gradient_index(frame.pixels, r0 * CELL, min(r0 + BAND_CELL_ROWS, rows) * CELL),
             profile.gradient_magnitude, stats)
         t1 = time.perf_counter()
         hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)

@@ -20,8 +20,9 @@ definition of this arithmetic. The packet path (binned_stream) calls both
 per pixel and clamps the magnitude inline, against a bound it reads once
 per stream. The array path (binned_field) gathers from a table of both over
 every gradient of 8-bit pixels, [-255, 255]^2, built from those functions
-on first use, through table_index, the one layout of such a table; the
-float oracle gathers from its own table through the same index.
+on first use, at an index gradient_index forms straight from the pixels:
+no gradient image is stored, as in the datapath. The float oracle gathers
+from its own table through the same index.
 """
 
 from __future__ import annotations
@@ -157,20 +158,29 @@ def binned_stream(
 # array path, gathered from a table of the scalar ops above
 
 
-def gradient_field(pixels: np.ndarray, y0: int = 0,
-                   y1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradients (int32) of pixel rows y0..y1 of a frame.
+def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None) -> np.ndarray:
+    """Flat intp index into _pixel_table of each pixel of rows y0..y1 (the
+    whole frame by default): (gx + G) * (2G + 1) + gy + G, G = GRADIENT_MAX,
+    linear in the four neighbours, so formed from them with no gradient array.
 
-    The rows default to the whole frame. A band of rows reads a one-row halo
-    above and below it from the frame; edge pixels are replicated only at
-    the frame's own borders, so any split into bands gives the same values.
+    A band reads a one-row halo above and below it from the frame; edges are
+    replicated only at the frame's own borders, so any split into bands gives
+    the same values. Pixels that are not uint8 raise ValueError: from uint8
+    pixels every index lies in the table.
     """
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"pixels must be uint8, got {pixels.dtype}")
     h = pixels.shape[0]
     y1 = h if y1 is None else y1
     halo = (int(y0 == 0), int(y1 == h))   # rows the frame itself cannot supply
     p = np.pad(pixels[max(y0 - 1, 0) : y1 + 1], (halo, (1, 1)), mode="edge")
-    return (np.subtract(p[1:-1, 2:], p[1:-1, :-2], dtype=np.int32),
-            np.subtract(p[2:, 1:-1], p[:-2, 1:-1], dtype=np.int32))
+    n = 2 * GRADIENT_MAX + 1
+    idx = np.subtract(p[1:-1, 2:], p[1:-1, :-2], dtype=np.intp)
+    idx *= n
+    idx += p[2:, 1:-1]
+    idx -= p[:-2, 1:-1]
+    idx += GRADIENT_MAX * n + GRADIENT_MAX
+    return idx
 
 
 @functools.cache
@@ -195,32 +205,16 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     return mag.ravel(), lo.ravel()
 
 
-def table_index(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Flat intp index of each gradient into a table over [-GRADIENT_MAX,
-    GRADIENT_MAX]^2 laid out as _pixel_table's, [gx + G, gy + G]. Gradients
-    outside that square are not checked and index out of the table."""
-    n = 2 * GRADIENT_MAX + 1
-    idx = np.multiply(gx, n, dtype=np.intp)
-    idx += gy
-    idx += GRADIENT_MAX * n + GRADIENT_MAX
-    return idx
-
-
 def binned_field(
-    gx: np.ndarray,
-    gy: np.ndarray,
+    idx: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of binned_stream: (saturated magnitude raws int32, bin_lo uint8).
-
-    Every pixel is one lookup in _pixel_table, so magnitude_approx_raw and
-    orient_bin_pair stay the only definition of the arithmetic. Gradients
-    outside [-GRADIENT_MAX, GRADIENT_MAX] have no table entry and raise.
+    """Array form of binned_stream at gradient_index's indices: (saturated
+    magnitude raws int32, bin_lo uint8). Every pixel is one lookup in
+    _pixel_table, so magnitude_approx_raw and orient_bin_pair stay the only
+    definition of the arithmetic.
     """
-    if min(gx.min(), gy.min()) < -GRADIENT_MAX or max(gx.max(), gy.max()) > GRADIENT_MAX:
-        raise ValueError(f"gradients must lie in [-{GRADIENT_MAX}, {GRADIENT_MAX}]")
     mag_table, lo_table = _pixel_table()
-    idx = table_index(gx, gy)
     return (saturate_array(np.take(mag_table, idx), fmt, stats, "magnitude"),
             np.take(lo_table, idx))

@@ -13,15 +13,14 @@ contribution into it is exact, so the only truncation is the halving shift.
 
 The array path forms the same sums in another order. A pixel's pair is
 always (bin_lo, bin_lo + 1 mod 9), so one scatter over the rows of cells it
-is given sums the halves per (cell, bin_lo), and bin k is the sum at k plus
-the sum at k - 1. Integer sums are order-free, so both paths agree bit for
-bit. detector.cell_bands calls it once per band of cell rows; the whole grid
-is just one band.
+is given, at each pixel's (cell, bin_lo) slot of pixel_slots, sums the
+halves, and bin k is the sum at k plus the sum at k - 1. Integer sums are
+order-free, so both paths agree bit for bit. detector.cell_bands calls it
+once per band of cell rows; the whole grid is just one band.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -107,13 +106,12 @@ def accumulate_cells(
 # array path
 
 
-@functools.lru_cache(maxsize=2)
-def _cell_slots(height: int, width: int) -> np.ndarray:
-    """Flat (cell, bin 0) slot of each pixel; two entries hold the full bands
-    of detector.cell_bands and its last, shorter one. Shared, so read-only."""
-    slot = (np.arange(height)[:, None] // CELL * (width // CELL)
-            + np.arange(width) // CELL) * N_BINS
-    slot.flags.writeable = False
+def pixel_slots(bin_lo: np.ndarray) -> np.ndarray:
+    """Flat index of each pixel's lower bin in the (rows, cols, N_BINS) grid
+    of whole rows of cells: a row part plus a column part, formed per band."""
+    h, w = bin_lo.shape
+    slot = np.arange(h)[:, None] // CELL * (w // CELL * N_BINS) + np.arange(w) // CELL * N_BINS
+    slot += bin_lo
     return slot
 
 
@@ -134,7 +132,7 @@ def cell_histogram_grid(
         raise GeometryError(f"frame {w}x{h} is not a multiple of {CELL}")
     # bincount sums in float64; exact, since magnitude_approx_raw <= 2805
     # under any profile, so a cell sum of halves is below 64 * 1403 < 2**17
-    s = np.bincount((_cell_slots(h, w) + bin_lo).ravel(), weights=(mag_raw >> 1).ravel(),
+    s = np.bincount(pixel_slots(bin_lo).ravel(), weights=(mag_raw >> 1).ravel(),
                     minlength=h * w // (CELL * CELL) * N_BINS)
     lo_sums = s.astype(np.int64).reshape(h // CELL, w // CELL, N_BINS)
     # summing the halves and then widening equals widening each half and then

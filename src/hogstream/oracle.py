@@ -5,11 +5,11 @@ atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
 shares only layout with the fixed-point path (the bands of
-detector.BAND_CELL_ROWS cell rows, the gradient table index
-gradient.table_index, the cell slots histogram._cell_slots, the block
-layout normalize.block_cells, the dot layout svm.block_dots, the window sum
-svm.window_sums) and none of its arithmetic, so differences between the two
-measure the hardware approximations and nothing else.
+detector.BAND_CELL_ROWS cell rows, the per-pixel table index
+gradient.gradient_index, the (cell, bin) slots histogram.pixel_slots, the
+block layout normalize.block_cells, the dot layout svm.block_dots, the
+window sum svm.window_sums) and none of its arithmetic, so differences
+between the two measure the hardware approximations and nothing else.
 
 Every per-pixel float (the magnitude, the lower bin and the fraction of the
 mass that goes to the upper one) is a function of the pixel's gradient
@@ -43,9 +43,8 @@ import numpy as np
 from .detector import (BAND_CELL_ROWS, PipelineRun, block_bands, run_pipeline,  # noqa: F401
                        window_scorer)
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
-from .gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS, gradient_field,
-                       table_index)
-from .histogram import CELL, _cell_slots
+from .gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS, gradient_index
+from .histogram import CELL, pixel_slots
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells
 from .stream import Frame, GeometryError
 from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, SvmModel, anchor_grid,
@@ -94,12 +93,12 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.hypot (float64), the lower bin lo (uint8) and the fraction frac
     (float64) of the mass that goes to bin lo + 1 mod 9.
 
-    Flat arrays indexed as gradient._pixel_table's (gradient.table_index),
-    each entry the same numpy expression over int32 gradients that a band
-    would evaluate per pixel, so gathering from it changes no value. The
-    chunks are materialized int32 grids, as gradient_field returns, so each
-    ufunc runs the kernel it runs on a band. Shared through the cache, so
-    read-only.
+    Flat arrays indexed as gradient._pixel_table's (gradient.gradient_index),
+    each entry the numpy expression evaluated on int32 gradients, as the
+    per-pixel references of the tests evaluate it on a band, so gathering
+    from it changes no value. The chunks are materialized int32 grids, so
+    each ufunc runs the kernel it runs on such a band. Shared through the
+    cache, so read-only.
     """
     g = GRADIENT_MAX
     n = 2 * g + 1
@@ -128,8 +127,7 @@ def reference_bands(frame: Frame) -> Iterator[tuple]:
 
     def band(r0: int) -> tuple:
         r1 = min(r0 + BAND_CELL_ROWS, rows)
-        # Frame admits only uint8 pixels, so every gradient has a table entry
-        idx = table_index(*gradient_field(frame.pixels, r0 * CELL, r1 * CELL))
+        idx = gradient_index(frame.pixels, r0 * CELL, r1 * CELL)
         m, lo, frac = np.take(m_table, idx), np.take(lo_table, idx), np.take(frac_table, idx)
         del idx   # one band-sized array fewer while the shares are formed
 
@@ -141,7 +139,7 @@ def reference_bands(frame: Frame) -> Iterator[tuple]:
         w = 1.0 - frac
         w *= m
         frac *= m
-        slot = (_cell_slots(*m.shape) + lo).ravel()
+        slot = pixel_slots(lo).ravel()
         shape, n = (r1 - r0, cols, N_BINS), (r1 - r0) * cols * N_BINS
         hist = np.bincount(slot, weights=w.ravel(), minlength=n).reshape(shape)
         hist += np.roll(np.bincount(slot, weights=frac.ravel(), minlength=n).reshape(shape), 1,

@@ -64,14 +64,15 @@ def load_image(path: str | Path) -> Frame:
         raise PnmError(f"{path}: unsupported maxval {maxval} (only 255)")
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    payload = data[offset : offset + need]
-    if len(payload) < need:
-        raise PnmError(f"{path}: truncated pixel data "
-                       f"({len(payload)} of {need} bytes)")
-    px = np.frombuffer(payload, dtype=np.uint8, count=need)
+    if len(data) - offset < need:
+        raise PnmError(f"{path}: truncated pixel data ({len(data) - offset} of {need} bytes)")
+    px = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)   # the payload, in place
     if channels == 1:
-        gray = px.reshape(height, width)
-    else:
-        rgb = px.reshape(height, width, 3).astype(np.uint32)
-        gray = ((77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2]) >> 8).astype(np.uint8)
-    return Frame.from_array(gray)
+        # owned: a view of the file's bytes made compare frames page-fault 6x as often
+        return Frame.from_array(px.reshape(height, width).copy())
+    rgb = px.reshape(height, width, 3)
+    # uint16 is exact: the weights sum to 256, so a sum is at most 256 * 255 < 2**16
+    y = np.multiply(rgb[:, :, 0], 77, dtype=np.uint16)
+    y += np.multiply(rgb[:, :, 1], 150, dtype=np.uint16)
+    y += np.multiply(rgb[:, :, 2], 29, dtype=np.uint16)
+    return Frame.from_array((y >> 8).astype(np.uint8))

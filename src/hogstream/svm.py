@@ -315,9 +315,17 @@ def _raw_parser(low: int, high: int):
     return parse
 
 
+def text_lines(path: str | Path, error: type[ValueError] = ModelFormatError) -> list[str]:
+    """The lines of a text file; one that is not UTF-8 raises ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_model(path: str | Path, profile: PrecisionProfile = DEFAULT_PROFILE) -> SvmModel:
     """Load a HOGSVM1 quantized model."""
-    lines = Path(path).read_text().splitlines()
+    lines = text_lines(path)
     if not lines or lines[0].strip() != QUANT_MAGIC:
         raise ModelFormatError(f"missing {QUANT_MAGIC} magic")
     bias_fmt, coeff_fmt = profile.svm_bias, profile.svm_coefficient
@@ -335,7 +343,7 @@ def load_model(path: str | Path, profile: PrecisionProfile = DEFAULT_PROFILE) ->
 
 def load_float_model(path: str | Path) -> tuple[np.ndarray, float]:
     """Load a HOGSVMF1 float model as (weights (3780,), bias)."""
-    lines = Path(path).read_text().splitlines()
+    lines = text_lines(path)
     if not lines or lines[0].strip() != FLOAT_MAGIC:
         raise ModelFormatError(f"missing {FLOAT_MAGIC} magic")
     out, bias = _parse_rows(lines, float, float, "float model")
@@ -344,8 +352,7 @@ def load_float_model(path: str | Path) -> tuple[np.ndarray, float]:
 
 def sniff_model_format(path: str | Path) -> str:
     """Return the magic on the first line ('HOGSVM1' or 'HOGSVMF1')."""
-    with open(path, "r") as f:
-        magic = f.readline().strip()
+    magic = next(iter(text_lines(path)), "").strip()
     if magic not in (QUANT_MAGIC, FLOAT_MAGIC):
         raise ModelFormatError(f"unknown model magic {magic!r}")
     return magic

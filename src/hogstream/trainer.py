@@ -33,7 +33,7 @@ from .normalize import BLOCK_VALUES
 from .oracle import reference_run
 from .stream import Frame, GeometryError
 from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, WINDOW_H, WINDOW_W,
-                  SvmModel)
+                  SvmModel, text_lines)
 
 SAMPLE_W = WINDOW_W
 SAMPLE_H = WINDOW_H
@@ -217,7 +217,7 @@ def load_manifest(path: str | Path) -> list[Sample]:
     base = Path(path).parent
     frames: list[Frame] = []
     labels: list[int] = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(text_lines(path, TrainingError), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

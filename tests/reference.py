@@ -1,10 +1,12 @@
 """Reference implementations that only the tests compare against.
 
 Per-pixel and per-window float references for the oracle's whole-frame path,
-the saturated scalar magnitude, the scalar requantization, whole-grid window
-scoring through one ScoreAccumulator, exact IoU, the packet-stream decoder
-and a PGM writer for fixtures. None of them runs in the detector, so they
-live beside the tests, not in the package.
+the saturated scalar magnitude, the scalar requantization, the int32
+central-difference gradients and their table index (the reference for
+gradient_index, and the way tests index synthetic gradient grids),
+whole-grid window scoring through one ScoreAccumulator, exact IoU, the
+packet-stream decoder and a PGM writer for fixtures. None of them runs in
+the detector, so they live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from hogstream.detector import Detection, _inter_union
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
-from hogstream.gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, N_BINS, magnitude_approx_raw
+from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
+                                magnitude_approx_raw)
 from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
 from hogstream.oracle import EPSILON
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
@@ -59,6 +62,33 @@ def magnitude_approx(
     """Shift-add magnitude raw, saturated into the magnitude format by the
     scalar saturate_raw: what binned_stream emits for one pixel."""
     return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude")
+
+
+def gradient_field(pixels: np.ndarray, y0: int = 0,
+                   y1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients (int32) of pixel rows y0..y1 of a frame.
+
+    The rows default to the whole frame. A band of rows reads a one-row halo
+    above and below it from the frame; edge pixels are replicated only at
+    the frame's own borders, so any split into bands gives the same values.
+    """
+    h = pixels.shape[0]
+    y1 = h if y1 is None else y1
+    halo = (int(y0 == 0), int(y1 == h))   # rows the frame itself cannot supply
+    p = np.pad(pixels[max(y0 - 1, 0) : y1 + 1], (halo, (1, 1)), mode="edge")
+    return (np.subtract(p[1:-1, 2:], p[1:-1, :-2], dtype=np.int32),
+            np.subtract(p[2:, 1:-1], p[:-2, 1:-1], dtype=np.int32))
+
+
+def table_index(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Flat intp index of each gradient into a table over [-GRADIENT_MAX,
+    GRADIENT_MAX]^2 laid out as _pixel_table's, [gx + G, gy + G]. Gradients
+    outside that square are not checked and index out of the table."""
+    n = 2 * GRADIENT_MAX + 1
+    idx = np.multiply(gx, n, dtype=np.intp)
+    idx += gy
+    idx += GRADIENT_MAX * n + GRADIENT_MAX
+    return idx
 
 
 def requantize_raw(

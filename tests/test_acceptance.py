@@ -92,7 +92,8 @@ def test_03_orientation_binning_exact():
     """Tangent-inequality bin pair vs atan2-derived pair, exhaustively."""
     g = np.arange(-255, 256, dtype=np.int64)
     gx, gy = np.meshgrid(g, g, indexing="ij")
-    _, lo = binned_field(gx, gy)
+    # the table index of gradient (gx, gy) is (gx + 255) * 511 + gy + 255
+    _, lo = binned_field(np.arange(511 * 511).reshape(511, 511))
     hi = (lo + 1) % 9
 
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0

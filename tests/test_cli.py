@@ -8,7 +8,7 @@ import pytest
 from hogstream.cli import main
 from hogstream.detector import run_pipeline
 from hogstream.fixedpoint import dump_raws
-from hogstream.gradient import binned_field, gradient_field
+from hogstream.gradient import binned_field, gradient_index
 from hogstream.histogram import cell_histogram_grid
 from hogstream.normalize import block_features, cell_energy_grid
 from hogstream.pnm import PnmError, load_image
@@ -61,13 +61,30 @@ def test_ppm_luma_white_and_primaries(tmp_path):
 
 
 def test_ppm_luma_formula(tmp_path):
-    rng = np.random.default_rng(91)
-    rgb = rng.integers(0, 256, size=(8, 16, 3), dtype=np.uint8)
+    # every R and G over 0..255 at B = 255 reaches the largest weighted sum,
+    # 256 * 255; the random frame varies B too
+    red, green = np.indices((256, 256))
     p = tmp_path / "d.ppm"
-    write_ppm(p, rgb)
-    f = load_image(p)
-    r, g, b = (rgb[:, :, k].astype(int) for k in range(3))
-    assert np.array_equal(f.pixels, (77 * r + 150 * g + 29 * b) >> 8)
+    for rgb in (np.stack([red, green, np.full_like(red, 255)], axis=2),
+                np.random.default_rng(91).integers(0, 256, size=(8, 16, 3))):
+        write_ppm(p, rgb)
+        f = load_image(p)
+        r, g, b = (rgb[:, :, k].astype(int) for k in range(3))
+        assert np.array_equal(f.pixels, (77 * r + 150 * g + 29 * b) >> 8)
+
+
+def test_ppm_load_reads_the_payload_in_place(tmp_path):
+    # luma in uint16 from the file's own bytes: copying the payload and
+    # widening to uint32 peaked at about 52 MiB on this 1080p frame
+    p = tmp_path / "hd.ppm"
+    write_ppm(p, np.random.default_rng(93).integers(0, 256, size=(1080, 1920, 3)))
+    tracemalloc.start()
+    try:
+        load_image(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_pgm_header_comments(tmp_path):
@@ -87,7 +104,7 @@ def test_pnm_errors(tmp_path):
     with pytest.raises(PnmError):
         load_image(p)
     p.write_bytes(b"P5\n8 8\n255\n" + bytes(10))  # truncated payload
-    with pytest.raises(PnmError):
+    with pytest.raises(PnmError, match=r"truncated pixel data \(10 of 64 bytes\)"):
         load_image(p)
     p.write_bytes(b"P5\nx 8\n255\n" + bytes(64))
     with pytest.raises(PnmError):
@@ -262,7 +279,7 @@ def test_frame_smaller_than_window_rejected(tmp_path, capsys, command):
 
 def whole_cell_grid(frame):
     """The cell histograms of a frame, composed over its whole grids."""
-    return cell_histogram_grid(*binned_field(*gradient_field(frame.pixels)))
+    return cell_histogram_grid(*binned_field(gradient_index(frame.pixels)))
 
 
 def noise_pgm(path, w, h, seed):
@@ -359,6 +376,22 @@ def test_bad_reps_rejected_by_parser(workspace, capsys, reps):
         main(["bench", str(img), "--model", str(model), "--reps", reps])
     assert exc.value.code == 2
     assert "reps must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "compare", "bench", "train"])
+def test_file_that_is_not_utf8_is_user_error(workspace, capsys, command):
+    # the model file, or train's manifest, fails with one error line naming it
+    tmp, img, _ = workspace
+    bad = tmp / "bad.svm"
+    bad.write_bytes(b"\xff\xfe" + QUANT_MAGIC.encode() + b"\n")
+    if command == "train":
+        argv = ["train", "--manifest", str(bad), "--out", str(tmp / "m.svm")]
+    else:
+        argv = [command, str(img), "--model", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert "not UTF-8 text" in err
 
 
 def test_model_file_mentions_magic(workspace):

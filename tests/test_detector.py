@@ -263,6 +263,22 @@ def test_run_pipeline_holds_one_band_at_a_time():
     assert peak <= 12 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_run_pipeline_keeps_nothing_once_its_result_is_dropped():
+    # each band forms its own pixel slots: a cache of the slot grids of the
+    # last frame shape kept 2.7 MiB of this 1080p frame's alive
+    model = zero_model()
+    run_pipeline(Frame.from_array(np.zeros((128, 64), dtype=np.uint8)), model)   # the tables
+    f = Frame.from_array(np.random.default_rng(68).integers(0, 256, size=(1080, 1920),
+                                                            dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        run_pipeline(f, model)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, f"{kept / 2**20:.2f} MiB still allocated"
+
+
 def test_run_pipeline_rejects_a_model_of_other_formats(tmp_path):
     # a model loaded under the default profile scores in (33,19); a profile
     # asking for a (40,19) score must not run it silently

@@ -14,12 +14,12 @@ from hogstream.gradient import (
     binned_field,
     binned_stream,
     compute_gradients,
-    gradient_field,
+    gradient_index,
     magnitude_approx_raw,
     orient_bin_pair,
 )
 from hogstream.stream import Frame, context_stream, pack_frame
-from reference import magnitude_approx
+from reference import gradient_field, magnitude_approx, table_index
 
 MAG_FMT = DEFAULT_PROFILE.gradient_magnitude
 
@@ -125,9 +125,8 @@ def test_binned_gradient_validation():
 def test_field_matches_scalar():
     rng = np.random.default_rng(21)
     px = rng.integers(0, 256, size=(16, 24), dtype=np.uint8)
-    gx, gy = gradient_field(px)
     stats = SaturationStats()
-    mag, lo = binned_field(gx, gy, stats=stats)
+    mag, lo = binned_field(gradient_index(px), stats=stats)
     f = Frame.from_array(px)
     i = 0
     for pkt in binned_stream(context_stream(pack_frame(f, 8), width=f.width)):
@@ -141,9 +140,10 @@ def test_field_matches_scalar():
 
 def test_field_special_cases():
     # constant frame: all gradients zero -> pair (0,1), magnitude 0
-    gx, gy = gradient_field(np.full((8, 8), 77, dtype=np.uint8))
+    px = np.full((8, 8), 77, dtype=np.uint8)
+    gx, gy = gradient_field(px)
     assert not gx.any() and not gy.any()
-    mag, lo = binned_field(gx, gy)
+    mag, lo = binned_field(gradient_index(px))
     assert (lo == 0).all()
     assert not mag.any()
 
@@ -153,7 +153,7 @@ def test_field_axis_rows():
     px = np.tile(np.array([0, 255] * 4, dtype=np.uint8), (8, 1))
     gx, gy = gradient_field(px)
     assert not gy.any()
-    _, lo = binned_field(gx, gy)
+    _, lo = binned_field(gradient_index(px))
     assert set(lo[gx != 0].tolist()) == {8}
     assert set(lo[gx == 0].tolist()) == {0}
 
@@ -163,7 +163,8 @@ def test_field_matches_scalar_exhaustively():
     g = np.arange(-255, 256)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     stats = SaturationStats()
-    mag, lo = binned_field(gx, gy, stats=stats)
+    # the table index of gradient (gx, gy) is (gx + 255) * 511 + gy + 255
+    mag, lo = binned_field(np.arange(511 * 511).reshape(511, 511), stats=stats)
     assert (mag.dtype, lo.dtype) == (np.int32, np.uint8)
     scalar_stats = SaturationStats()
     for x, y, m, l in zip(gx.ravel().tolist(), gy.ravel().tolist(), mag.ravel().tolist(),
@@ -173,13 +174,26 @@ def test_field_matches_scalar_exhaustively():
     assert stats["magnitude"] == scalar_stats["magnitude"] > 0
 
 
-@pytest.mark.parametrize("bad", [256, -256])
-def test_field_rejects_gradients_outside_8_bit_range(bad):
-    gx = np.zeros((4, 4), dtype=np.int32)
-    gy = np.zeros((4, 4), dtype=np.int32)
-    binned_field(gx, gy)
-    for arr in (gx, gy):
-        arr[1, 2] = bad
-        with pytest.raises(ValueError, match="gradients must lie"):
-            binned_field(gx, gy)
-        arr[1, 2] = 0
+# the first, an interior and the last band of a 33-cell-row frame
+@pytest.mark.parametrize("y0, y1", [(0, 128), (128, 256), (256, 264)])
+def test_gradient_index_is_the_table_index_of_the_gradients(y0, y1):
+    px = np.random.default_rng(22).integers(0, 256, size=(264, 40), dtype=np.uint8)
+    idx = gradient_index(px, y0, y1)
+    assert idx.dtype == np.intp and idx.shape == (y1 - y0, 40)
+    assert np.array_equal(idx, table_index(*gradient_field(px, y0, y1)))
+
+
+def test_gradient_index_reaches_the_table_edges():
+    # a 0/255 checkerboard of 2x2 squares: both gradients reach -255 and +255
+    y, x = np.indices((16, 24))
+    px = ((y // 2 + x // 2) % 2 * 255).astype(np.uint8)
+    gx, gy = gradient_field(px)
+    assert {gx.min(), gx.max(), gy.min(), gy.max()} == {-255, 255}
+    assert np.array_equal(gradient_index(px), table_index(gx, gy))
+
+
+def test_gradient_index_rejects_pixels_that_are_not_uint8():
+    # from uint8 pixels every index lies in the table; wider ones could leave it
+    px = np.zeros((8, 8), dtype=np.int16)
+    with pytest.raises(ValueError, match="pixels must be uint8, got int16"):
+        gradient_index(px)

@@ -10,7 +10,7 @@ import pytest
 import hogstream.detector
 from hogstream.detector import run_pipeline
 from hogstream.fixedpoint import FxFormat, PrecisionProfile
-from hogstream.gradient import gradient_field, orient_bin_pair, table_index
+from hogstream.gradient import orient_bin_pair
 from hogstream.normalize import block_cells
 from hogstream.oracle import (
     _interp_weights,
@@ -23,11 +23,13 @@ from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES, block_dots, window_sums
 from hogstream.trainer import FloatModel, quantize_model
 from reference import (
+    gradient_field,
     oracle_bin_pair,
     oracle_block_normalize,
     oracle_cell_histogram,
     oracle_gradient,
     oracle_score,
+    table_index,
 )
 
 

@@ -14,7 +14,7 @@ import pytest
 from hogstream.detector import (block_bands, detections_from_scores, detections_to_text,
                                 run_pipeline)
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
-from hogstream.gradient import binned_field, binned_stream, gradient_field
+from hogstream.gradient import binned_field, binned_stream, gradient_index
 from hogstream.histogram import accumulate_cells, cell_histogram_grid
 from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
                                  normalize_block)
@@ -22,7 +22,7 @@ from hogstream.oracle import ErrorReport, _interp_weights, compare_paths, refere
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_windows
 from hogstream.trainer import FloatModel, quantize_model
-from reference import score_grid
+from reference import gradient_field, score_grid
 
 
 def streaming_scores(frame, model, ppc, stats=None, profile=DEFAULT_PROFILE):
@@ -122,7 +122,7 @@ def test_streaming_saturation_stats_match_narrow_profile(profile, stages):
 
 def whole_grids(frame, profile, stats):
     """The fixed path's stages composed over the whole frame at once."""
-    mag, lo = binned_field(*gradient_field(frame.pixels), profile.gradient_magnitude, stats)
+    mag, lo = binned_field(gradient_index(frame.pixels), profile.gradient_magnitude, stats)
     hist = cell_histogram_grid(mag, lo, profile.histogram_value, stats)
     return mag, lo, hist, block_features(hist, cell_energy_grid(hist, profile, stats), profile,
                                          stats)
