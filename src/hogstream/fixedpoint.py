@@ -176,7 +176,15 @@ def saturate_array(
     stats: SaturationStats | None = None,
     stage: str = "saturate",
 ) -> np.ndarray:
-    """Vector form of saturate_raw; counts every clipped element."""
+    """Vector form of saturate_raw; counts every clipped element.
+
+    One min and one max pass come first: when nothing lies outside ``fmt``,
+    ``raw`` itself comes back as is, with nothing counted, so a caller that
+    writes to the result must pass an array it owns (every caller in the
+    package passes a fresh temporary). Else the result is a clipped copy.
+    """
+    if not raw.size or (raw.min() >= fmt.min_raw and raw.max() <= fmt.max_raw):
+        return raw
     if stats is not None:
         n = int(np.count_nonzero(raw > fmt.max_raw)) + int(
             np.count_nonzero(raw < fmt.min_raw)
@@ -192,7 +200,11 @@ def requantize_array(
     stats: SaturationStats | None = None,
     stage: str = "requantize",
 ) -> np.ndarray:
-    """Array form of requantize_raws (arithmetic shifts are floor for int64)."""
+    """Array form of requantize_raws (arithmetic shifts are floor for int64).
+
+    As there, ``raw`` itself comes back as is when no shift is needed and
+    nothing clips (see saturate_array).
+    """
     if fraction > fmt.fraction:
         raw = raw >> (fraction - fmt.fraction)
     elif fraction < fmt.fraction:

@@ -18,11 +18,13 @@ the array path carry only the first bin, bin_lo.
 The scalar ops magnitude_approx_raw and orient_bin_pair are the only
 definition of this arithmetic. The packet path (binned_stream) calls both
 per pixel and clamps the magnitude inline, against a bound it reads once
-per stream. The array path (binned_field) gathers from a table of both over
-every gradient of 8-bit pixels, [-255, 255]^2, built from those functions
-on first use, at an index gradient_index forms straight from the pixels:
-no gradient image is stored, as in the datapath. The float oracle gathers
-from its own table through the same index.
+per stream. The array path (binned_field) makes one gather per pixel, at an
+index gradient_index forms straight from the pixels, so no gradient image
+is stored, as in the datapath. It gathers from a table over every gradient
+of 8-bit pixels, [-255, 255]^2, that packs the saturated magnitude, a
+clipped bit and bin_lo into one int32 per magnitude format. That table is
+built on first use from _pixel_table, which holds both functions' values.
+The float oracle gathers from its own table through the same index.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_array
+from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats
 
 # Bin indices are plain ints 0..8. The hardware's 4-bit bin-number field is
 # unsigned: 8 exceeds the signed 4-bit maximum.
@@ -183,7 +185,6 @@ def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None) -> np
     return idx
 
 
-@functools.cache
 def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     """magnitude_approx_raw and the bin_lo of orient_bin_pair at every gradient.
 
@@ -191,6 +192,8 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     GRADIENT_MAX. Only the gx >= 0 rows are evaluated; both ops are invariant
     under (gx, gy) -> (-gx, -gy), so the gx < 0 rows are their mirror image.
     The magnitude also reads only |gy|, so its gy < 0 half is mirrored too.
+    Built for each _packed_table, which is cached, so only the packed table
+    stays in memory.
     """
     g = GRADIENT_MAX
     mag = np.empty((2 * g + 1, 2 * g + 1), dtype=np.int32)
@@ -201,8 +204,35 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     mag[g:, :g] = mag[g:, :g:-1]
     for t in (mag, lo):
         t[:g] = t[:g:-1, ::-1]
-        t.flags.writeable = False   # shared by every caller through the cache
     return mag.ravel(), lo.ravel()
+
+
+# the packed entry's fields: bin_lo in bits 0..3, the clipped bit 4, the
+# saturated magnitude from bit 5 up
+_LO_MASK = 15
+_CLIPPED = 1 << 4
+_MAG_SHIFT = 5
+
+
+@functools.cache
+def _packed_table(fmt: FxFormat) -> tuple[np.ndarray, int]:
+    """_pixel_table packed into one int32 per gradient for a magnitude
+    format, (min(m, top) << 5) | ((m > top) << 4) | bin_lo with top the
+    format's max_raw, and the least clipped entry, (top << 5) | 16:
+    magnitudes are never negative, so only top can clip, and an entry is
+    clipped exactly when it is at least that.
+
+    top is clamped to the table's largest magnitude first: a wider format
+    clips nothing either way, and its max_raw shifted would not fit int32.
+    """
+    mag, lo = _pixel_table()
+    top = min(fmt.max_raw, int(mag.max()))
+    packed = np.minimum(mag, top)
+    packed <<= _MAG_SHIFT
+    np.bitwise_or(packed, _CLIPPED, out=packed, where=mag > top)
+    packed |= lo
+    packed.flags.writeable = False   # shared by every caller through the cache
+    return packed, (top << _MAG_SHIFT) | _CLIPPED
 
 
 def binned_field(
@@ -211,10 +241,15 @@ def binned_field(
     stats: SaturationStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array form of binned_stream at gradient_index's indices: (saturated
-    magnitude raws int32, bin_lo uint8). Every pixel is one lookup in
-    _pixel_table, so magnitude_approx_raw and orient_bin_pair stay the only
-    definition of the arithmetic.
+    magnitude raws int32, bin_lo uint8). Every pixel is one gather from
+    _packed_table, so magnitude_approx_raw and orient_bin_pair stay the only
+    definition of the arithmetic, and the clipped pixels are one count.
     """
-    mag_table, lo_table = _pixel_table()
-    return (saturate_array(np.take(mag_table, idx), fmt, stats, "magnitude"),
-            np.take(lo_table, idx))
+    table, clipped_from = _packed_table(fmt)
+    entry = np.take(table, idx)
+    if stats is not None:
+        stats.record("magnitude", np.count_nonzero(entry >= clipped_from))
+    lo = entry.astype(np.uint8)   # keeps the low 8 bits
+    lo &= _LO_MASK
+    entry >>= _MAG_SHIFT
+    return entry, lo

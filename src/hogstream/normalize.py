@@ -241,17 +241,19 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
     x1 = (block_sq + 1) / prep_fmt.scale
     n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
 
-    # no name holds the block cells or f_l2 past its last use, so a band's
-    # blocks peak at four block-sized arrays
-    f_l2 = requantize_array(
-        block_cells(hist_grid.astype(np.int64, copy=False)) * n1[:, :, None],
-        profile.histogram_value.fraction + n1_fmt.fraction, f1_fmt, stats, "norm1"
-    )
+    # both products are formed in place in the fresh block cells, and no
+    # name holds a block-sized array past its last use, so a band's blocks
+    # peak at three block-sized arrays
+    f_l2 = block_cells(hist_grid.astype(np.int64, copy=False))
+    f_l2 *= n1[:, :, None]
+    f_l2 = requantize_array(f_l2, profile.histogram_value.fraction + n1_fmt.fraction,
+                            f1_fmt, stats, "norm1")
     f_th = np.minimum(f_l2, fx_quantize(CLIP_THRESHOLD, f1_fmt).raw, out=f_l2)
 
     s2 = np.einsum("ijk,ijk->ij", f_th, f_th) + 1
     x2 = s2 / (1 << (2 * f1_fmt.fraction))
     n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, "inv_sqrt2")
 
-    return requantize_array(f_th * n2[:, :, None], f1_fmt.fraction + n2_fmt.fraction,
+    f_th *= n2[:, :, None]
+    return requantize_array(f_th, f1_fmt.fraction + n2_fmt.fraction,
                             profile.final_feature, stats, "norm2")

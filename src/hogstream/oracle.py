@@ -213,11 +213,13 @@ def compare_paths(
 
     Every input is checked before any stage runs: the float model, a given
     ``fixed_run`` (run under ``profile``, else ValueError; on a frame of this
-    shape, else GeometryError), or else the frame and the model (see
+    shape, else GeometryError), the frame and the model (see
     detector.window_scorer), and the threshold (finite, see
     svm.threshold_raw). One block_bands pass and reference_bands are read
-    side by side, band by band; the fixed scores come from ``fixed_run``, or
-    else from that same pass's blocks.
+    side by side, band by band, and the fixed scores come from that same
+    pass's blocks. A given ``fixed_run`` is checked against them: a score
+    that differs, as from another frame or another model, raises ValueError
+    naming the first such anchor.
     """
     wmat = _float_model(float_weights, float_bias)
     if fixed_run is not None and fixed_run.profile != profile:
@@ -228,7 +230,7 @@ def compare_paths(
         if (w, h) != (frame.width, frame.height):
             raise GeometryError(f"fixed_run ran on a {w}x{h} frame, not "
                                 f"{frame.width}x{frame.height}")
-    scorer = window_scorer(frame, model, profile) if fixed_run is None else None
+    scorer = window_scorer(frame, model, profile)
     thr = threshold_raw(threshold, profile.svm_bias)   # the format of either score map
 
     # per ErrorReport stage: the largest, the sum and the count of |fixed - float|
@@ -251,8 +253,7 @@ def compare_paths(
         d -= ref_blocks
         tally("block_feature", np.abs(d, out=d))
         window_sums(block_dots(ref_blocks, wmat), scores, b0)
-        if scorer is not None:
-            scorer.add(blocks, b0)
+        scorer.add(blocks, b0)
         # both paths pair lo with lo + 1 mod 9, so the pairs differ exactly
         # where the lower bins do
         carrying = m > 0
@@ -261,7 +262,13 @@ def compare_paths(
     # a map, as block_bands is, so no name holds a band while the next one is computed
     counts = list(map(band, block_bands(frame, profile, None, {}), reference_bands(frame)))
     n_carrying, n_differ = (sum(c) for c in zip(*counts))
-    score_map = fixed_run.score_map if scorer is None else scorer.scores()
+    score_map = scorer.scores()
+    if fixed_run is not None:
+        differ = np.argwhere(fixed_run.score_map.scores_raw != score_map.scores_raw)
+        if differ.size:
+            r, c = differ[0].tolist()
+            raise ValueError(f"fixed_run's score at anchor ({r}, {c}) is not this frame's "
+                             "under this model")
     tally("score", np.abs(score_map.decode() - scores))
 
     disagree = int(((score_map.scores_raw > thr) != (scores > threshold)).sum())

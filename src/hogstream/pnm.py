@@ -7,6 +7,7 @@ luma (77*R + 150*G + 29*B) >> 8; the weights sum to 256, so white maps to 255.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,28 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1
 
 
+# bytes read for the header; a longer one (long comments) is read from the whole file
+_HEADER_BLOCK = 4096
+
+
 def load_image(path: str | Path) -> Frame:
-    """Load a P5/P6 file as a grayscale Frame (dimensions multiples of 8)."""
-    data = Path(path).read_bytes()
+    """Load a P5/P6 file as a grayscale Frame (dimensions multiples of 8).
+
+    The payload is read straight into the array that the frame or the luma
+    reads, so a load holds one payload-sized buffer, not the file's bytes
+    and a copy of them.
+    """
+    with open(path, "rb") as f:
+        data = f.read(_HEADER_BLOCK)
+        size = os.fstat(f.fileno()).st_size
     if len(data) < 2 or data[:1] != b"P" or data[1:2] not in (b"5", b"6"):
         raise PnmError(f"{path}: not a binary PGM (P5) or PPM (P6) file")
-    tokens, offset = _header_tokens(data, 4)
+    try:
+        tokens, offset = _header_tokens(data, 4)
+    except PnmError:
+        if len(data) == size:
+            raise
+        tokens, offset = _header_tokens(Path(path).read_bytes(), 4)
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise PnmError(f"{path}: unsupported magic {magic!r}")
@@ -64,12 +81,16 @@ def load_image(path: str | Path) -> Frame:
         raise PnmError(f"{path}: unsupported maxval {maxval} (only 255)")
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    if len(data) - offset < need:
-        raise PnmError(f"{path}: truncated pixel data ({len(data) - offset} of {need} bytes)")
-    px = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)   # the payload, in place
+    # the size is checked before the buffer is allocated, and the bytes read
+    # after, in case the file shrank in between
+    have = size - offset
+    if have >= need:
+        px = np.fromfile(path, dtype=np.uint8, count=need, offset=offset)
+        have = px.size
+    if have < need:
+        raise PnmError(f"{path}: truncated pixel data ({have} of {need} bytes)")
     if channels == 1:
-        # owned: a view of the file's bytes made compare frames page-fault 6x as often
-        return Frame.from_array(px.reshape(height, width).copy())
+        return Frame.from_array(px.reshape(height, width))
     rgb = px.reshape(height, width, 3)
     # uint16 is exact: the weights sum to 256, so a sum is at most 256 * 255 < 2**16
     y = np.multiply(rgb[:, :, 0], 77, dtype=np.uint16)

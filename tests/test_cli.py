@@ -87,6 +87,28 @@ def test_ppm_load_reads_the_payload_in_place(tmp_path):
     assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_pgm_load_reads_the_payload_into_the_frame(tmp_path):
+    # reading the file's bytes and copying the payload out of them held two
+    # payload-sized buffers at once: 16.6 MB on this 4K frame
+    p = tmp_path / "uhd.pgm"
+    px = np.random.default_rng(94).integers(0, 256, size=(2160, 3840), dtype=np.uint8)
+    write_pgm(p, px)
+    tracemalloc.start()
+    try:
+        f = load_image(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f.pixels, px)
+    assert peak <= px.size + (1 << 20), f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_pnm_header_longer_than_the_first_read(tmp_path):
+    p = tmp_path / "long.pgm"
+    p.write_bytes(b"P5\n# " + b"x" * 5000 + b"\n8 8\n255\n" + bytes(range(64)))
+    assert load_image(p).pixels[7, 7] == 63
+
+
 def test_pgm_header_comments(tmp_path):
     p = tmp_path / "e.pgm"
     p.write_bytes(b"P5 # magic\n# a comment\n8 # width\n8\n# before maxval\n255\n"

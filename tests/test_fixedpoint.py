@@ -236,6 +236,37 @@ def test_array_saturation_counts():
     assert stats["x"] == 2
 
 
+# in range, at each bound, beyond each, mixed, and empty; each case both as
+# given and after a shift of the source fraction
+@pytest.mark.parametrize("raws", [
+    [0, 1, -5, 1000], [F11_3.max_raw], [F11_3.min_raw], [F11_3.min_raw, F11_3.max_raw],
+    [F11_3.max_raw + 1, 10**6], [F11_3.min_raw - 1, -(10**6)],
+    [F11_3.max_raw + 1, 3, F11_3.min_raw - 1, F11_3.max_raw, F11_3.min_raw], [],
+], ids=["inside", "top", "bottom", "both-bounds", "above", "below", "mixed", "empty"])
+@pytest.mark.parametrize("fraction", [0, 3, 5])
+def test_array_saturation_matches_the_clip_path(raws, fraction):
+    # the clip path: saturate_raw and requantize_raw element by element. The
+    # raws sit at ``fraction``, so at 3 and 5 requantize meets each bound exactly
+    arr = np.array(raws, dtype=np.int64) << max(fraction - F11_3.fraction, 0)
+    array_stats, scalar_stats = SaturationStats(), SaturationStats()
+    assert (saturate_array(arr.copy(), F11_3, array_stats, "sat").tolist()
+            == [saturate_raw(int(r), F11_3, scalar_stats, "sat") for r in arr])
+    assert (requantize_array(arr.copy(), fraction, F11_3, array_stats, "req").tolist()
+            == [requantize_raw(int(r), fraction, F11_3, scalar_stats, "req") for r in arr])
+    assert array_stats.counts == scalar_stats.counts
+
+
+def test_saturate_array_returns_an_unclipped_array_as_is():
+    stats = SaturationStats()
+    inside = np.array([F11_3.min_raw, 0, F11_3.max_raw])
+    assert saturate_array(inside, F11_3, stats) is inside
+    assert requantize_array(inside, F11_3.fraction, F11_3, stats) is inside
+    assert stats.counts == {}
+    over = np.array([F11_3.max_raw + 1, 0])
+    assert saturate_array(over, F11_3, stats, "x") is not over
+    assert over.tolist() == [F11_3.max_raw + 1, 0] and stats.counts == {"x": 1}
+
+
 def test_profile_stage_formats():
     p = DEFAULT_PROFILE
     expected = {

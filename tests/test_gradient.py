@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
+from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
 from hogstream.gradient import (
     TAN_BOUNDARIES,
     BinnedGradient,
@@ -172,6 +172,41 @@ def test_field_matches_scalar_exhaustively():
         assert m == magnitude_approx(x, y, stats=scalar_stats), (x, y)
         assert (l, (l + 1) % 9) == orient_bin_pair(x, y), (x, y)
     assert stats["magnitude"] == scalar_stats["magnitude"] > 0
+
+
+@pytest.fixture(scope="module")
+def every_gradient():
+    """Every gradient of 8-bit pixels as (gx, gy) lists in table-index order,
+    (gx + 255) * 511 + gy + 255, with the scalar ops' magnitude and pair."""
+    g = range(-255, 256)
+    gx, gy = [x for x in g for _ in g], [y for _ in g for y in g]
+    return (gx, gy, [magnitude_approx_raw(x, y) for x, y in zip(gx, gy)],
+            [orient_bin_pair(x, y) for x, y in zip(gx, gy)])
+
+
+# the narrowest width a profile admits, widths around the largest magnitude
+# (2805: width 12 clips it, 13 holds it), and the widest, whose max_raw
+# shifted into the packed entry would overflow int32
+@pytest.mark.parametrize("width", [4, 9, 11, 12, 13, 64])
+def test_packed_gather_matches_scalar_ops_exhaustively(every_gradient, width):
+    fmt = FxFormat(width, 3)
+    gx, gy, mags, pairs = every_gradient
+    stats, scalar_stats = SaturationStats(), SaturationStats()
+    mag, lo = binned_field(np.arange(511 * 511), fmt, stats)
+    assert (mag.dtype, lo.dtype) == (np.int32, np.uint8)
+    assert mag.tolist() == [saturate_raw(m, fmt, scalar_stats, "magnitude") for m in mags]
+    assert [(b, (b + 1) % 9) for b in lo.tolist()] == pairs
+    assert stats.counts == scalar_stats.counts
+
+
+def test_packed_gather_does_not_count_a_magnitude_at_the_top():
+    # (29, 13) has magnitude 255 exactly, the max_raw of width 9: it fits
+    assert magnitude_approx_raw(29, 13) == FxFormat(9, 3).max_raw == 255
+    stats = SaturationStats()
+    idx = np.array([(29 + 255) * 511 + 13 + 255, (30 + 255) * 511 + 13 + 255])
+    mag, _ = binned_field(idx, FxFormat(9, 3), stats)
+    assert mag.tolist() == [255, 255]
+    assert stats.counts == {"magnitude": 1}   # only (30, 13), magnitude 262
 
 
 # the first, an interior and the last band of a 33-cell-row frame

@@ -218,6 +218,17 @@ def test_grid_matches_stream_on_synthetic_raws():
         assert grid[blk.block_row, blk.block_col].tolist() == list(feat.values)
 
 
+def test_block_features_leaves_its_arguments_unchanged():
+    # both products are formed in place, in the block cells it builds
+    rng = np.random.default_rng(47)
+    raws = rng.integers(0, 65408, size=(5, 4, 9))
+    energy = cell_energy_grid(raws)
+    raws_before, energy_before = raws.copy(), energy.copy()
+    block_features(raws, energy)
+    assert np.array_equal(raws, raws_before)
+    assert np.array_equal(energy, energy_before)
+
+
 def test_fixed_tracks_oracle_normalize():
     # same histograms through both normalizers: max gap well under one part in 64
     rng = np.random.default_rng(46)

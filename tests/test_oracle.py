@@ -385,6 +385,32 @@ def test_compare_paths_rejects_a_run_of_another_frame_shape():
         compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=run)
 
 
+def first_differing_anchor(a, b) -> tuple[int, int]:
+    """Raster-order first anchor where two score maps differ."""
+    for r in range(a.scores_raw.shape[0]):
+        for c in range(a.scores_raw.shape[1]):
+            if a.scores_raw[r, c] != b.scores_raw[r, c]:
+                return r, c
+    raise AssertionError("the score maps are equal")
+
+
+@pytest.mark.parametrize("other", ["model", "frame"])
+def test_compare_paths_rejects_a_run_it_does_not_reproduce(other):
+    # a run of another model or of another frame of the same shape was once
+    # reported on as if it were this frame's run under this model
+    rng = np.random.default_rng(83)
+    f, g = (frame_of(rng.integers(0, 256, size=(136, 72), dtype=np.uint8)) for _ in range(2))
+    w, v = rng.uniform(-0.3, 0.3, (2, WINDOW_FEATURES))
+    qm = quantize_model(FloatModel(weights=w, bias=0.0))
+    own = run_pipeline(f, qm)
+    given = run_pipeline(f, quantize_model(FloatModel(weights=v, bias=0.0))) \
+        if other == "model" else run_pipeline(g, qm)
+    r, c = first_differing_anchor(own.score_map, given.score_map)
+    with pytest.raises(ValueError, match=rf"anchor \({r}, {c}\)"):
+        compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=given)
+    compare_paths(f, qm, w * qm.scale_applied, 0.0, fixed_run=own)
+
+
 @pytest.mark.parametrize("thr", [float("nan"), float("inf"), -float("inf")])
 def test_compare_paths_rejects_non_finite_threshold(thr):
     rng = np.random.default_rng(78)
