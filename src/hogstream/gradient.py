@@ -12,15 +12,17 @@ Orientation is never computed as an angle. The unsigned orientation in
 comparing gy against gx * tan(boundary) with integer constants. Bin centers
 sit at 10 + 20k degrees (k = 0..8); the pair for theta in [c_k, c_{k+1}) is
 (k, k+1), wrapping to (8, 0) below 10 and at or above 170 degrees. The second
-bin is therefore always the first plus one, mod 9, so the streamed record and
+bin is therefore always the first plus one, mod 9, so the packet path and
 the array path carry only the first bin, bin_lo.
 
 The scalar ops magnitude_approx_raw and orient_bin_pair are the only
 definition of this arithmetic. The packet path (binned_stream) calls both
 per pixel and clamps the magnitude inline, against a bound it reads once
-per stream. The array path (binned_field) makes one gather per pixel, at an
-index gradient_index forms straight from the pixels, so no gradient image
-is stored, as in the datapath. It gathers from a table over every gradient
+per stream; each lane it emits is a plain (magnitude, bin_lo) tuple, and
+bin_lo in 0..8 holds by the pair tables. histogram.accumulate_cells checks
+both fields of lanes that come from a caller. The array path (binned_field)
+makes one gather per pixel, at an index gradient_index forms straight from
+the pixels, so no gradient image is stored, as in the datapath. It gathers from a table over every gradient
 of 8-bit pixels, [-255, 255]^2, that packs the saturated magnitude, a
 clipped bit and bin_lo into one int32 per magnitude format. That table is
 built on first use from _pixel_table, which holds both functions' values.
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -61,24 +62,6 @@ TAN_BOUNDARIES = tuple(
 # pair tables indexed by how many boundaries (gy/gx) strictly exceeds
 _Q1_PAIRS = ((8, 0), (0, 1), (1, 2), (2, 3), (3, 4))
 _Q2_PAIRS = ((8, 0), (7, 8), (6, 7), (5, 6), (4, 5))
-
-
-@dataclass(frozen=True)
-class BinnedGradient:
-    """Magnitude raw (in the gradient_magnitude format) plus the lower bin of
-    its pair; the other bin is (bin_lo + 1) % N_BINS."""
-
-    magnitude: int
-    bin_lo: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bin_lo < N_BINS:
-            raise ValueError(f"bin_lo must be in 0..{N_BINS - 1}, got {self.bin_lo}")
-
-
-def compute_gradients(ctx: tuple[tuple[int, int, int], ...]) -> tuple[int, int]:
-    """Central differences over one 3x3 context: (gx, gy) = (right - left, bottom - top)."""
-    return ctx[1][2] - ctx[1][0], ctx[2][1] - ctx[0][1]
 
 
 def magnitude_approx_raw(gx: int, gy: int) -> int:
@@ -133,24 +116,29 @@ def binned_stream(
     contexts: Iterable[tuple[tuple[tuple[int, ...], ...], ...]],
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
-) -> Iterator[tuple[BinnedGradient, ...]]:
-    """Map a context stream (see context_stream) to per-lane BinnedGradient packets.
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Map a context stream (see context_stream) to packets of one
+    (magnitude, bin_lo) tuple per lane: the magnitude raw in ``fmt``, and the
+    lower bin of the pixel's pair, whose other bin is (bin_lo + 1) % N_BINS.
 
-    The magnitude bound is read once. Magnitudes are never negative, so only
-    the upper bound can clip; each packet records its clipped lanes at once.
+    Gradients are central differences of each 3x3 context, (gx, gy) =
+    (right - left, bottom - top). The magnitude bound is read once.
+    Magnitudes are never negative, so only the upper bound can clip; each
+    packet records its clipped lanes at once.
     """
     top = fmt.max_raw
     for lanes in contexts:
         out = []
         clipped = 0
-        for ctx in lanes:
-            gx, gy = compute_gradients(ctx)
+        for (_, up, _), (left, _, right), (_, down, _) in lanes:
+            gx = right - left
+            gy = down - up
             m = magnitude_approx_raw(gx, gy)
             # inline: requantize_raws per packet made a 256x256 ppc-4 frame 19-40% slower
             if m > top:
                 m = top
                 clipped += 1
-            out.append(BinnedGradient(m, orient_bin_pair(gx, gy)[0]))
+            out.append((m, orient_bin_pair(gx, gy)[0]))
         if clipped and stats is not None:
             stats.record("magnitude", clipped)
         yield tuple(out)

@@ -7,8 +7,11 @@ arrive in raster order. A cell's histogram is emitted as soon as its
 bottom-right pixel has been consumed, so a row of cells streams out
 left-to-right while the 8th pixel row is still being eaten.
 
-Magnitudes arrive as raws at MAGNITUDE_FRACTION fractional bits; bins are raws
-in the histogram format, whose fraction is never smaller: widening the halved
+Magnitudes arrive as raws at MAGNITUDE_FRACTION fractional bits, in the
+plain (magnitude, bin_lo) lanes of gradient.binned_stream; accumulate_cells
+checks each lane, since its packets may come from a caller, and emits each
+cell as a plain (cell_row, cell_col, bins) tuple. Bins are raws in the
+histogram format, whose fraction is never smaller: widening the halved
 contribution into it is exact, so the only truncation is the halving shift.
 
 The array path forms the same sums in another order. A pixel's pair is
@@ -21,44 +24,33 @@ once per band of cell rows; the whole grid is just one band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, SaturationStats,
                          requantize_raws, saturate_array)
-from .gradient import N_BINS, BinnedGradient
+from .gradient import N_BINS
 from .stream import CELL, VALID_PPC, GeometryError, StreamProtocolError
 
 # the other bin of a pair: _NEXT_BIN[bin_lo] == (bin_lo + 1) % N_BINS
 _NEXT_BIN = tuple((k + 1) % N_BINS for k in range(N_BINS))
 
 
-@dataclass(frozen=True)
-class CellHistogram:
-    """9 accumulated bin raws (histogram_value format) for one 8x8 cell."""
-
-    cell_row: int
-    cell_col: int
-    bins: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bins) != N_BINS:
-            raise ValueError(f"expected {N_BINS} bins, got {len(self.bins)}")
-
-
 def accumulate_cells(
-    packets: Iterable[Sequence[BinnedGradient]],
+    packets: Iterable[Sequence[tuple[int, int]]],
     width: int,
     fmt: FxFormat = DEFAULT_PROFILE.histogram_value,
     stats: SaturationStats | None = None,
-) -> Iterator[CellHistogram]:
-    """Consume raster-order binned-gradient packets, emit completed cells.
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Consume raster-order packets of (magnitude, bin_lo) lanes (see
+    binned_stream), emit each completed cell as (cell_row, cell_col, bins).
 
     Both bins of a pixel's pair, bin_lo and bin_lo + 1 mod 9, receive
-    magnitude >> 1 (raw 5 gives raw 2 each). No contribution is negative, so
-    each bin saturates once, on emission, in one requantize_raws call per cell.
+    magnitude >> 1 (raw 5 gives raw 2 each). A lane with a negative
+    magnitude or a bin_lo outside 0..8 raises ValueError, so no contribution
+    is negative and each bin saturates once, on emission, in one
+    requantize_raws call per cell.
 
     The frame height is implied by the stream length and must be a multiple
     of 8, as must the width; a lane count outside VALID_PPC, a packet that
@@ -78,19 +70,18 @@ def accumulate_cells(
         if x % ppc:
             raise StreamProtocolError(f"packet of {ppc} lanes misaligned at x={x}")
         last_row = y % CELL == CELL - 1
-        for px, bg in enumerate(pkt, x):
+        for px, (m, lo) in enumerate(pkt, x):
+            if m < 0 or not 0 <= lo < N_BINS:
+                raise ValueError(f"lane at ({px},{y}) needs magnitude >= 0 and bin_lo in "
+                                 f"0..{N_BINS - 1}, got ({m}, {lo})")
             col = px // CELL
-            half = (bg.magnitude >> 1) << widen
+            half = (m >> 1) << widen
             bins = acc[col]
-            lo = bg.bin_lo
             bins[lo] += half
             bins[_NEXT_BIN[lo]] += half
             if last_row and px % CELL == CELL - 1:
-                yield CellHistogram(
-                    cell_row=y // CELL,
-                    cell_col=col,
-                    bins=tuple(requantize_raws(bins, fmt.fraction, fmt, stats, "histogram")),
-                )
+                yield (y // CELL, col,
+                       tuple(requantize_raws(bins, fmt.fraction, fmt, stats, "histogram")))
                 acc[col] = [0] * N_BINS
         x += ppc
         if x == width:

@@ -17,10 +17,15 @@ twice the histogram fraction, and the squared clipped features are summed at
 twice the feature fraction, so the only roundings in this stage are the two
 inverse-sqrt quantizations and the two per-entry product truncations.
 
-Records carry raw ints; every format comes from the PrecisionProfile. Each
-square, cell energy (computed once per cell) and block energy saturates once.
-The packet path saturates whole lists: a cell's nine squares and a block's
-36 norm1 and 36 norm2 products are one requantize_raws call each, and each
+The packet path carries plain tuples of raw ints: block_stream emits one
+(block_row, block_col, cells, block_sq_sum) per block and normalize_block
+one (block_row, block_col, values), each laid out in its docstring. Both
+stages that take such tuples from a caller check them: block_stream
+rejects a cell without 9 bins, and svm.score_windows a block without 36
+integer values. Every format comes from the PrecisionProfile. Each square,
+cell energy (computed once per cell) and block energy saturates once. The
+packet path saturates whole lists: a cell's nine squares and a block's 36
+norm1 and 36 norm2 products are one requantize_raws call each, and each
 cell and block energy is one saturate_raw call.
 The array path has the same two parts: cell_energy_grid squares and sums each
 cell, and block_features forms and normalizes the blocks over cells whose
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,7 +55,6 @@ from .fixedpoint import (
     saturate_raw,
 )
 from .gradient import N_BINS
-from .histogram import CellHistogram
 from .stream import GeometryError
 
 INV_SQRT_MAGIC = 0x5F3759DF
@@ -86,63 +89,45 @@ def fast_inv_sqrt_field(x: np.ndarray) -> np.ndarray:
     return y0 * (1.5 - 0.5 * xf.astype(np.float64) * y0 * y0)
 
 
-@dataclass(frozen=True)
-class BlockGroup:
-    """Four cells of one block plus their squared-bin sum (prepare_first_norm raw)."""
-
-    block_row: int
-    block_col: int
-    cells: tuple[CellHistogram, CellHistogram, CellHistogram, CellHistogram]
-    block_sq_sum: int
-
-
-@dataclass(frozen=True)
-class BlockFeature:
-    """36 normalized raws of one block, in the final_feature format."""
-
-    block_row: int
-    block_col: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != BLOCK_VALUES:
-            raise ValueError(f"expected {BLOCK_VALUES} values, got {len(self.values)}")
-
-
 def _cell_sq_sum(
-    cell: CellHistogram, profile: PrecisionProfile, stats: SaturationStats | None
+    bins: tuple[int, ...], profile: PrecisionProfile, stats: SaturationStats | None
 ) -> int:
     """A cell's squared-bin sum in prepare_first_norm: each square and the
     total saturate once."""
     fmt = profile.prepare_first_norm
-    total = sum(requantize_raws([b * b for b in cell.bins],
+    total = sum(requantize_raws([b * b for b in bins],
                                 2 * profile.histogram_value.fraction, fmt, stats,
                                 "prepare_norm"))
     return saturate_raw(total, fmt, stats, "prepare_norm")
 
 
 def block_stream(
-    cells: Iterable[CellHistogram],
+    cells: Iterable[tuple[int, int, tuple[int, ...]]],
     cell_cols: int,
     profile: PrecisionProfile = DEFAULT_PROFILE,
     stats: SaturationStats | None = None,
-) -> Iterator[BlockGroup]:
-    """Group raster-order cells into overlapping 2x2 blocks.
+) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...], int]]:
+    """Group raster-order (cell_row, cell_col, bins) cells into overlapping
+    2x2 blocks, each emitted as (block_row, block_col, cells, block_sq_sum):
+    the bins of cells (i,j), (i+1,j), (i,j+1), (i+1,j+1), and their
+    squared-bin sum in prepare_first_norm.
 
     Block (i, j) is emitted when cell (i+1, j+1) arrives, so blocks stream out
-    in raster order one cell row behind the input. A cell that arrives twice,
-    or a cell grid smaller than 2x2, raises a geometry error.
+    in raster order one cell row behind the input. A cell without 9 bins
+    raises ValueError; a cell out of raster order or that arrives twice, or a
+    cell grid smaller than 2x2, raises a geometry error.
     """
     if cell_cols < 1:
         raise GeometryError(f"cell_cols must be positive, got {cell_cols}")
-    prev: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
-    cur: list[tuple[CellHistogram, int] | None] = [None] * cell_cols
+    prev: list[tuple[tuple[int, ...], int] | None] = [None] * cell_cols
+    cur: list[tuple[tuple[int, ...], int] | None] = [None] * cell_cols
     rows_seen = 0
-    for cell in cells:
-        r, c = cell.cell_row, cell.cell_col
+    for r, c, bins in cells:
+        if len(bins) != N_BINS:
+            raise ValueError(f"cell ({r},{c}) has {len(bins)} bins, expected {N_BINS}")
         if not 0 <= c < cell_cols:
             raise GeometryError(f"cell_col {c} outside grid of {cell_cols} columns")
-        if r != rows_seen - 1 and r != rows_seen:
+        if not max(rows_seen - 1, 0) <= r <= rows_seen:
             raise GeometryError(f"cell row {r} arrived out of raster order")
         if r == rows_seen:
             if rows_seen:
@@ -150,19 +135,15 @@ def block_stream(
             rows_seen += 1
         if cur[c] is not None:
             raise GeometryError(f"cell ({r},{c}) arrived twice")
-        entry = (cell, _cell_sq_sum(cell, profile, stats))
+        entry = (bins, _cell_sq_sum(bins, profile, stats))
         cur[c] = entry
         if r >= 1 and c >= 1:
             tl, bl, tr, br = prev[c - 1], cur[c - 1], prev[c], entry
             if tl is None or bl is None or tr is None:
                 raise GeometryError(f"cell ({r},{c}) arrived before its block neighbors")
-            yield BlockGroup(
-                block_row=r - 1,
-                block_col=c - 1,
-                cells=(tl[0], bl[0], tr[0], br[0]),
-                block_sq_sum=saturate_raw(tl[1] + bl[1] + tr[1] + br[1],
-                                          profile.prepare_first_norm, stats, "prepare_norm"),
-            )
+            yield (r - 1, c - 1, (tl[0], bl[0], tr[0], br[0]),
+                   saturate_raw(tl[1] + bl[1] + tr[1] + br[1],
+                                profile.prepare_first_norm, stats, "prepare_norm"))
     if rows_seen < 2 or cell_cols < 2:
         raise GeometryError(
             f"cell grid {rows_seen}x{cell_cols} is too small to form a block"
@@ -170,11 +151,13 @@ def block_stream(
 
 
 def normalize_block(
-    group: BlockGroup,
+    group: tuple[int, int, tuple[tuple[int, ...], ...], int],
     profile: PrecisionProfile = DEFAULT_PROFILE,
     stats: SaturationStats | None = None,
-) -> BlockFeature:
-    """Two-pass fixed-point L2-hys normalization of one block."""
+) -> tuple[int, int, tuple[int, ...]]:
+    """Two-pass fixed-point L2-hys normalization of one block_stream block;
+    returns (block_row, block_col, values), 36 raws in final_feature."""
+    block_row, block_col, cells, block_sq_sum = group
     prep_fmt = profile.prepare_first_norm
     n1_fmt = profile.first_inv_sqrt
     f1_fmt = profile.feature_after_first_norm
@@ -183,10 +166,10 @@ def normalize_block(
     hist_fraction = profile.histogram_value.fraction
 
     # eps2 = one raw LSB of the squared-sum accumulator
-    x1 = (group.block_sq_sum + 1) / prep_fmt.scale
+    x1 = (block_sq_sum + 1) / prep_fmt.scale
     n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, "inv_sqrt1").raw
 
-    f_l2 = requantize_raws([b * n1 for cell in group.cells for b in cell.bins],
+    f_l2 = requantize_raws([b * n1 for bins in cells for b in bins],
                            hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1")
 
     clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
@@ -199,7 +182,7 @@ def normalize_block(
 
     values = tuple(requantize_raws([v * n2 for v in f_th], f1_fmt.fraction + n2_fmt.fraction,
                                    out_fmt, stats, "norm2"))
-    return BlockFeature(block_row=group.block_row, block_col=group.block_col, values=values)
+    return block_row, block_col, values
 
 
 # ---------------------------------------------------------------------------

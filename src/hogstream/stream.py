@@ -117,7 +117,9 @@ def context_stream(packets: Iterable[StreamPacket],
     Functional model of the two-row delay buffer: a row's contexts are emitted
     once the row below it has arrived; border pixels replicate the nearest
     edge pixel. The full frame's contexts always come out, after an internal
-    delay of one row.
+    delay of one row. Pixels must be Python ints in 0..255, the range the
+    gradient stage is defined on; each row is checked as it completes, and
+    a row with any other pixel raises StreamProtocolError.
     """
     if width <= 0:
         raise GeometryError(f"width must be positive, got {width}")
@@ -158,6 +160,9 @@ def context_stream(packets: Iterable[StreamPacket],
             )
         cur.extend(pkt.pixels)
         if pkt.eol:
+            if set(map(type, cur)) != {int} or min(cur) < 0 or max(cur) > 255:
+                raise StreamProtocolError(f"row {done_rows} holds a pixel that is not "
+                                          "an int in 0..255")
             below = _triples(cur)
             if pending is not None:
                 yield from emit_row(prev if prev is not None else pending, pending, below)

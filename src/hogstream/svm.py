@@ -30,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .fixedpoint import (
     fx_quantize,
     saturate_array,
 )
-from .normalize import BLOCK_VALUES, BlockFeature
+from .normalize import BLOCK_VALUES
 from .stream import CELL, GeometryError
 
 WINDOW_BLOCK_ROWS = 15
@@ -209,32 +209,39 @@ class ScoreAccumulator:
 
 
 def score_windows(
-    blocks: Iterable[BlockFeature],
+    blocks: Iterable[tuple[int, int, Sequence[int]]],
     model: SvmModel,
     block_rows: int,
     block_cols: int,
     stats: SaturationStats | None = None,
     feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature,
 ) -> ScoreMap:
-    """Score a raster-order stream of ``feature_fmt`` block raws, holding one
-    block row and adding it to a ScoreAccumulator when it completes.
+    """Score a raster-order stream of (block_row, block_col, values) blocks
+    (see normalize_block) of ``feature_fmt`` raws, holding one block row and
+    adding it to a ScoreAccumulator when it completes.
 
     The accumulator checks formats and grid before the first block is pulled.
-    A block outside the grid, one that arrives twice or out of raster order,
-    or a stream that ends short raises GeometryError naming the block.
+    A block without 36 values, or with one that is not an integer, raises
+    ValueError naming the block. A block outside the grid, one that arrives
+    twice or out of raster order, or a stream that ends short raises
+    GeometryError naming the block.
     """
     acc = ScoreAccumulator(model, block_rows, block_cols, feature_fmt)
     row = np.empty((1, block_cols, BLOCK_VALUES), dtype=np.int64)
     due = 0   # raster index of the next block
-    for bf in blocks:
-        r, c = bf.block_row, bf.block_col
+    for r, c, values in blocks:
         if not (0 <= r < block_rows and 0 <= c < block_cols):
             raise GeometryError(f"block ({r},{c}) outside {block_rows}x{block_cols} grid")
         at = r * block_cols + c
         if at != due:
             raise GeometryError(f"block ({r},{c}) arrived "
                                 + ("twice" if at < due else "out of raster order"))
-        row[0, c] = bf.values
+        # ints of any width that int64 holds; a float would be floored here
+        v = np.asarray(values)
+        if v.shape != (BLOCK_VALUES,) or not np.can_cast(v.dtype, np.int64):
+            raise ValueError(f"block ({r},{c}) must carry {BLOCK_VALUES} integer raws, "
+                             f"got {v.size} of {v.dtype}")
+        row[0, c] = v
         due += 1
         if c == block_cols - 1:
             acc.add(row, r)

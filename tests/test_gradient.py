@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
 from hogstream.gradient import (
     TAN_BOUNDARIES,
-    BinnedGradient,
     binned_field,
     binned_stream,
-    compute_gradients,
     gradient_index,
     magnitude_approx_raw,
     orient_bin_pair,
@@ -22,11 +20,6 @@ from hogstream.stream import Frame, context_stream, pack_frame
 from reference import gradient_field, magnitude_approx, table_index
 
 MAG_FMT = DEFAULT_PROFILE.gradient_magnitude
-
-
-def test_compute_gradients():
-    ctx = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-    assert compute_gradients(ctx) == (6 - 4, 8 - 2)
 
 
 def test_tan_boundaries_frozen():
@@ -116,12 +109,6 @@ def test_orient_point_symmetry(gx, gy):
     assert orient_bin_pair(gx, gy) == orient_bin_pair(-gx, -gy)
 
 
-def test_binned_gradient_validation():
-    with pytest.raises(ValueError):
-        BinnedGradient(0, bin_lo=9)
-    BinnedGradient(0, bin_lo=8)
-
-
 def test_field_matches_scalar():
     rng = np.random.default_rng(21)
     px = rng.integers(0, 256, size=(16, 24), dtype=np.uint8)
@@ -130,10 +117,10 @@ def test_field_matches_scalar():
     f = Frame.from_array(px)
     i = 0
     for pkt in binned_stream(context_stream(pack_frame(f, 8), width=f.width)):
-        for bg in pkt:
+        for magnitude, bin_lo in pkt:
             y, x = divmod(i, f.width)
-            assert bg.magnitude == mag[y, x]
-            assert bg.bin_lo == int(lo[y, x])
+            assert magnitude == mag[y, x]
+            assert bin_lo == int(lo[y, x])
             i += 1
     assert i == f.width * f.height
 

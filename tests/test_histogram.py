@@ -1,18 +1,18 @@
 """Cell histogram accumulation: split rule, emission order, mass conservation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, dump_raws
 from hogstream.gradient import (
-    BinnedGradient,
     binned_field,
     binned_stream,
     gradient_index,
     orient_bin_pair,
 )
 from hogstream.histogram import (
-    CellHistogram,
     accumulate_cells,
     cell_histogram_grid,
 )
@@ -37,43 +37,49 @@ def binned_packets(frame, ppc):
 def test_split_truncates_once():
     # one pixel of raw 5 (0.625) in an otherwise flat cell: both bins receive
     # raw 2 (0.25), widened exactly from 3 to 4 fractional bits
-    zero = BinnedGradient(0, 0)
-    pkts = [[BinnedGradient(5, 0)] + [zero] * 7] + [[zero] * 8 for _ in range(7)]
-    (c,) = accumulate_cells(pkts, width=8)
-    assert c.bins[0] == c.bins[1] == 2 << 1
+    zero = (0, 0)
+    pkts = [[(5, 0)] + [zero] * 7] + [[zero] * 8 for _ in range(7)]
+    ((_, _, bins),) = accumulate_cells(pkts, width=8)
+    assert bins[0] == bins[1] == 2 << 1
 
 
-def test_cell_histogram_validation():
-    with pytest.raises(ValueError):
-        CellHistogram(0, 0, bins=(0,) * 8)
+def test_accumulate_cells_checks_each_lane():
+    # a lane's bin_lo must be in 0..8 (9 would index past the bins and -1
+    # would wrap to bin 8) and its magnitude must not be negative
+    for lane in ((0, 9), (0, -1), (-16, 0)):
+        pkts = [[lane] + [(0, 0)] * 7] + [[(0, 0)] * 8 for _ in range(7)]
+        with pytest.raises(ValueError, match=re.escape(f"got {lane}")):
+            list(accumulate_cells(pkts, width=8))
+    (c,) = accumulate_cells([[(0, 8)] * 8 for _ in range(8)], width=8)
+    assert c == (0, 0, (0,) * 9)
 
 
 def test_single_cell_constant_gradient():
     # 64 identical pixels with magnitude raw 8 (1.0) and pair (0,1):
     # each bin gets 64 * ((8>>1) widened to fraction 4) = 64*8 = 512 raw (32.0)
-    bg = BinnedGradient(8, 0)
+    bg = (8, 0)
     pkts = [[bg] * 8 for _ in range(8)]
     cells = list(accumulate_cells(pkts, width=8))
     assert len(cells) == 1
-    c = cells[0]
-    assert (c.cell_row, c.cell_col) == (0, 0)
-    raws = list(c.bins)
+    cell_row, cell_col, bins = cells[0]
+    assert (cell_row, cell_col) == (0, 0)
+    raws = list(bins)
     assert raws == [512, 512, 0, 0, 0, 0, 0, 0, 0]
-    assert c.bins[0] / HIST_FMT.scale == 32.0
+    assert bins[0] / HIST_FMT.scale == 32.0
 
 
 def test_wrap_pair_hits_bins_8_and_0():
-    bg = BinnedGradient(16, 8)
+    bg = (16, 8)
     pkts = [[bg] * 8 for _ in range(8)]
-    (c,) = accumulate_cells(pkts, width=8)
-    raws = list(c.bins)
+    ((_, _, bins),) = accumulate_cells(pkts, width=8)
+    raws = list(bins)
     assert raws[8] == raws[0] == 64 * 16 and sum(raws) == raws[0] + raws[8]
 
 
 def test_emission_order_raster():
     rng = np.random.default_rng(31)
     f = Frame.from_array(rng.integers(0, 256, size=(16, 24), dtype=np.uint8))
-    coords = [(c.cell_row, c.cell_col) for c in accumulate_cells(binned_packets(f, 4), f.width)]
+    coords = [(r, c) for r, c, _ in accumulate_cells(binned_packets(f, 4), f.width)]
     assert coords == [(r, c) for r in range(2) for c in range(3)]
 
 
@@ -101,8 +107,8 @@ def test_matches_naive_reference_all_ppc():
         f = Frame.from_array(px)
         for ppc in VALID_PPC:
             got = {}
-            for c in accumulate_cells(binned_packets(f, ppc), f.width):
-                got[(c.cell_row, c.cell_col)] = list(c.bins)
+            for cell_row, cell_col, bins in accumulate_cells(binned_packets(f, ppc), f.width):
+                got[(cell_row, cell_col)] = list(bins)
             for r in range(h // 8):
                 for col in range(w // 8):
                     assert got[(r, col)] == want[r][col], (w, h, ppc, r, col)
@@ -114,8 +120,8 @@ def test_grid_matches_stream():
     mag, lo = binned_field(gradient_index(px))
     grid = cell_histogram_grid(mag, lo)
     f = Frame.from_array(px)
-    for c in accumulate_cells(binned_packets(f, 8), f.width):
-        assert grid[c.cell_row, c.cell_col].tolist() == list(c.bins)
+    for cell_row, cell_col, bins in accumulate_cells(binned_packets(f, 8), f.width):
+        assert grid[cell_row, cell_col].tolist() == list(bins)
 
 
 @pytest.mark.parametrize("fmt", [HIST_FMT, FxFormat(14, 4)], ids=["default", "narrow"])
@@ -129,8 +135,9 @@ def test_grid_matches_stream_across_bands(fmt):
     grid = cell_histogram_grid(mag, lo, fmt, grid_stats)
     f = Frame.from_array(px)
     want = np.zeros_like(grid)
-    for c in accumulate_cells(binned_packets(f, 4), f.width, fmt, stream_stats):
-        want[c.cell_row, c.cell_col] = c.bins
+    for cell_row, cell_col, bins in accumulate_cells(binned_packets(f, 4), f.width, fmt,
+                                                     stream_stats):
+        want[cell_row, cell_col] = bins
     assert grid.shape == (21, 6, 9)
     assert np.array_equal(grid, want)
     assert grid_stats.counts == stream_stats.counts
@@ -150,12 +157,12 @@ def test_mass_conservation():
 
 def test_histogram_never_saturates_at_default_widths():
     # worst case: every pixel at the magnitude ceiling
-    bg = BinnedGradient(MAG_FMT.max_raw, 3)
+    bg = (MAG_FMT.max_raw, 3)
     pkts = [[bg] * 8 for _ in range(8)]
     stats = SaturationStats()
-    (c,) = accumulate_cells(pkts, width=8, stats=stats)
-    assert c.bins[3] == 64 * ((MAG_FMT.max_raw >> 1) << 1) == 65408
-    assert c.bins[3] <= HIST_FMT.max_raw
+    ((_, _, bins),) = accumulate_cells(pkts, width=8, stats=stats)
+    assert bins[3] == 64 * ((MAG_FMT.max_raw >> 1) << 1) == 65408
+    assert bins[3] <= HIST_FMT.max_raw
     assert sum(stats.counts.values()) == 0
 
 
@@ -163,7 +170,7 @@ def test_protocol_errors():
     with pytest.raises(GeometryError):
         list(accumulate_cells([], width=12))
 
-    bg = BinnedGradient(0, 0)
+    bg = (0, 0)
     with pytest.raises(StreamProtocolError):
         list(accumulate_cells([[bg] * 3], width=8))  # 3 lanes misaligned
 

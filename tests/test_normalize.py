@@ -8,11 +8,10 @@ import pytest
 
 from hogstream.fixedpoint import DEFAULT_PROFILE, dump_raws
 from hogstream.gradient import binned_field, gradient_index
-from hogstream.histogram import CellHistogram, cell_histogram_grid
+from hogstream.histogram import cell_histogram_grid
 from hogstream.normalize import (
     BLOCK_VALUES,
     CLIP_THRESHOLD,
-    BlockFeature,
     block_features,
     block_stream,
     cell_energy_grid,
@@ -30,12 +29,11 @@ OUT_FMT = DEFAULT_PROFILE.final_feature
 
 
 def cell(raws, r=0, c=0):
-    return CellHistogram(cell_row=r, cell_col=c,
-                         bins=tuple(raws))
+    return (r, c, tuple(raws))
 
 
 def grid_cells(grid_raws):
-    """Raster CellHistogram stream for a (R, C, 9) raw array."""
+    """Raster stream of (cell_row, cell_col, bins) cells for a (R, C, 9) raw array."""
     rows, cols, _ = grid_raws.shape
     for r in range(rows):
         for c in range(cols):
@@ -85,9 +83,9 @@ def test_block_stream_grouping():
     rng = np.random.default_rng(42)
     raws = rng.integers(0, 4000, size=(3, 3, 9))
     blocks = list(block_stream(grid_cells(raws), cell_cols=3))
-    assert [(b.block_row, b.block_col) for b in blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    b = blocks[2]  # block (1,0): cells (1,0),(2,0),(1,1),(2,1)
-    got = [list(c.bins) for c in b.cells]
+    assert [(b[0], b[1]) for b in blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    _, _, cells, _ = blocks[2]  # block (1,0): cells (1,0),(2,0),(1,1),(2,1)
+    got = [list(bins) for bins in cells]
     assert got == [raws[1, 0].tolist(), raws[2, 0].tolist(),
                    raws[1, 1].tolist(), raws[2, 1].tolist()]
 
@@ -95,11 +93,11 @@ def test_block_stream_grouping():
 def test_block_sq_sum_exact():
     rng = np.random.default_rng(43)
     raws = rng.integers(0, 65408, size=(2, 2, 9))
-    (b,) = block_stream(grid_cells(raws), cell_cols=2)
+    ((_, _, cells, block_sq_sum),) = block_stream(grid_cells(raws), cell_cols=2)
     # squares at twice the histogram fraction are exact in the (42,8) accumulator
     expect = int((raws.astype(object) ** 2).sum())
-    assert b.block_sq_sum == expect
-    assert sum(_cell_sq_sum(c, DEFAULT_PROFILE, None) for c in b.cells) == expect
+    assert block_sq_sum == expect
+    assert sum(_cell_sq_sum(bins, DEFAULT_PROFILE, None) for bins in cells) == expect
 
 
 def test_block_stream_geometry_errors():
@@ -112,6 +110,9 @@ def test_block_stream_geometry_errors():
     cells = [cell([0] * 9, 1, 0)]
     with pytest.raises(GeometryError):
         list(block_stream(iter(cells), cell_cols=2))  # starts at row 1
+    cells = [cell([0] * 9, r, c) for r in (-1, 0) for c in range(2)]
+    with pytest.raises(GeometryError, match="cell row -1 arrived out of raster order"):
+        list(block_stream(iter(cells), cell_cols=2))  # starts at row -1
     cells = [cell([0] * 9, 0, 5)]
     with pytest.raises(GeometryError):
         list(block_stream(iter(cells), cell_cols=2))  # column outside grid
@@ -134,8 +135,8 @@ def test_block_stream_geometry_errors():
 def test_normalize_one_hot_block():
     # a single active bin ends up clipped and renormalized to (just under) 1.0
     (b,) = block_stream(grid_cells(one_hot_grid()), cell_cols=2)
-    feat = normalize_block(b)
-    raws = list(feat.values)
+    _, _, values = normalize_block(b)
+    raws = list(values)
     assert raws[0] == 511
     assert raws[1:] == [0] * 35
 
@@ -144,15 +145,15 @@ def test_normalize_equal_block():
     # 36 equal entries: ideal value 1/6 -> raw floor(512/6) = 85
     g = np.full((2, 2, 9), 64, dtype=np.int64)
     (b,) = block_stream(grid_cells(g), cell_cols=2)
-    feat = normalize_block(b)
-    assert list(feat.values) == [85] * 36
+    _, _, values = normalize_block(b)
+    assert list(values) == [85] * 36
 
 
 def test_normalize_zero_block():
     g = np.zeros((2, 2, 9), dtype=np.int64)
     (b,) = block_stream(grid_cells(g), cell_cols=2)
-    feat = normalize_block(b)
-    assert list(feat.values) == [0] * 36
+    _, _, values = normalize_block(b)
+    assert list(values) == [0] * 36
 
 
 def test_normalize_clip_engages():
@@ -161,8 +162,8 @@ def test_normalize_clip_engages():
     g = np.full((2, 2, 9), 40, dtype=np.int64)
     g[0, 0, 0] = 60000
     (b,) = block_stream(grid_cells(g), cell_cols=2)
-    feat = normalize_block(b)
-    vals = [v / OUT_FMT.scale for v in feat.values]
+    _, _, values = normalize_block(b)
+    vals = [v / OUT_FMT.scale for v in values]
     assert max(vals) == vals[0]
     assert vals[0] <= 1.0
     ref = oracle_block_normalize(g.reshape(4, 9)[[0, 2, 1, 3]])
@@ -177,8 +178,8 @@ def test_feature_layout_order():
     g[0, 1, :] = 3000   # top-right
     g[1, 1, :] = 4000   # bottom-right
     (b,) = block_stream(grid_cells(g), cell_cols=2)
-    feat = normalize_block(b)
-    v = list(feat.values)
+    _, _, values = normalize_block(b)
+    v = list(values)
     assert len(set(v[0:9])) == 1 and len(set(v[9:18])) == 1
     assert v[0] < v[9] < v[18] < v[27]
     # the array path lays the same grid out the same way
@@ -192,9 +193,9 @@ def test_feature_layout_order():
     assert np.allclose(ref.block_grid[0, 0], want, rtol=1e-12, atol=0)
 
 
-def test_block_feature_validation():
-    with pytest.raises(ValueError):
-        BlockFeature(0, 0, values=(0,) * 35)
+def test_block_stream_checks_the_bin_count():
+    with pytest.raises(ValueError, match=re.escape("cell (0,0) has 8 bins")):
+        list(block_stream(iter([cell([0] * 8)]), cell_cols=2))
 
 
 def test_grid_matches_stream_path():
@@ -205,8 +206,8 @@ def test_grid_matches_stream_path():
     grid = block_features(hist, cell_energy_grid(hist))
     assert grid.shape == (3, 4, BLOCK_VALUES)
     for blk in block_stream(grid_cells(hist), cell_cols=hist.shape[1]):
-        feat = normalize_block(blk)
-        assert grid[blk.block_row, blk.block_col].tolist() == list(feat.values)
+        block_row, block_col, values = normalize_block(blk)
+        assert grid[block_row, block_col].tolist() == list(values)
 
 
 def test_grid_matches_stream_on_synthetic_raws():
@@ -214,8 +215,8 @@ def test_grid_matches_stream_on_synthetic_raws():
     raws = rng.integers(0, 65408, size=(4, 3, 9))
     grid = block_features(raws, cell_energy_grid(raws))
     for blk in block_stream(grid_cells(raws), cell_cols=3):
-        feat = normalize_block(blk)
-        assert grid[blk.block_row, blk.block_col].tolist() == list(feat.values)
+        block_row, block_col, values = normalize_block(blk)
+        assert grid[block_row, block_col].tolist() == list(values)
 
 
 def test_block_features_leaves_its_arguments_unchanged():

@@ -178,3 +178,22 @@ def test_context_protocol_errors():
 
     with pytest.raises(GeometryError):
         list(context_stream(good, width=10))  # ppc does not divide width
+
+
+def test_context_stream_admits_only_int_pixels_in_range():
+    # numpy uint8 pixels would wrap in the gradient stage (a column of 200
+    # would give magnitude 192, not 1023), out-of-range ints would leave the
+    # gradient range the tangent constants were checked on, and floats would
+    # crash deep in the stage
+    px = np.zeros((8, 8), dtype=np.uint8)
+    px[:, 0] = 200
+    as_uint8 = [StreamPacket(tuple(px[y]), sof=y == 0, eol=True) for y in range(8)]
+    with pytest.raises(StreamProtocolError, match="row 0 holds a pixel"):
+        list(context_stream(as_uint8, width=8))
+    for bad in (1.0, -5, 256):
+        rows = [[0] * 8 for _ in range(8)]
+        rows[3][5] = bad
+        with pytest.raises(StreamProtocolError, match="row 3 holds a pixel"):
+            list(context_stream(hand_packets(rows, 4), width=8))
+    rows = [[0, 255] * 4 for _ in range(8)]
+    assert len(list(context_stream(hand_packets(rows, 4), width=8))) == 16

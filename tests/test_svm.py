@@ -7,7 +7,7 @@ import pytest
 
 from hogstream.fixedpoint import (DEFAULT_PROFILE, SCORE_TERMS, FxFormat, PrecisionProfile,
                                  SaturationStats)
-from hogstream.normalize import BLOCK_VALUES, BlockFeature
+from hogstream.normalize import BLOCK_VALUES
 from hogstream.stream import GeometryError
 from hogstream.svm import (
     FLOAT_MAGIC,
@@ -208,7 +208,7 @@ def test_score_grid_rejects_raws_outside_feature_format():
         blocks[3, 4, 5] = bad
         with pytest.raises(ValueError):
             score_grid(blocks, m)
-        feats = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+        feats = [(r, c, tuple(int(v) for v in blocks[r, c]))
                  for r in range(15) for c in range(8)]
         with pytest.raises(ValueError):
             score_windows(feats, m, block_rows=15, block_cols=8)
@@ -224,7 +224,7 @@ def test_score_grid_rejects_formats_float64_cannot_hold_exactly():
     blocks = rng.integers(feat.min_raw, feat.max_raw + 1, size=(15, 7, 36))
     with pytest.raises(ValueError, match="2\\*\\*53"):
         score_grid(blocks, m, feature_fmt=feat)
-    feats = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+    feats = [(r, c, tuple(int(v) for v in blocks[r, c]))
              for r in range(15) for c in range(7)]
     with pytest.raises(ValueError, match="2\\*\\*53"):
         score_windows(feats, m, block_rows=15, block_cols=7, feature_fmt=feat)
@@ -312,7 +312,7 @@ def test_score_windows_stream():
     blocks = random_blocks(rng, 15, 8)
     m = random_model(rng)
     feats = [
-        BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+        (r, c, tuple(int(v) for v in blocks[r, c]))
         for r in range(15)
         for c in range(8)
     ]
@@ -329,9 +329,9 @@ def test_score_windows_rejects_a_block_that_arrives_twice():
     # a second copy of one block would silently replace the first
     rng = np.random.default_rng(57)
     blocks = random_blocks(rng, 15, 7)
-    feats = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+    feats = [(r, c, tuple(int(v) for v in blocks[r, c]))
              for r in range(15) for c in range(7)]
-    again = BlockFeature(3, 2, values=(0,) * BLOCK_VALUES)
+    again = (3, 2, (0,) * BLOCK_VALUES)
     with pytest.raises(GeometryError, match=r"block \(3,2\) arrived twice"):
         score_windows(feats + [again], random_model(rng), block_rows=15, block_cols=7)
 
@@ -342,13 +342,31 @@ def test_score_windows_rejects_a_block_out_of_raster_order():
     rng = np.random.default_rng(61)
     blocks = random_blocks(rng, 15, 7)
     m = random_model(rng)
-    column_major = [BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+    column_major = [(r, c, tuple(int(v) for v in blocks[r, c]))
                     for c in range(7) for r in range(15)]
     with pytest.raises(GeometryError, match=r"block \(1,0\) arrived out of raster order"):
         score_windows(column_major, m, block_rows=15, block_cols=7)
-    raster = sorted(column_major, key=lambda bf: (bf.block_row, bf.block_col))
+    raster = sorted(column_major, key=lambda bf: bf[:2])
     with pytest.raises(GeometryError, match=r"ended before block \(14,6\)"):
         score_windows(raster[:-1], m, block_rows=15, block_cols=7)
+
+
+def test_score_windows_checks_each_block_carries_36_integers():
+    # the int64 row would floor a float, so 0.9 everywhere would score 0
+    rng = np.random.default_rng(64)
+    blocks = random_blocks(rng, 15, 7)
+    m = random_model(rng)
+    feats = [(r, c, tuple(int(v) for v in blocks[r, c])) for r in range(15) for c in range(7)]
+    for bad in ((0,) * 35, (0.9,) * BLOCK_VALUES, (0,) * 35 + (0.5,)):
+        stream = feats[:9] + [(1, 2, bad)] + feats[10:]
+        with pytest.raises(ValueError, match=r"block \(1,2\) must carry 36 integer raws"):
+            score_windows(stream, m, block_rows=15, block_cols=7)
+    # Python and numpy integers of any width int64 holds are raws
+    want = score_windows(feats, m, block_rows=15, block_cols=7).scores_raw
+    as_numpy = [(r, c, tuple(blocks[r, c].astype(np.int16))) for r in range(15) for c in range(7)]
+    assert np.array_equal(score_windows(as_numpy, m, 15, 7).scores_raw, want)
+    as_arrays = [(r, c, blocks[r, c]) for r in range(15) for c in range(7)]
+    assert np.array_equal(score_windows(as_arrays, m, 15, 7).scores_raw, want)
 
 
 def test_score_windows_checks_the_grid_before_pulling_a_block():
@@ -360,7 +378,7 @@ def test_score_windows_checks_the_grid_before_pulling_a_block():
         for r in range(14):
             for c in range(7):
                 pulled.append((r, c))
-                yield BlockFeature(r, c, values=tuple(int(v) for v in blocks[r, c]))
+                yield (r, c, tuple(int(v) for v in blocks[r, c]))
 
     with pytest.raises(GeometryError, match="smaller than one"):
         score_windows(stream(), random_model(rng), block_rows=14, block_cols=7)
@@ -374,7 +392,7 @@ def test_score_windows_holds_one_block_row():
     rng = np.random.default_rng(63)
     pool = [tuple(int(v) for v in b) for b in random_blocks(rng, 1, 11)[0]]
     m = random_model(rng)
-    stream = (BlockFeature(r, c, values=pool[(r + c) % len(pool)])
+    stream = ((r, c, pool[(r + c) % len(pool)])
               for r in range(rows) for c in range(cols))
     tracemalloc.start()
     try:
