@@ -23,7 +23,7 @@ from .detector import (
     nms,
     run_pipeline,
 )
-from .fixedpoint import DEFAULT_PROFILE, SaturationStats, dump_raws
+from .fixedpoint import DEFAULT_PROFILE, dump_raws
 from .oracle import compare_paths
 from .pnm import PnmError, load_image  # noqa: F401  (load_image is this module's API)
 from .stream import GeometryError, StreamProtocolError
@@ -173,9 +173,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # untimed warm-up: the first frame of a process builds the gradient table
     run_pipeline(frame, model)
     for _ in range(args.reps):
-        stats = SaturationStats()
         t0 = time.perf_counter()
-        run = run_pipeline(frame, model, DEFAULT_PROFILE, stats)
+        run = run_pipeline(frame, model)
         t1 = time.perf_counter()
         cands = detections_from_scores(run.score_map, args.threshold)
         t2 = time.perf_counter()

@@ -59,11 +59,11 @@ class Detection:
 
 @dataclass
 class PipelineRun:
-    """The window scores of one frame, its saturation counts, profile and stage
-    seconds: no band of intermediates outlives the SVM (see block_bands)."""
+    """The window scores of one frame, its profile and stage seconds: no band
+    of intermediates outlives the SVM (see block_bands). Saturation counts go
+    to the SaturationStats the caller passes to run_pipeline."""
 
     score_map: ScoreMap
-    stats: SaturationStats
     profile: PrecisionProfile
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -138,10 +138,10 @@ def run_pipeline(
 ) -> PipelineRun:
     """Gradients -> binning -> cell histograms -> block features -> scores,
     one loop over block_bands into a window_scorer, which checks the frame
-    and the model before any stage runs.
+    and the model before any stage runs. Saturations are counted into
+    ``stats`` if one is given.
     """
     scorer = window_scorer(frame, model, profile)
-    stats = stats if stats is not None else SaturationStats()
     times: dict[str, float] = {}   # the band maps add their stages' seconds
     # only the blocks reach the SVM: each band's pixels and cells go first
     for b0, blocks in map(itemgetter(4, 5), block_bands(frame, profile, stats, times)):
@@ -151,7 +151,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     score_map = scorer.scores(stats)
     times["svm"] += time.perf_counter() - t0
-    return PipelineRun(score_map=score_map, stats=stats, profile=profile, stage_seconds=times)
+    return PipelineRun(score_map=score_map, profile=profile, stage_seconds=times)
 
 
 def detect_frame(

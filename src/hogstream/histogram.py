@@ -37,6 +37,11 @@ from .stream import CELL, VALID_PPC, GeometryError, StreamProtocolError
 _NEXT_BIN = tuple((k + 1) % N_BINS for k in range(N_BINS))
 
 
+def _lane_error(px: int, y: int, m: object, lo: object) -> ValueError:
+    return ValueError(f"lane at ({px},{y}) needs an integer magnitude >= 0 and an integer "
+                      f"bin_lo in 0..{N_BINS - 1}, got ({m!r}, {lo!r})")
+
+
 def accumulate_cells(
     packets: Iterable[Sequence[tuple[int, int]]],
     width: int,
@@ -47,8 +52,9 @@ def accumulate_cells(
     binned_stream), emit each completed cell as (cell_row, cell_col, bins).
 
     Both bins of a pixel's pair, bin_lo and bin_lo + 1 mod 9, receive
-    magnitude >> 1 (raw 5 gives raw 2 each). A lane with a negative
-    magnitude or a bin_lo outside 0..8 raises ValueError, so no contribution
+    magnitude >> 1 (raw 5 gives raw 2 each). A lane whose magnitude is not
+    a non-negative integer or whose bin_lo is not an integer in 0..8 raises
+    ValueError naming it, so no contribution
     is negative and each bin saturates once, on emission, in one
     requantize_raws call per cell.
 
@@ -71,14 +77,18 @@ def accumulate_cells(
             raise StreamProtocolError(f"packet of {ppc} lanes misaligned at x={x}")
         last_row = y % CELL == CELL - 1
         for px, (m, lo) in enumerate(pkt, x):
-            if m < 0 or not 0 <= lo < N_BINS:
-                raise ValueError(f"lane at ({px},{y}) needs magnitude >= 0 and bin_lo in "
-                                 f"0..{N_BINS - 1}, got ({m}, {lo})")
             col = px // CELL
-            half = (m >> 1) << widen
             bins = acc[col]
-            bins[lo] += half
-            bins[_NEXT_BIN[lo]] += half
+            # a lane that is not two ints raises TypeError below: converting
+            # it only then keeps type checks out of the loop
+            try:
+                if m < 0 or not 0 <= lo < N_BINS:
+                    raise _lane_error(px, y, m, lo)
+                half = (m >> 1) << widen
+                bins[lo] += half
+                bins[_NEXT_BIN[lo]] += half
+            except TypeError:
+                raise _lane_error(px, y, m, lo) from None
             if last_row and px % CELL == CELL - 1:
                 yield (y // CELL, col,
                        tuple(requantize_raws(bins, fmt.fraction, fmt, stats, "histogram")))

@@ -19,10 +19,11 @@ inverse-sqrt quantizations and the two per-entry product truncations.
 
 The packet path carries plain tuples of raw ints: block_stream emits one
 (block_row, block_col, cells, block_sq_sum) per block and normalize_block
-one (block_row, block_col, values), each laid out in its docstring. Both
-stages that take such tuples from a caller check them: block_stream
-rejects a cell without 9 bins, and svm.score_windows a block without 36
-integer values. Every format comes from the PrecisionProfile. Each square,
+one (block_row, block_col, values), each laid out in its docstring. Each
+stage that takes such tuples from a caller checks them: block_stream
+rejects a cell without 9 bins, normalize_block a group without four such
+cells or whose sum is not a non-negative integer, and svm.score_windows a
+block without 36 integer values. Every format comes from the PrecisionProfile. Each square,
 cell energy (computed once per cell) and block energy saturates once. The
 packet path saturates whole lists: a cell's nine squares and a block's 36
 norm1 and 36 norm2 products are one requantize_raws call each, and each
@@ -156,8 +157,19 @@ def normalize_block(
     stats: SaturationStats | None = None,
 ) -> tuple[int, int, tuple[int, ...]]:
     """Two-pass fixed-point L2-hys normalization of one block_stream block;
-    returns (block_row, block_col, values), 36 raws in final_feature."""
+    returns (block_row, block_col, values), 36 raws in final_feature.
+
+    The group must hold four cells of 9 bins and a non-negative integer
+    block_sq_sum, else ValueError names the block. The sum is taken as
+    block_stream gives it, not checked against the cells: recomputing it
+    would double the energy work of the packet path.
+    """
     block_row, block_col, cells, block_sq_sum = group
+    if (tuple(map(len, cells)) != (N_BINS,) * 4 or not isinstance(block_sq_sum, int)
+            or block_sq_sum < 0):
+        raise ValueError(f"block ({block_row},{block_col}) needs 4 cells of {N_BINS} bins and "
+                         f"a non-negative integer block_sq_sum, got cells of "
+                         f"{tuple(map(len, cells))} bins and sum {block_sq_sum!r}")
     prep_fmt = profile.prepare_first_norm
     n1_fmt = profile.first_inv_sqrt
     f1_fmt = profile.feature_after_first_norm

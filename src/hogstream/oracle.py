@@ -20,14 +20,15 @@ expressions a band would evaluate per pixel: every value is the one those
 expressions give. The histogram scatters each pixel's two interpolated
 shares onto its cell's bins lo and lo + 1 mod 9, one np.bincount per
 share. Per-pixel, per-block and per-window references that only tests
-compare against live in tests/reference.py.
+compare against, and the whole-grid composition of the bands, live in
+tests/reference.py.
 
-reference_bands runs the float path over the fixed path's bands, and
-reference_run composes them into whole grids. compare_paths reads one fixed
-pass (detector.block_bands) and the float bands side by side with a
-quantized model and its float source, and reports per-stage error
-statistics plus the classification disagreement rate, serialized as a flat
-key-value text block.
+reference_bands runs the float path over the fixed path's bands; the
+trainer reads its blocks as sample features. compare_paths, the one place
+that scores windows in float, reads one fixed pass (detector.block_bands)
+and the float bands side by side with a quantized model and its float
+source, and reports per-stage error statistics plus the classification
+disagreement rate, serialized as a flat key-value text block.
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ def _interp_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = (theta - FIRST_CENTER_DEG) / BIN_STEP_DEG
     k = np.floor(u)
     return k.astype(np.int64) % N_BINS, u - k
-
-
-@dataclass
-class ReferenceRun:
-    """The float path's cell histograms and block features of one frame, and
-    its window scores if a float model was given (else an empty array)."""
-
-    hist_grid: np.ndarray
-    block_grid: np.ndarray
-    scores: np.ndarray
 
 
 def _float_model(weights: np.ndarray, bias: float) -> np.ndarray:
@@ -155,23 +146,6 @@ def reference_bands(frame: Frame) -> Iterator[tuple]:
         return r0, m, lo, hist, max(r0 - 1, 0), blocks
 
     return map(band, range(0, rows, BAND_CELL_ROWS))
-
-
-def reference_run(frame: Frame, weights: np.ndarray | None = None,
-                  bias: float = 0.0) -> ReferenceRun:
-    """reference_bands composed into whole grids. A cell grid smaller than
-    2x2 raises GeometryError; scores are computed only if weights are given:
-    then a float model _float_model rejects raises ValueError before any
-    stage runs, and a frame smaller than one window raises GeometryError."""
-    wmat = None if weights is None else _float_model(weights, bias)
-    bands = [band[3:] for band in reference_bands(frame)]   # (hist, b0, blocks): no pixels
-    scores = np.zeros((0, 0), dtype=np.float64)
-    if wmat is not None:
-        scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, bias)
-        for _, b0, blocks in bands:
-            window_sums(block_dots(blocks, wmat), scores, b0)
-    hists, _, blocks = zip(*bands)
-    return ReferenceRun(np.concatenate(hists), np.concatenate(blocks), scores)
 
 
 @dataclass

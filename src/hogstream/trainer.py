@@ -15,8 +15,9 @@ recorded on the returned model.
 Since no labeled pedestrian corpus ships with the package, make_synthetic_set
 renders a separable stand-in: bar-silhouette positives against textured-noise
 negatives, one window (SAMPLE_W x SAMPLE_H = svm.WINDOW_W x WINDOW_H) each.
-A sample's feature is the exact block grid of its frame, which for a
-one-window frame is the window feature in C order.
+A sample's feature is the float path's block grid of its frame, the blocks
+of oracle.reference_bands concatenated band by band, which for a one-window
+frame is the window feature in C order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, fx_quantize, quantize_array
 from .normalize import BLOCK_VALUES
-from .oracle import reference_run
+from .oracle import reference_bands
 from .stream import Frame, GeometryError
 from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, WINDOW_H, WINDOW_W,
                   SvmModel, text_lines)
@@ -197,7 +198,8 @@ def make_synthetic_set(
 
 
 def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[Sample]:
-    """Extract exact window features (the float path) for one-window frames."""
+    """Extract exact window features (the float path's blocks, see
+    oracle.reference_bands) for one-window frames."""
     out = []
     for frame, label in zip(frames, labels):
         if frame.width != SAMPLE_W or frame.height != SAMPLE_H:
@@ -205,7 +207,8 @@ def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[
                 f"training frames must be {SAMPLE_W}x{SAMPLE_H}, "
                 f"got {frame.width}x{frame.height}"
             )
-        features = reference_run(frame).block_grid.reshape(WINDOW_FEATURES)
+        blocks = [band[5] for band in reference_bands(frame)]
+        features = np.concatenate(blocks).reshape(WINDOW_FEATURES)
         out.append(Sample(features=features, label=int(label)))
     return out
 

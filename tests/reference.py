@@ -1,6 +1,7 @@
 """Reference implementations that only the tests compare against.
 
 Per-pixel and per-window float references for the oracle's whole-frame path,
+the oracle's bands composed into whole grids and scored (reference_run),
 the saturated scalar magnitude, the scalar requantization, the int32
 central-difference gradients and their table index (the reference for
 gradient_index, and the way tests index synthetic gradient grids),
@@ -24,10 +25,11 @@ from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, sat
 from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
                                 magnitude_approx_raw)
 from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
-from hogstream.oracle import EPSILON
+from hogstream.oracle import EPSILON, _float_model, reference_bands
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
                               StreamProtocolError)
-from hogstream.svm import WINDOW_FEATURES, ScoreAccumulator, ScoreMap, SvmModel
+from hogstream.svm import (WINDOW_FEATURES, ScoreAccumulator, ScoreMap, SvmModel, anchor_grid,
+                           block_dots, window_sums)
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,34 @@ def oracle_block_normalize(cell_hists: np.ndarray, eps: float = EPSILON) -> np.n
     f_l2 = f / math.sqrt(float(np.dot(f, f)) + eps * eps)
     f_th = np.minimum(f_l2, CLIP_THRESHOLD)
     return f_th / math.sqrt(float(np.dot(f_th, f_th)) + eps * eps)
+
+
+@dataclass
+class ReferenceRun:
+    """The float path's cell histograms and block features of one frame, and
+    its window scores if a float model was given (else an empty array)."""
+
+    hist_grid: np.ndarray
+    block_grid: np.ndarray
+    scores: np.ndarray
+
+
+def reference_run(frame: Frame, weights: np.ndarray | None = None,
+                  bias: float = 0.0) -> ReferenceRun:
+    """oracle.reference_bands composed into whole grids. A cell grid smaller
+    than 2x2 raises GeometryError; scores are computed only if weights are
+    given: then a float model oracle._float_model rejects raises ValueError
+    before any stage runs, and a frame smaller than one window raises
+    GeometryError."""
+    wmat = None if weights is None else _float_model(weights, bias)
+    bands = [band[3:] for band in reference_bands(frame)]   # (hist, b0, blocks): no pixels
+    scores = np.zeros((0, 0), dtype=np.float64)
+    if wmat is not None:
+        scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, bias)
+        for _, b0, blocks in bands:
+            window_sums(block_dots(blocks, wmat), scores, b0)
+    hists, _, blocks = zip(*bands)
+    return ReferenceRun(np.concatenate(hists), np.concatenate(blocks), scores)
 
 
 def oracle_score(features: np.ndarray, weights: np.ndarray, bias: float) -> float:

@@ -28,7 +28,7 @@ from hogstream.fixedpoint import DEFAULT_PROFILE, SaturationStats
 from hogstream.gradient import binned_field, binned_stream, magnitude_approx_raw
 from hogstream.histogram import accumulate_cells
 from hogstream.normalize import block_stream, fast_inv_sqrt_field, normalize_block
-from hogstream.oracle import compare_paths, reference_run
+from hogstream.oracle import compare_paths
 from hogstream.stream import CELL, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, save_model, score_windows
 from hogstream.trainer import (
@@ -37,7 +37,7 @@ from hogstream.trainer import (
     samples_from_frames,
     train,
 )
-from reference import save_pgm, score_grid
+from reference import reference_run, save_pgm, score_grid
 
 
 def _check(name: str, condition: bool, detail: str = "") -> None:

@@ -45,8 +45,9 @@ def test_split_truncates_once():
 
 def test_accumulate_cells_checks_each_lane():
     # a lane's bin_lo must be in 0..8 (9 would index past the bins and -1
-    # would wrap to bin 8) and its magnitude must not be negative
-    for lane in ((0, 9), (0, -1), (-16, 0)):
+    # would wrap to bin 8), its magnitude must not be negative, and both
+    # must be integers (a float once raised TypeError from >> or the index)
+    for lane in ((0, 9), (0, -1), (-16, 0), (5.0, 0), (4, 1.0), (None, 0)):
         pkts = [[lane] + [(0, 0)] * 7] + [[(0, 0)] * 8 for _ in range(7)]
         with pytest.raises(ValueError, match=re.escape(f"got {lane}")):
             list(accumulate_cells(pkts, width=8))

@@ -20,9 +20,8 @@ from hogstream.normalize import (
     _cell_sq_sum,
     normalize_block,
 )
-from hogstream.oracle import reference_run
 from hogstream.stream import Frame, GeometryError
-from reference import oracle_block_normalize
+from reference import oracle_block_normalize, reference_run
 
 HIST_FMT = DEFAULT_PROFILE.histogram_value
 OUT_FMT = DEFAULT_PROFILE.final_feature
@@ -196,6 +195,17 @@ def test_feature_layout_order():
 def test_block_stream_checks_the_bin_count():
     with pytest.raises(ValueError, match=re.escape("cell (0,0) has 8 bins")):
         list(block_stream(iter([cell([0] * 8)]), cell_cols=2))
+
+
+def test_normalize_block_checks_its_group():
+    # a 3-cell group once returned 27 values, and a negative sum failed
+    # inside fast_inv_sqrt with its own message
+    ((r, c, cells, sq),) = block_stream(grid_cells(one_hot_grid()), cell_cols=2)
+    for bad in ((r, c, cells[:3], sq), (r, c, (*cells[:3], cells[3][:8]), sq),
+                (r, c, cells, -5), (r, c, cells, float(sq))):
+        with pytest.raises(ValueError, match=re.escape("block (0,0) needs 4 cells of 9 bins")):
+            normalize_block(bad)
+    assert len(normalize_block((r, c, cells, sq))[2]) == BLOCK_VALUES
 
 
 def test_grid_matches_stream_path():

@@ -17,7 +17,6 @@ from hogstream.oracle import (
     _pixel_table,
     compare_paths,
     reference_bands,
-    reference_run,
 )
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES, block_dots, window_sums
@@ -29,6 +28,7 @@ from reference import (
     oracle_cell_histogram,
     oracle_gradient,
     oracle_score,
+    reference_run,
     table_index,
 )
 

@@ -18,11 +18,11 @@ from hogstream.gradient import binned_field, binned_stream, gradient_index
 from hogstream.histogram import accumulate_cells, cell_histogram_grid
 from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
                                  normalize_block)
-from hogstream.oracle import ErrorReport, _interp_weights, compare_paths, reference_run
+from hogstream.oracle import ErrorReport, _interp_weights, compare_paths
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_windows
 from hogstream.trainer import FloatModel, quantize_model
-from reference import gradient_field, score_grid
+from reference import gradient_field, reference_run, score_grid
 
 
 def streaming_scores(frame, model, ppc, stats=None, profile=DEFAULT_PROFILE):
@@ -141,13 +141,14 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
     frame = Frame.from_array(rng.integers(0, 256, size=(cell_rows * 8, 64), dtype=np.uint8))
     model = SvmModel(weights_raw=rng.integers(-1023, 1024, size=(15, 7, 36)),
                      bias_raw=int(rng.integers(-(1 << 20), 1 << 20)))
-    run = run_pipeline(frame, model, profile)
-    assert run.stats[stage] > 0
+    s_run = SaturationStats()
+    run = run_pipeline(frame, model, profile, s_run)
+    assert s_run[stage] > 0
 
     s_stream = SaturationStats()
     sm = streaming_scores(frame, model, 8, stats=s_stream, profile=profile)
     assert np.array_equal(sm.scores_raw, run.score_map.scores_raw)
-    assert s_stream.counts == run.stats.counts
+    assert s_stream.counts == s_run.counts
 
     s_bands = SaturationStats()
     bands = list(block_bands(frame, profile, s_bands, {}))
@@ -159,7 +160,7 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
     scores = score_grid(grids[-1], model, s_grid, profile.final_feature)
     for got, want in [*zip(banded, grids), (run.score_map.scores_raw, scores.scores_raw)]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert s_grid.counts == s_bands.counts == run.stats.counts
+    assert s_grid.counts == s_bands.counts == s_run.counts
 
 
 @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, NARROW_MAGNITUDE],
@@ -215,6 +216,7 @@ def test_flat_frame_saturates_both_inverse_square_roots_on_both_paths():
     model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0)
     s_stream = SaturationStats()
     sm = streaming_scores(frame, model, 8, stats=s_stream, profile=profile)
-    run = run_pipeline(frame, model, profile)
+    s_run = SaturationStats()
+    run = run_pipeline(frame, model, profile, s_run)
     assert np.array_equal(sm.scores_raw, run.score_map.scores_raw)
-    assert run.stats.counts == s_stream.counts == {"inv_sqrt1": 105, "inv_sqrt2": 105}
+    assert s_run.counts == s_stream.counts == {"inv_sqrt1": 105, "inv_sqrt2": 105}

@@ -184,6 +184,21 @@ def test_samples_from_frames_geometry():
         samples_from_frames([bad], [1])
 
 
+def test_sample_features_are_the_float_windows():
+    # a sample's features are its window's float blocks in C order: block
+    # (r, c) of the 15x7 grid, then its 36 values
+    from reference import oracle_block_normalize, oracle_cell_histogram
+
+    frames, labels = make_synthetic_set(1, seed=13)
+    for frame, sample in zip(frames, samples_from_frames(frames, labels)):
+        hist = np.array([[oracle_cell_histogram(frame, r, c) for c in range(8)]
+                         for r in range(16)])
+        want = np.concatenate([
+            oracle_block_normalize(hist[[r, r + 1, r, r + 1], [c, c, c + 1, c + 1]])
+            for r in range(15) for c in range(7)])
+        assert np.allclose(sample.features, want, rtol=1e-12, atol=1e-15)
+
+
 def test_synthetic_training_smoke():
     frames, labels = make_synthetic_set(12, seed=11)
     samples = samples_from_frames(frames, labels)
