@@ -148,10 +148,13 @@ def binned_stream(
 # array path, gathered from a table of the scalar ops above
 
 
-def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None) -> np.ndarray:
+def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Flat intp index into _pixel_table of each pixel of rows y0..y1 (the
     whole frame by default): (gx + G) * (2G + 1) + gy + G, G = GRADIENT_MAX,
     linear in the four neighbours, so formed from them with no gradient array.
+    It is written to ``out``, an intp array of the rows' shape, if one is
+    given.
 
     A band reads a one-row halo above and below it from the frame; edges are
     replicated only at the frame's own borders, so any split into bands gives
@@ -165,7 +168,7 @@ def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None) -> np
     halo = (int(y0 == 0), int(y1 == h))   # rows the frame itself cannot supply
     p = np.pad(pixels[max(y0 - 1, 0) : y1 + 1], (halo, (1, 1)), mode="edge")
     n = 2 * GRADIENT_MAX + 1
-    idx = np.subtract(p[1:-1, 2:], p[1:-1, :-2], dtype=np.intp)
+    idx = np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=out, dtype=np.intp)
     idx *= n
     idx += p[2:, 1:-1]
     idx -= p[:-2, 1:-1]
@@ -227,17 +230,19 @@ def binned_field(
     idx: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.gradient_magnitude,
     stats: SaturationStats | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array form of binned_stream at gradient_index's indices: (saturated
-    magnitude raws int32, bin_lo uint8). Every pixel is one gather from
-    _packed_table, so magnitude_approx_raw and orient_bin_pair stay the only
-    definition of the arithmetic, and the clipped pixels are one count.
+    magnitude raws int32, bin_lo uint8), written to ``out``, two arrays of
+    those dtypes and idx's shape, if it is given. Every pixel is one gather
+    from _packed_table, so magnitude_approx_raw and orient_bin_pair stay the
+    only definition of the arithmetic, and the clipped pixels are one count.
     """
     table, clipped_from = _packed_table(fmt)
-    entry = np.take(table, idx)
+    entry, lo = (None, None) if out is None else out
+    entry = np.take(table, idx, out=entry)
     if stats is not None:
         stats.record("magnitude", np.count_nonzero(entry >= clipped_from))
-    lo = entry.astype(np.uint8)   # keeps the low 8 bits
-    lo &= _LO_MASK
+    lo = np.bitwise_and(entry, _LO_MASK, out=lo, dtype=np.uint8, casting="unsafe")
     entry >>= _MAG_SHIFT
     return entry, lo

@@ -107,11 +107,13 @@ def accumulate_cells(
 # array path
 
 
-def pixel_slots(bin_lo: np.ndarray) -> np.ndarray:
+def pixel_slots(bin_lo: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Flat index of each pixel's lower bin in the (rows, cols, N_BINS) grid
-    of whole rows of cells: a row part plus a column part, formed per band."""
+    of whole rows of cells: a row part plus a column part, formed per band,
+    written to ``out``, an intp array of bin_lo's shape, if one is given."""
     h, w = bin_lo.shape
-    slot = np.arange(h)[:, None] // CELL * (w // CELL * N_BINS) + np.arange(w) // CELL * N_BINS
+    slot = np.add(np.arange(h)[:, None] // CELL * (w // CELL * N_BINS),
+                  np.arange(w) // CELL * N_BINS, out=out)
     slot += bin_lo
     return slot
 
@@ -121,19 +123,24 @@ def cell_histogram_grid(
     bin_lo: np.ndarray,
     fmt: FxFormat = DEFAULT_PROFILE.histogram_value,
     stats: SaturationStats | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-cell histograms of whole rows of cells; int64 raws, (rows, cols, 9).
 
     Bit-identical to accumulate_cells, saturation counts included. Every
     pixel's pair is (bin_lo, bin_lo + 1 mod 9), so one scatter of the halves
-    onto (cell, bin_lo) gives S, and bin k holds S[k] + S[k - 1].
+    onto (cell, bin_lo) gives S, and bin k holds S[k] + S[k - 1]. The slots
+    and the halves are formed in ``scratch``, an intp and a float64 array of
+    the pixels' shape, if it is given.
     """
     h, w = mag_raw.shape
     if h % CELL or w % CELL:
         raise GeometryError(f"frame {w}x{h} is not a multiple of {CELL}")
+    slots, halves = (None, None) if scratch is None else scratch
     # bincount sums in float64; exact, since magnitude_approx_raw <= 2805
     # under any profile, so a cell sum of halves is below 64 * 1403 < 2**17
-    s = np.bincount(pixel_slots(bin_lo).ravel(), weights=(mag_raw >> 1).ravel(),
+    s = np.bincount(pixel_slots(bin_lo, slots).ravel(),
+                    weights=np.right_shift(mag_raw, 1, out=halves).ravel(),
                     minlength=h * w // (CELL * CELL) * N_BINS)
     lo_sums = s.astype(np.int64).reshape(h // CELL, w // CELL, N_BINS)
     # summing the halves and then widening equals widening each half and then

@@ -6,8 +6,9 @@ the saturated scalar magnitude, the scalar requantization, the int32
 central-difference gradients and their table index (the reference for
 gradient_index, and the way tests index synthetic gradient grids),
 whole-grid window scoring through one ScoreAccumulator, exact IoU, the
-packet-stream decoder and a PGM writer for fixtures. None of them runs in
-the detector, so they live beside the tests, not in the package.
+packet-stream decoder, and for fixtures a PGM writer and the frame heights
+at the array path's band edges. None of them runs in the detector, so they
+live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from hogstream.detector import Detection, _inter_union
+from hogstream.detector import BAND_CELL_ROWS, Detection, _inter_union
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
 from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
                                 magnitude_approx_raw)
@@ -28,6 +29,14 @@ from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
 from hogstream.oracle import EPSILON, _float_model, reference_bands
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
                               StreamProtocolError)
+from hogstream.svm import WINDOW_H
+
+# frame heights in cell rows at the edges of detector.BAND_CELL_ROWS: the
+# fewest whole bands that hold a window, one row more, and a band more plus
+# one and plus three rows (16, 17, 33 and 35 at bands of 16 cell rows)
+_WHOLE_BANDS = -(-WINDOW_H // CELL // BAND_CELL_ROWS) * BAND_CELL_ROWS
+BAND_EDGE_CELL_ROWS = (_WHOLE_BANDS, _WHOLE_BANDS + 1, _WHOLE_BANDS + BAND_CELL_ROWS + 1,
+                       _WHOLE_BANDS + BAND_CELL_ROWS + 3)
 from hogstream.svm import (WINDOW_FEATURES, ScoreAccumulator, ScoreMap, SvmModel, anchor_grid,
                            block_dots, window_sums)
 

@@ -1,5 +1,7 @@
 """Thresholding, exact IoU, greedy NMS, frame-level detection."""
 
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 import hogstream.detector
 from hogstream.detector import (
+    BAND_CELL_ROWS,
     Detection,
     block_bands,
     detect_frame,
@@ -236,11 +239,14 @@ def test_run_pipeline_shapes_and_timers():
     rng = np.random.default_rng(66)
     f = Frame.from_array(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
     run = run_pipeline(f, zero_model())
-    ((r0, mag, lo, hist, b0, blocks),) = block_bands(f, DEFAULT_PROFILE, None, {})
-    assert (r0, b0) == (0, 0)
-    assert mag.shape == lo.shape == (128, 64)
-    assert hist.shape == (16, 8, 9)
-    assert blocks.shape == (15, 7, 36)
+    bands = list(block_bands(f, DEFAULT_PROFILE, None, {}))
+    starts = range(0, 16, BAND_CELL_ROWS)
+    assert [(b[0], b[4]) for b in bands] == [(r0, max(r0 - 1, 0)) for r0 in starts]
+    for (r0, mag, lo, hist, _, blocks), n in zip(bands, (min(16 - r0, BAND_CELL_ROWS)
+                                                         for r0 in starts)):
+        assert mag.shape == lo.shape == (n * 8, 64)
+        assert hist.shape == (n, 8, 9)
+        assert blocks.shape == (n - (r0 == 0), 7, 36)
     assert run.score_map.scores_raw.shape == (1, 1)
     assert set(run.stage_seconds) == {"gradient", "histogram", "normalize", "svm"}
     assert all(t >= 0 for t in run.stage_seconds.values())
@@ -277,6 +283,39 @@ def test_run_pipeline_keeps_nothing_once_its_result_is_dropped():
     finally:
         tracemalloc.stop()
     assert kept < 1 << 20, f"{kept / 2**20:.2f} MiB still allocated"
+
+
+def test_no_band_worker_outlives_its_bands(monkeypatch):
+    # the band worker runs where the process may use two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    f = Frame.from_array(np.random.default_rng(69).integers(
+        0, 256, size=((16 + BAND_CELL_ROWS) * 8, 64), dtype=np.uint8))   # two bands or more
+    model = zero_model()
+    before = threading.active_count()
+    run_pipeline(f, model)
+    assert threading.active_count() == before
+
+    bands = block_bands(f, DEFAULT_PROFILE, None, {})
+    next(bands)
+    assert threading.active_count() == before + 1   # the worker, on band 1
+    del bands   # a consumer that stops after the first band
+    assert threading.active_count() == before
+
+    # a stage that raises on the worker raises in the caller, the worker joined
+    histogram = hogstream.detector.cell_histogram_grid
+    threads = []
+
+    def fail_on_band_1(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise ZeroDivisionError("band 1")
+        return histogram(*args)
+
+    monkeypatch.setattr(hogstream.detector, "cell_histogram_grid", fail_on_band_1)
+    with pytest.raises(ZeroDivisionError, match="band 1"):
+        run_pipeline(f, model)
+    assert threads[1] is not threading.main_thread()
+    assert threading.active_count() == before
 
 
 def test_run_pipeline_rejects_a_model_of_other_formats(tmp_path):

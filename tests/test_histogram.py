@@ -127,7 +127,7 @@ def test_grid_matches_stream():
 
 @pytest.mark.parametrize("fmt", [HIST_FMT, FxFormat(14, 4)], ids=["default", "narrow"])
 def test_grid_matches_stream_across_bands(fmt):
-    # 21 cell rows, more than one 16-row band of run_pipeline, in one scatter;
+    # 21 cell rows, more than one band of run_pipeline, in one scatter;
     # the narrow format saturates, and both paths must count the same events
     rng = np.random.default_rng(35)
     px = rng.integers(0, 256, size=(168, 48), dtype=np.uint8)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hogstream.detector
-from hogstream.detector import run_pipeline
+from hogstream.detector import BAND_CELL_ROWS, run_pipeline
 from hogstream.fixedpoint import FxFormat, PrecisionProfile
 from hogstream.gradient import orient_bin_pair
 from hogstream.normalize import block_cells
@@ -22,6 +22,7 @@ from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES, block_dots, window_sums
 from hogstream.trainer import FloatModel, quantize_model
 from reference import (
+    BAND_EDGE_CELL_ROWS,
     gradient_field,
     oracle_bin_pair,
     oracle_block_normalize,
@@ -126,10 +127,10 @@ def test_interp_theta_45_quarter_split():
     assert np.delete(h, [1, 2]).sum() == 0.0
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (16, 2), (17, 3), (33, 2), (35, 2)])
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), *zip(BAND_EDGE_CELL_ROWS, (2, 3, 2, 2))])
 def test_cell_histogram_mass_conservation(rows, cols):
     # square and non-square grids: the scatter's cell index is row * cols + col;
-    # 16 cell rows or more run over one band or several, the blocks of a band
+    # the band-edge heights run over one band or several, the blocks of a band
     # taking the last cell row of the one before
     rng = np.random.default_rng(71 + rows)
     f = frame_of(rng.integers(0, 256, size=(rows * 8, cols * 8), dtype=np.uint8))
@@ -191,7 +192,7 @@ def test_oracle_score_exact():
         oracle_score(f[:10], w, b)
 
 
-@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+@pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
 def test_reference_scores_match_window_dot(cell_rows):
     rng = np.random.default_rng(75 + cell_rows)
     f = frame_of(rng.integers(0, 256, size=(cell_rows * 8, 80), dtype=np.uint8))
@@ -352,7 +353,7 @@ def band_by_expressions(frame, r0, r1, last):
     return m, lo, hist, blocks
 
 
-@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+@pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
 def test_reference_bands_match_the_per_pixel_expressions(cell_rows):
     rng = np.random.default_rng(83 + cell_rows)
     f = frame_of(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
@@ -360,10 +361,10 @@ def test_reference_bands_match_the_per_pixel_expressions(cell_rows):
     last = np.empty((0, 9, 9))
     scores = np.full((cell_rows - 15, 2), 0.25)   # the anchors of 9 cell columns
     bands = list(reference_bands(f))
-    assert [b[0] for b in bands] == list(range(0, cell_rows, 16))
+    assert [b[0] for b in bands] == list(range(0, cell_rows, BAND_CELL_ROWS))
     for r0, m, lo, hist, b0, blocks in bands:
         want_m, want_lo, want_hist, want_blocks = band_by_expressions(
-            f, r0, min(r0 + 16, cell_rows), last)
+            f, r0, min(r0 + BAND_CELL_ROWS, cell_rows), last)
         last = want_hist[-1:]
         assert np.array_equal(m, want_m)
         assert np.array_equal(lo[m > 0], want_lo[m > 0])

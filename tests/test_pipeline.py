@@ -6,13 +6,18 @@ composition (pack -> context -> binned gradients -> cell histograms -> blocks
 of the final score map for every pixels-per-clock setting.
 """
 
+import os
+import sys
+import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from hogstream.detector import (block_bands, detections_from_scores, detections_to_text,
-                                run_pipeline)
+import hogstream.detector
+from hogstream.detector import (BAND_CELL_ROWS, block_bands, detections_from_scores,
+                                detections_to_text, run_pipeline)
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
 from hogstream.gradient import binned_field, binned_stream, gradient_index
 from hogstream.histogram import accumulate_cells, cell_histogram_grid
@@ -22,7 +27,7 @@ from hogstream.oracle import ErrorReport, _interp_weights, compare_paths
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_windows
 from hogstream.trainer import FloatModel, quantize_model
-from reference import gradient_field, reference_run, score_grid
+from reference import BAND_EDGE_CELL_ROWS, gradient_field, reference_run, score_grid
 
 
 def streaming_scores(frame, model, ppc, stats=None, profile=DEFAULT_PROFILE):
@@ -128,19 +133,29 @@ def whole_grids(frame, profile, stats):
                                          stats)
 
 
-@pytest.mark.parametrize("profile, stage", [
-    (DEFAULT_PROFILE, "magnitude"),
-    (NARROW_PREPARE_NORM, "prepare_norm"),
-    (NARROW_HISTOGRAM, "histogram"),
-], ids=["default", "narrow_prepare_norm", "narrow_histogram"])
-@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
-def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
-    # run_pipeline streams bands of 16 cell rows: one whole band, a band plus
-    # one row, two plus one and two plus three, with saturating cell stages
+def band_edge_case(cell_rows):
+    """A noise frame of cell_rows cell rows and 8 cell columns, and a model."""
     rng = np.random.default_rng(103 + cell_rows)
     frame = Frame.from_array(rng.integers(0, 256, size=(cell_rows * 8, 64), dtype=np.uint8))
     model = SvmModel(weights_raw=rng.integers(-1023, 1024, size=(15, 7, 36)),
                      bias_raw=int(rng.integers(-(1 << 20), 1 << 20)))
+    return frame, model
+
+
+BAND_EDGE_PROFILES = pytest.mark.parametrize("profile, stage", [
+    (DEFAULT_PROFILE, "magnitude"),
+    (NARROW_PREPARE_NORM, "prepare_norm"),
+    (NARROW_HISTOGRAM, "histogram"),
+], ids=["default", "narrow_prepare_norm", "narrow_histogram"])
+
+
+@BAND_EDGE_PROFILES
+@pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
+def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
+    # run_pipeline streams bands of BAND_CELL_ROWS cell rows: whole bands, a
+    # row more, a band and a row more, and a band and three rows more, with
+    # saturating cell stages
+    frame, model = band_edge_case(cell_rows)
     s_run = SaturationStats()
     run = run_pipeline(frame, model, profile, s_run)
     assert s_run[stage] > 0
@@ -152,7 +167,7 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
 
     s_bands = SaturationStats()
     bands = list(block_bands(frame, profile, s_bands, {}))
-    assert [b[0] for b in bands] == list(range(0, cell_rows, 16))
+    assert [b[0] for b in bands] == list(range(0, cell_rows, BAND_CELL_ROWS))
     banded = [np.concatenate([b[i] for b in bands]) for i in (1, 2, 3, 5)]
     score_grid(banded[-1], model, s_bands, profile.final_feature)   # counts the svm stage
     s_grid = SaturationStats()
@@ -163,9 +178,77 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
     assert s_grid.counts == s_bands.counts == s_run.counts
 
 
+def first_histogram_saturation_in_band_1():
+    """Under NARROW_MAGNITUDE, band 0 saturates only its normalize stage:
+    a ramp with gx = 3 gives cells whose bins fit the histogram format but
+    whose blocks overflow prepare_norm. Noise below the first cell row of
+    band 1 then saturates the magnitude and histogram stages."""
+    rng = np.random.default_rng(109)
+    frame = rng.integers(0, 256, size=((2 * BAND_CELL_ROWS + 1) * 8, 64), dtype=np.uint8)
+    frame[: (BAND_CELL_ROWS + 1) * 8 + 1] = np.floor(1.5 * np.arange(64) + 50)
+    model = SvmModel(weights_raw=rng.integers(-1023, 1024, size=(15, 7, 36)), bias_raw=0,
+                     bias_fmt=NARROW_MAGNITUDE.svm_bias)
+    return Frame.from_array(frame), model
+
+
+def worker_and_one_cpu(monkeypatch, frame, model, profile):
+    """Run the frame with the process allowed one CPU, then two: each time
+    run_pipeline's scores and counts, and block_bands' bands and counts. Both
+    sides must be equal, counts in the same key order, and only the second
+    may run a worker thread. Returns the counts of the second run."""
+    sides = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as the interpreter can
+        try:
+            s_run = SaturationStats()
+            scores = run_pipeline(frame, model, profile, s_run).score_map.scores_raw
+            s_bands = SaturationStats()
+            threads = threading.active_count()
+            bands = block_bands(frame, profile, s_bands, {})
+            got = [next(bands)]
+            workers = threading.active_count() - threads
+            got += bands
+        finally:
+            sys.setswitchinterval(interval)
+        sides.append((scores, list(s_run.counts.items()), got,
+                      list(s_bands.counts.items()), workers))
+    one, two = sides
+    assert (one[-1], two[-1]) == (0, 1)
+    assert np.array_equal(one[0], two[0])
+    assert one[1] == two[1] and one[3] == two[3]
+    assert len(one[2]) == len(two[2]) == -(-frame.height // 8 // BAND_CELL_ROWS)
+    for band_one, band_two in zip(one[2], two[2]):
+        for a, b in zip(band_one, band_two):
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+    return dict(two[1])
+
+
+@BAND_EDGE_PROFILES
+@pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
+def test_worker_thread_and_one_cpu_give_the_same_run(monkeypatch, profile, stage, cell_rows):
+    # the band worker runs only where the process may use two CPUs
+    frame, model = band_edge_case(cell_rows)
+    assert worker_and_one_cpu(monkeypatch, frame, model, profile)[stage] > 0
+
+
+def test_worker_thread_keeps_the_key_order_of_one_cpu(monkeypatch):
+    # the histogram stage first saturates in band 1, which the worker
+    # computes while the caller normalizes band 0: band 1's counts must not
+    # overtake band 0's, even where the caller is slow enough for the worker
+    # to finish first
+    frame, model = first_histogram_saturation_in_band_1()
+    energy = hogstream.detector.cell_energy_grid
+    monkeypatch.setattr(hogstream.detector, "cell_energy_grid",
+                        lambda *args: time.sleep(0.02) or energy(*args))
+    counts = worker_and_one_cpu(monkeypatch, frame, model, NARROW_MAGNITUDE)
+    assert list(counts) == ["prepare_norm", "magnitude", "histogram"]
+
+
 @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, NARROW_MAGNITUDE],
                          ids=["default", "narrow_magnitude"])
-@pytest.mark.parametrize("cell_rows", [16, 17, 33, 35])
+@pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
 def test_streamed_compare_matches_whole_grid_report(profile, cell_rows):
     # compare_paths reads the fixed and float bands side by side; its report
     # must be the one the whole grids give
