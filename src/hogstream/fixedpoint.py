@@ -23,7 +23,7 @@ grid stages run vectorized while staying bit-identical to them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,11 @@ MAGNITUDE_FRACTION = 3
 # products one window score sums: 15x7 blocks of 36 values (svm.WINDOW_FEATURES;
 # kept here so that a PrecisionProfile can check its score formats)
 SCORE_TERMS = 3780
+
+# the saturating stages in datapath order, the only labels SaturationStats takes
+SATURATING_STAGES = ("magnitude", "histogram", "prepare_norm", "inv_sqrt1", "norm1",
+                     "inv_sqrt2", "norm2", "svm")
+MAGNITUDE, HISTOGRAM, PREPARE_NORM, INV_SQRT1, NORM1, INV_SQRT2, NORM2, SVM = SATURATING_STAGES
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,10 @@ class FxFormat:
     fraction: int
 
     def __post_init__(self) -> None:
+        for name in ("width", "fraction"):   # Python or numpy ints, kept as ints
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not 1 <= self.width <= 64:
             raise ValueError(f"width must be in 1..64, got {self.width}")
         if not 0 <= self.fraction < self.width:
@@ -93,20 +102,20 @@ class Fx:
 
 
 class SaturationStats:
-    """Counts saturation events per labeled stage.
-
-    Missing stages read as zero, so tests can assert ``stats["svm"] == 0``
-    without caring whether the stage ever reported.
-    """
+    """Counts saturation events per stage of SATURATING_STAGES; a stage that
+    never reported reads as zero, and any other label raises ValueError."""
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
 
     def record(self, stage: str, n: int = 1) -> None:
+        if stage not in SATURATING_STAGES:
+            raise ValueError(f"{stage!r} is not a saturating stage: {SATURATING_STAGES}")
         if n:
             self.counts[stage] = self.counts.get(stage, 0) + int(n)
 
     def __getitem__(self, stage: str) -> int:
+        self.record(stage, 0)   # checks the label and counts nothing
         return self.counts.get(stage, 0)
 
     def __repr__(self) -> str:
@@ -114,7 +123,7 @@ class SaturationStats:
 
 
 def saturate_raw(
-    raw: int, fmt: FxFormat, stats: SaturationStats | None = None, stage: str = "saturate"
+    raw: int, fmt: FxFormat, stats: SaturationStats | None = None, stage: str | None = None
 ) -> int:
     """Clamp a raw integer into the representable range of ``fmt``."""
     if raw > fmt.max_raw:
@@ -133,7 +142,7 @@ def requantize_raws(
     fraction: int,
     fmt: FxFormat,
     stats: SaturationStats | None = None,
-    stage: str = "requantize",
+    stage: str | None = None,
 ) -> list[int]:
     """Move raws carrying ``fraction`` fractional bits into ``fmt``: narrowing
     truncates toward minus infinity (arithmetic shift), widening is exact, and
@@ -159,7 +168,7 @@ def fx_quantize(
     value: float,
     fmt: FxFormat,
     stats: SaturationStats | None = None,
-    stage: str = "quantize",
+    stage: str | None = None,
 ) -> Fx:
     """Encode a real value: floor(value * 2**fraction), then saturate."""
     raw = math.floor(value * fmt.scale)
@@ -174,7 +183,7 @@ def saturate_array(
     raw: np.ndarray,
     fmt: FxFormat,
     stats: SaturationStats | None = None,
-    stage: str = "saturate",
+    stage: str | None = None,
 ) -> np.ndarray:
     """Vector form of saturate_raw; counts every clipped element.
 
@@ -198,7 +207,7 @@ def requantize_array(
     fraction: int,
     fmt: FxFormat,
     stats: SaturationStats | None = None,
-    stage: str = "requantize",
+    stage: str | None = None,
 ) -> np.ndarray:
     """Array form of requantize_raws (arithmetic shifts are floor for int64).
 
@@ -216,7 +225,7 @@ def quantize_array(
     values: np.ndarray,
     fmt: FxFormat,
     stats: SaturationStats | None = None,
-    stage: str = "quantize",
+    stage: str | None = None,
 ) -> np.ndarray:
     """Vector form of fx_quantize: floor then saturate, returns int64 raws.
 
@@ -266,9 +275,9 @@ class PrecisionProfile:
 
     The defaults are the shipped datapath widths; tests pin them, and every
     stage takes its format from here rather than hard-coding widths. Window
-    scores carry ``svm_bias``, the fraction the exact accumulation lands on;
-    score formats that check_score_formats rejects raise ValueError here,
-    before any frame runs.
+    scores carry ``svm_bias``, the fraction the exact accumulation lands on.
+    A field that is not an FxFormat raises TypeError here, and score formats
+    that check_score_formats rejects ValueError, before any frame runs.
     """
 
     gradient_magnitude: FxFormat = field(default=FxFormat(11, 3))
@@ -282,6 +291,9 @@ class PrecisionProfile:
     svm_bias: FxFormat = field(default=FxFormat(33, 19))
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), FxFormat):
+                raise TypeError(f"{f.name} must be an FxFormat, got {getattr(self, f.name)!r}")
         # the histogram widens each halved magnitude into its own fraction
         # with a left shift, which must not be negative
         if self.gradient_magnitude.fraction != MAGNITUDE_FRACTION:

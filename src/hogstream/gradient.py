@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats
+from .fixedpoint import DEFAULT_PROFILE, MAGNITUDE, FxFormat, SaturationStats
 
 # Bin indices are plain ints 0..8. The hardware's 4-bit bin-number field is
 # unsigned: 8 exceeds the signed 4-bit maximum.
@@ -140,7 +140,7 @@ def binned_stream(
                 clipped += 1
             out.append((m, orient_bin_pair(gx, gy)[0]))
         if clipped and stats is not None:
-            stats.record("magnitude", clipped)
+            stats.record(MAGNITUDE, clipped)
         yield tuple(out)
 
 
@@ -242,7 +242,7 @@ def binned_field(
     entry, lo = (None, None) if out is None else out
     entry = np.take(table, idx, out=entry)
     if stats is not None:
-        stats.record("magnitude", np.count_nonzero(entry >= clipped_from))
+        stats.record(MAGNITUDE, np.count_nonzero(entry >= clipped_from))
     lo = np.bitwise_and(entry, _LO_MASK, out=lo, dtype=np.uint8, casting="unsafe")
     entry >>= _MAG_SHIFT
     return entry, lo

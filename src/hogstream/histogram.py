@@ -28,8 +28,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fixedpoint import (DEFAULT_PROFILE, MAGNITUDE_FRACTION, FxFormat, SaturationStats,
-                         requantize_raws, saturate_array)
+from .fixedpoint import (DEFAULT_PROFILE, HISTOGRAM, MAGNITUDE_FRACTION, FxFormat,
+                         SaturationStats, requantize_raws, saturate_array)
 from .gradient import N_BINS
 from .stream import CELL, VALID_PPC, GeometryError, StreamProtocolError
 
@@ -91,7 +91,7 @@ def accumulate_cells(
                 raise _lane_error(px, y, m, lo) from None
             if last_row and px % CELL == CELL - 1:
                 yield (y // CELL, col,
-                       tuple(requantize_raws(bins, fmt.fraction, fmt, stats, "histogram")))
+                       tuple(requantize_raws(bins, fmt.fraction, fmt, stats, HISTOGRAM)))
                 acc[col] = [0] * N_BINS
         x += ppc
         if x == width:
@@ -146,4 +146,4 @@ def cell_histogram_grid(
     # summing the halves and then widening equals widening each half and then
     # summing: the left shift is a multiplication, exact in int64
     grid = (lo_sums + np.roll(lo_sums, 1, axis=2)) << (fmt.fraction - MAGNITUDE_FRACTION)
-    return saturate_array(grid, fmt, stats, "histogram")
+    return saturate_array(grid, fmt, stats, HISTOGRAM)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .fixedpoint import (
     DEFAULT_PROFILE,
+    INV_SQRT1, INV_SQRT2, NORM1, NORM2, PREPARE_NORM,
     PrecisionProfile,
     SaturationStats,
     fx_quantize,
@@ -98,8 +99,8 @@ def _cell_sq_sum(
     fmt = profile.prepare_first_norm
     total = sum(requantize_raws([b * b for b in bins],
                                 2 * profile.histogram_value.fraction, fmt, stats,
-                                "prepare_norm"))
-    return saturate_raw(total, fmt, stats, "prepare_norm")
+                                PREPARE_NORM))
+    return saturate_raw(total, fmt, stats, PREPARE_NORM)
 
 
 def block_stream(
@@ -144,7 +145,7 @@ def block_stream(
                 raise GeometryError(f"cell ({r},{c}) arrived before its block neighbors")
             yield (r - 1, c - 1, (tl[0], bl[0], tr[0], br[0]),
                    saturate_raw(tl[1] + bl[1] + tr[1] + br[1],
-                                profile.prepare_first_norm, stats, "prepare_norm"))
+                                profile.prepare_first_norm, stats, PREPARE_NORM))
     if rows_seen < 2 or cell_cols < 2:
         raise GeometryError(
             f"cell grid {rows_seen}x{cell_cols} is too small to form a block"
@@ -179,10 +180,10 @@ def normalize_block(
 
     # eps2 = one raw LSB of the squared-sum accumulator
     x1 = (block_sq_sum + 1) / prep_fmt.scale
-    n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, "inv_sqrt1").raw
+    n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, INV_SQRT1).raw
 
     f_l2 = requantize_raws([b * n1 for bins in cells for b in bins],
-                           hist_fraction + n1_fmt.fraction, f1_fmt, stats, "norm1")
+                           hist_fraction + n1_fmt.fraction, f1_fmt, stats, NORM1)
 
     clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
     f_th = [min(v, clip_raw) for v in f_l2]
@@ -190,10 +191,10 @@ def normalize_block(
     # squared clipped features summed exactly at twice the feature fraction
     sq_fraction = 2 * f1_fmt.fraction
     s2 = sum(v * v for v in f_th) + 1   # + one raw LSB
-    n2 = fx_quantize(fast_inv_sqrt(s2 / (1 << sq_fraction)), n2_fmt, stats, "inv_sqrt2").raw
+    n2 = fx_quantize(fast_inv_sqrt(s2 / (1 << sq_fraction)), n2_fmt, stats, INV_SQRT2).raw
 
     values = tuple(requantize_raws([v * n2 for v in f_th], f1_fmt.fraction + n2_fmt.fraction,
-                                   out_fmt, stats, "norm2"))
+                                   out_fmt, stats, NORM2))
     return block_row, block_col, values
 
 
@@ -218,8 +219,8 @@ def cell_energy_grid(hist_grid: np.ndarray, profile: PrecisionProfile = DEFAULT_
     prepare_first_norm; int64, (rows, cols)."""
     h = hist_grid.astype(np.int64, copy=False)
     sq = requantize_array(h * h, 2 * profile.histogram_value.fraction,
-                          profile.prepare_first_norm, stats, "prepare_norm")
-    return saturate_array(sq.sum(axis=2), profile.prepare_first_norm, stats, "prepare_norm")
+                          profile.prepare_first_norm, stats, PREPARE_NORM)
+    return saturate_array(sq.sum(axis=2), profile.prepare_first_norm, stats, PREPARE_NORM)
 
 
 def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
@@ -232,9 +233,9 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
 
     e = cell_energy
     block_sq = saturate_array(e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:],
-                              prep_fmt, stats, "prepare_norm")
+                              prep_fmt, stats, PREPARE_NORM)
     x1 = (block_sq + 1) / prep_fmt.scale
-    n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, "inv_sqrt1")
+    n1 = quantize_array(fast_inv_sqrt_field(x1), n1_fmt, stats, INV_SQRT1)
 
     # both products are formed in place in the fresh block cells, and no
     # name holds a block-sized array past its last use, so a band's blocks
@@ -242,13 +243,13 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
     f_l2 = block_cells(hist_grid.astype(np.int64, copy=False))
     f_l2 *= n1[:, :, None]
     f_l2 = requantize_array(f_l2, profile.histogram_value.fraction + n1_fmt.fraction,
-                            f1_fmt, stats, "norm1")
+                            f1_fmt, stats, NORM1)
     f_th = np.minimum(f_l2, fx_quantize(CLIP_THRESHOLD, f1_fmt).raw, out=f_l2)
 
     s2 = np.einsum("ijk,ijk->ij", f_th, f_th) + 1
     x2 = s2 / (1 << (2 * f1_fmt.fraction))
-    n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, "inv_sqrt2")
+    n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, INV_SQRT2)
 
     f_th *= n2[:, :, None]
     return requantize_array(f_th, f1_fmt.fraction + n2_fmt.fraction,
-                            profile.final_feature, stats, "norm2")
+                            profile.final_feature, stats, NORM2)

@@ -37,6 +37,7 @@ import numpy as np
 from .fixedpoint import (
     DEFAULT_PROFILE,
     FxFormat,
+    SVM,
     PrecisionProfile,
     SaturationStats,
     check_score_formats,
@@ -204,7 +205,7 @@ class ScoreAccumulator:
         the last block row has been added, GeometryError."""
         if self.due < self.grid[0]:
             raise GeometryError(f"scores asked after {self.due} of {self.grid[0]} block rows")
-        raw = saturate_array(self.sums.astype(np.int64), self.bias_fmt, stats, "svm")
+        raw = saturate_array(self.sums.astype(np.int64), self.bias_fmt, stats, SVM)
         return ScoreMap(scores_raw=raw, fmt=self.bias_fmt)
 
 

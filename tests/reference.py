@@ -22,7 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from hogstream.detector import BAND_CELL_ROWS, Detection, _inter_union
-from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
+from hogstream.fixedpoint import (DEFAULT_PROFILE, MAGNITUDE, FxFormat, SaturationStats,
+                                  saturate_raw)
 from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
                                 magnitude_approx_raw)
 from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
@@ -72,7 +73,7 @@ def magnitude_approx(
 ) -> int:
     """Shift-add magnitude raw, saturated into the magnitude format by the
     scalar saturate_raw: what binned_stream emits for one pixel."""
-    return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, "magnitude")
+    return saturate_raw(magnitude_approx_raw(gx, gy), fmt, stats, MAGNITUDE)
 
 
 def gradient_field(pixels: np.ndarray, y0: int = 0,
@@ -107,7 +108,7 @@ def requantize_raw(
     fraction: int,
     fmt: FxFormat,
     stats: SaturationStats | None = None,
-    stage: str = "requantize",
+    stage: str | None = None,
 ) -> int:
     """Move one raw carrying ``fraction`` fractional bits into ``fmt``: the
     scalar definition that requantize_raws and requantize_array must match.

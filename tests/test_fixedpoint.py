@@ -11,6 +11,13 @@ from hypothesis import strategies as st
 
 from hogstream.fixedpoint import (
     DEFAULT_PROFILE,
+    HISTOGRAM,
+    INV_SQRT1,
+    MAGNITUDE,
+    NORM1,
+    NORM2,
+    SATURATING_STAGES,
+    SVM,
     Fx,
     FxFormat,
     PrecisionProfile,
@@ -42,6 +49,13 @@ def test_format_validation():
         FxFormat(8, 8)  # fraction must leave room for the sign bit
     with pytest.raises(ValueError):
         FxFormat(65, 2)
+    for width, fraction in [(10.5, 3), (10, 3.0), ("10", 3), (None, 0)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            FxFormat(width, fraction)
+    # numpy integers are taken, as Python ints: a numpy width wrapped max_raw
+    f = FxFormat(np.int64(64), np.uint8(3))
+    assert f == FxFormat(64, 3) and type(f.width) is int and type(f.fraction) is int
+    assert (f.min_raw, f.max_raw) == (-(1 << 63), (1 << 63) - 1)
 
 
 def test_fx_range_checked():
@@ -59,12 +73,36 @@ def test_quantize_examples():
 
 def test_quantize_saturation_counted():
     stats = SaturationStats()
-    fx_quantize(1000.0, F11_3, stats, "mag")
-    fx_quantize(-1000.0, F11_3, stats, "mag")
-    fx_quantize(1.0, F11_3, stats, "mag")
-    assert stats["mag"] == 2
-    assert stats["other"] == 0
+    fx_quantize(1000.0, F11_3, stats, MAGNITUDE)
+    fx_quantize(-1000.0, F11_3, stats, MAGNITUDE)
+    fx_quantize(1.0, F11_3, stats, MAGNITUDE)
+    assert stats[MAGNITUDE] == 2
+    assert stats[SVM] == 0
     assert sum(stats.counts.values()) == 2
+
+
+@pytest.mark.parametrize("label", ["nrom1", "mag", "saturate", "requantize", "quantize", None])
+def test_saturation_stats_reject_a_label_outside_the_table(label):
+    # a misspelt label raises even when nothing clips, on both methods
+    stats = SaturationStats()
+    for read_or_count in (stats.__getitem__, stats.record, lambda s: stats.record(s, 0)):
+        with pytest.raises(ValueError, match="not a saturating stage"):
+            read_or_count(label)
+    assert stats.counts == {} and label not in SATURATING_STAGES
+
+
+def test_saturating_helpers_need_a_stage_to_count():
+    # a helper given a sink but no stage counts nothing it did not clip, and
+    # raises at its first count
+    stats = SaturationStats()
+    assert saturate_raw(5, F11_3, stats) == 5
+    assert saturate_array(np.array([5]), F11_3, stats).tolist() == [5]
+    for clip in (lambda: saturate_raw(F11_3.max_raw + 1, F11_3, stats),
+                 lambda: requantize_raws([1 << 20], 3, F11_3, stats),
+                 lambda: quantize_array(np.array([0.0]), F11_3, stats)):
+        with pytest.raises(ValueError, match="not a saturating stage"):
+            clip()
+    assert stats.counts == {}
 
 
 def test_mul_example():
@@ -180,8 +218,8 @@ def test_quantize_array_saturates_beyond_int64_like_scalar(fmt, value):
     # floor(value * scale) can lie beyond the int64 range, where a float -> int64
     # cast is undefined; both forms must saturate to the same end and count it
     array_stats, scalar_stats = SaturationStats(), SaturationStats()
-    got = quantize_array(np.array([value, 0.0]), fmt, array_stats, "q")
-    want = fx_quantize(value, fmt, scalar_stats, "q").raw
+    got = quantize_array(np.array([value, 0.0]), fmt, array_stats, INV_SQRT1)
+    want = fx_quantize(value, fmt, scalar_stats, INV_SQRT1).raw
     assert got.tolist() == [want, 0]
     assert array_stats.counts == scalar_stats.counts
 
@@ -214,8 +252,8 @@ def raw_lists(draw):
 def test_requantize_raws_matches_scalar(case):
     raws, fraction, fmt = case
     list_stats, scalar_stats = SaturationStats(), SaturationStats()
-    got = requantize_raws(list(raws), fraction, fmt, list_stats, "q")
-    want = [requantize_raw(r, fraction, fmt, scalar_stats, "q") for r in raws]
+    got = requantize_raws(list(raws), fraction, fmt, list_stats, NORM1)
+    want = [requantize_raw(r, fraction, fmt, scalar_stats, NORM1) for r in raws]
     assert got == want
     assert list_stats.counts == scalar_stats.counts
 
@@ -226,14 +264,14 @@ def test_requantize_raws_returns_an_unclipped_list_as_is():
     assert requantize_raws(raws, F10_9.fraction, F10_9, stats) is raws
     assert requantize_raws([], 12, F10_9, stats) == []
     assert stats.counts == {}
-    assert requantize_raws([4096, -4096, 4], 11, F10_9, stats, "x") == [511, -512, 1]
-    assert stats.counts == {"x": 2}
+    assert requantize_raws([4096, -4096, 4], 11, F10_9, stats, NORM2) == [511, -512, 1]
+    assert stats.counts == {NORM2: 2}
 
 
 def test_array_saturation_counts():
     stats = SaturationStats()
-    saturate_array(np.array([10**6, -(10**6), 0]), F11_3, stats, "x")
-    assert stats["x"] == 2
+    saturate_array(np.array([10**6, -(10**6), 0]), F11_3, stats, SVM)
+    assert stats[SVM] == 2
 
 
 # in range, at each bound, beyond each, mixed, and empty; each case both as
@@ -249,10 +287,10 @@ def test_array_saturation_matches_the_clip_path(raws, fraction):
     # raws sit at ``fraction``, so at 3 and 5 requantize meets each bound exactly
     arr = np.array(raws, dtype=np.int64) << max(fraction - F11_3.fraction, 0)
     array_stats, scalar_stats = SaturationStats(), SaturationStats()
-    assert (saturate_array(arr.copy(), F11_3, array_stats, "sat").tolist()
-            == [saturate_raw(int(r), F11_3, scalar_stats, "sat") for r in arr])
-    assert (requantize_array(arr.copy(), fraction, F11_3, array_stats, "req").tolist()
-            == [requantize_raw(int(r), fraction, F11_3, scalar_stats, "req") for r in arr])
+    assert (saturate_array(arr.copy(), F11_3, array_stats, HISTOGRAM).tolist()
+            == [saturate_raw(int(r), F11_3, scalar_stats, HISTOGRAM) for r in arr])
+    assert (requantize_array(arr.copy(), fraction, F11_3, array_stats, NORM2).tolist()
+            == [requantize_raw(int(r), fraction, F11_3, scalar_stats, NORM2) for r in arr])
     assert array_stats.counts == scalar_stats.counts
 
 
@@ -263,8 +301,8 @@ def test_saturate_array_returns_an_unclipped_array_as_is():
     assert requantize_array(inside, F11_3.fraction, F11_3, stats) is inside
     assert stats.counts == {}
     over = np.array([F11_3.max_raw + 1, 0])
-    assert saturate_array(over, F11_3, stats, "x") is not over
-    assert over.tolist() == [F11_3.max_raw + 1, 0] and stats.counts == {"x": 1}
+    assert saturate_array(over, F11_3, stats, SVM) is not over
+    assert over.tolist() == [F11_3.max_raw + 1, 0] and stats.counts == {SVM: 1}
 
 
 def test_profile_stage_formats():
@@ -296,3 +334,8 @@ def test_profile_rejects_formats_the_datapath_cannot_honour():
     with pytest.raises(ValueError, match="fewer fractional bits"):
         PrecisionProfile(histogram_value=FxFormat(18, 2))
     PrecisionProfile(gradient_magnitude=FxFormat(14, 3), histogram_value=FxFormat(18, 3))
+    # a (width, fraction) pair would otherwise fail deep in a stage kernel
+    for f in dataclasses.fields(PrecisionProfile):
+        fmt = getattr(DEFAULT_PROFILE, f.name)
+        with pytest.raises(TypeError, match=f"^{f.name} must be an FxFormat"):
+            PrecisionProfile(**{f.name: (fmt.width, fmt.fraction)})

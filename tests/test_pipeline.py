@@ -18,7 +18,8 @@ import pytest
 import hogstream.detector
 from hogstream.detector import (BAND_CELL_ROWS, block_bands, detections_from_scores,
                                 detections_to_text, run_pipeline)
-from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile, SaturationStats
+from hogstream.fixedpoint import (DEFAULT_PROFILE, SATURATING_STAGES, FxFormat, PrecisionProfile,
+                                  SaturationStats)
 from hogstream.gradient import binned_field, binned_stream, gradient_index
 from hogstream.histogram import accumulate_cells, cell_histogram_grid
 from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
@@ -74,12 +75,16 @@ def test_streaming_detection_text_invariant():
     assert len(texts) == 1
 
 
-def check_saturation_stats_match(profile):
+ZERO_WEIGHTS = np.zeros((15, 7, 36), dtype=np.int64)
+
+
+def check_saturation_stats_match(profile, stages, weights=ZERO_WEIGHTS):
     # saturation event counts agree between the two paths on a frame that
-    # actually saturates the magnitude stage (full-range noise does)
+    # actually saturates the magnitude stage (full-range noise does), and
+    # exactly ``stages`` fire, in datapath order
     rng = np.random.default_rng(102)
     frame = Frame.from_array(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
-    model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0,
+    model = SvmModel(weights_raw=weights, bias_raw=0,
                      coeff_fmt=profile.svm_coefficient, bias_fmt=profile.svm_bias)
 
     s_stream = SaturationStats()
@@ -88,17 +93,13 @@ def check_saturation_stats_match(profile):
     s_vec = SaturationStats()
     ref = run_pipeline(frame, model, profile, stats=s_vec)
 
-    assert s_stream["magnitude"] == s_vec["magnitude"] > 0
-    assert s_stream["norm1"] == s_vec["norm1"]
-    assert s_stream["norm2"] == s_vec["norm2"]
-    assert s_stream["svm"] == s_vec["svm"] == 0
+    assert tuple(stage for stage in SATURATING_STAGES if s_vec[stage]) == stages
     assert np.array_equal(sm.scores_raw, ref.score_map.scores_raw)
     assert s_stream.counts == s_vec.counts
-    return s_vec
 
 
 def test_streaming_saturation_stats_match():
-    check_saturation_stats_match(DEFAULT_PROFILE)
+    check_saturation_stats_match(DEFAULT_PROFILE, ("magnitude",))
 
 
 # narrow block-energy accumulator: saturates prepare_norm on noise
@@ -112,17 +113,21 @@ NARROW_MAGNITUDE = PrecisionProfile(
     prepare_first_norm=FxFormat(20, 4), first_inv_sqrt=FxFormat(12, 11),
     feature_after_first_norm=FxFormat(8, 7), second_inv_sqrt=FxFormat(10, 8),
     final_feature=FxFormat(8, 7), svm_bias=FxFormat(33, 17))
+# narrow window scores, within 4 of 0: a model of random coefficients
+# saturates the one window of a 128x64 noise frame
+NARROW_SVM_BIAS = PrecisionProfile(svm_bias=FxFormat(22, 19))
 
 
-@pytest.mark.parametrize("profile, stages", [
-    (NARROW_PREPARE_NORM, ("prepare_norm",)),
-    (NARROW_HISTOGRAM, ("histogram",)),
-    (NARROW_MAGNITUDE, ("magnitude", "histogram", "prepare_norm")),
-], ids=["narrow_prepare_norm", "narrow_histogram", "narrow_magnitude"])
-def test_streaming_saturation_stats_match_narrow_profile(profile, stages):
+@pytest.mark.parametrize("profile, weights, stages", [
+    (NARROW_PREPARE_NORM, ZERO_WEIGHTS, ("magnitude", "prepare_norm", "norm1")),
+    (NARROW_HISTOGRAM, ZERO_WEIGHTS, ("magnitude", "histogram")),
+    (NARROW_MAGNITUDE, ZERO_WEIGHTS, ("magnitude", "histogram", "prepare_norm")),
+    (NARROW_SVM_BIAS, np.random.default_rng(104).integers(-1023, 1024, size=(15, 7, 36)),
+     ("magnitude", "svm")),
+], ids=["narrow_prepare_norm", "narrow_histogram", "narrow_magnitude", "narrow_svm_bias"])
+def test_streaming_saturation_stats_match_narrow_profile(profile, weights, stages):
     # each stage saturates every value it writes at most once, on both paths
-    counts = check_saturation_stats_match(profile)
-    assert all(counts[stage] > 0 for stage in stages)
+    check_saturation_stats_match(profile, stages, weights)
 
 
 def whole_grids(frame, profile, stats):
