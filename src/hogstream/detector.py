@@ -5,19 +5,16 @@ window whose score strictly exceeds the threshold, in raster anchor order.
 run_pipeline rejects a frame smaller than one svm.WINDOW_W x WINDOW_H window.
 
 As the datapath's line buffers do, the array path streams the frame in bands
-of BAND_CELL_ROWS cell rows. cell_bands and block_bands hold the one band
-loop; run_pipeline adds the SVM, the CLI's dump writes each band as it
-comes, and oracle.compare_paths reads each beside the float path's band of
-the same rows. As the datapath runs its stages at once, each on other rows,
-one worker thread runs the next band's gradient and histogram stages while
-the caller takes this band on through the later stages, where the process
-may use more than one CPU. Each stage saturates and counts only the values
-the band owns, so every value is counted once and every grid equals the
-whole-grid composition of the same stage functions. No pixels-per-clock
-setting applies: the packet-level stream ops produce bit-identical values at
-every ppc (the tests assert the equivalence), as every per-pixel op is
-pointwise and histogram accumulation is exact integer addition, hence
-order-free.
+of BAND_CELL_ROWS cell rows through band_loop, the one band loop, and as the
+datapath runs its stages at once, each on other rows, one worker thread runs
+the next band's pixel stage while the caller takes this band on. cell_bands
+and block_bands are the fixed path's stages over it; the oracle's run over
+it too. Each stage saturates and counts only the values the band owns, so
+every value is counted once and every grid equals the whole-grid
+composition of the same stage functions. No pixels-per-clock setting
+applies: the packet-level stream ops produce bit-identical values at every
+ppc (the tests assert the equivalence), as every per-pixel op is pointwise
+and histogram accumulation is exact integer addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
@@ -42,13 +39,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, SaturationStats
-from .gradient import N_BINS, binned_field, gradient_index
+from .gradient import binned_field, gradient_index
 from .histogram import cell_histogram_grid
 from .normalize import block_cells, block_features, cell_energy_grid
 from .stream import CELL, Frame, GeometryError
 from .svm import WINDOW_H, WINDOW_W, ScoreAccumulator, ScoreMap, SvmModel
 
-# cell rows per band of the array path (the depth of its line buffers), and of the oracle's
+# cell rows per band of band_loop (the depth of the array path's line buffers)
 BAND_CELL_ROWS = 8
 
 
@@ -66,13 +63,10 @@ class Detection:
 @dataclass
 class PipelineRun:
     """The window scores of one frame, its profile and stage seconds: no band
-    of intermediates outlives the SVM (see block_bands). Saturation counts go
-    to the SaturationStats the caller passes to run_pipeline.
-
-    stage_seconds holds each stage's busy time over the frame. The gradient
-    and histogram stages run on the band worker beside the normalize and
-    svm stages (see cell_bands), so the four can add up to more than the
-    frame took."""
+    of intermediates outlives the SVM. Saturation counts go to the
+    SaturationStats the caller passes to run_pipeline. stage_seconds holds
+    each stage's busy time, which overlap on the band worker (see band_loop),
+    so the four can add up to more than the frame took."""
 
     score_map: ScoreMap
     profile: PrecisionProfile
@@ -105,74 +99,96 @@ def _one_ahead(fn: Callable, items: Iterable) -> Iterator:
             del done   # the consumer is done with it
 
 
-def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
-               times: dict[str, float]) -> Iterator[tuple]:
-    """The gradient and histogram stages, band by band of cell rows: yields
-    (r0, mag, lo, hist) per band, r0 its first cell row, and adds each stage's
-    seconds to ``times``. It is a map, as block_bands is, so no name holds a
-    band while the consumer runs.
+def band_loop(frame: Frame, buffers: Callable, pixel_stage: Callable,
+              block_stage: Callable | None = None) -> Iterator:
+    """The one band loop. The caller's thread allocates each band's arrays,
+    buffers(r0, h) for the h pixel rows from cell row r0, and pixel_stage
+    fills them, on one worker thread one band ahead (_one_ahead) where the
+    process may use more than one CPU. The bands reach the caller in band
+    order, and block_stage(band, carried) maps each there: carried(*grids)
+    puts the previous band's last cell row above each of the band's cell
+    grids. With a block stage, a cell grid smaller than 2x2 raises
+    GeometryError before any stage runs."""
+    rows, cols = frame.height // CELL, frame.width // CELL
+    bands = (buffers(r0, (min(r0 + BAND_CELL_ROWS, rows) - r0) * CELL)
+             for r0 in range(0, rows, BAND_CELL_ROWS))
+    filled = (_one_ahead if _spare_cpu() else map)(pixel_stage, bands)
+    if block_stage is None:
+        return filled
+    block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block
+    last: list[np.ndarray] = []
 
-    Where the process may use more than one CPU, one worker thread computes
-    the next band while the consumer holds this one (_one_ahead). The
-    caller's thread allocates each band's arrays, and the stages only fill
-    them. Each band counts its saturations and seconds apart, and the
-    caller's thread adds them to ``stats`` and ``times`` as it takes the
-    band, in band order, so both get the keys, values and key order of a run
-    on one thread; the seconds are each stage's busy time, which overlap.
-    """
-    rows, width = frame.height // CELL, frame.width
+    def carried(*grids: np.ndarray) -> list[np.ndarray]:
+        out = [np.concatenate(pair) for pair in zip(last, grids)] if last else grids
+        last[:] = [g[-1:].copy() for g in grids]
+        return out
 
-    def buffers(r0: int) -> tuple:
-        h = (min(r0 + BAND_CELL_ROWS, rows) - r0) * CELL
-        # the index, which the slots overwrite once it is read, the
-        # magnitudes, the bins and the halves
-        return r0, *(np.empty((h, width), t) for t in (np.intp, np.int32, np.uint8, np.float64))
+    return map(lambda band: block_stage(band, carried), filled)
+
+
+def cell_stages(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
+                times: dict[str, float]) -> tuple[Callable, Callable, Callable]:
+    """The fixed path's buffers and pixel stage for band_loop, and the
+    hand-over of each filled band on the caller's thread. The buffers are
+    (r0, idx, mag, lo, (slots, halves)), the slots over the index. The pixel
+    stage counts its saturations and seconds apart, and the hand-over adds
+    them to ``stats`` and ``times`` in band order, so both get the keys,
+    values and key order of a run on one thread."""
+    width = frame.width
+
+    def buffers(r0: int, h: int) -> tuple:
+        idx, halves = np.empty((h, width), np.intp), np.empty((h, width))
+        return (r0, idx, np.empty((h, width), np.int32), np.empty((h, width), np.uint8),
+                (idx, halves))
 
     def cells(band: tuple) -> tuple:
-        r0, idx, mag, lo, halves = band
+        r0, idx, mag, lo, scratch = band
         band_stats = None if stats is None else SaturationStats()
         t0 = time.perf_counter()
         gradient_index(frame.pixels, r0 * CELL, r0 * CELL + len(idx), out=idx)
         binned_field(idx, profile.gradient_magnitude, band_stats, out=(mag, lo))
         t1 = time.perf_counter()
-        hist = cell_histogram_grid(mag, lo, profile.histogram_value, band_stats, (idx, halves))
-        band_times = {"gradient": t1 - t0, "histogram": time.perf_counter() - t1}
-        return (r0, mag, lo, hist), band_stats, band_times
+        hist = cell_histogram_grid(mag, lo, profile.histogram_value, band_stats, scratch)
+        return (r0, mag, lo, hist), band_stats, (t1 - t0, time.perf_counter() - t1)
 
     def hand_over(done: tuple) -> tuple:
-        band, band_stats, band_times = done
+        band, band_stats, seconds = done
         if stats is not None:
             for stage, n in band_stats.counts.items():
                 stats.record(stage, n)
-        for stage, t in band_times.items():
+        for stage, t in zip(("gradient", "histogram"), seconds):
             times[stage] = times.get(stage, 0.0) + t
         return band
 
-    bands = map(buffers, range(0, rows, BAND_CELL_ROWS))
-    return map(hand_over, (_one_ahead if _spare_cpu() else map)(cells, bands))
+    return buffers, cells, hand_over
+
+
+def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
+               times: dict[str, float]) -> Iterator[tuple]:
+    """The gradient and histogram stages, band by band of cell rows: yields
+    (r0, mag, lo, hist) per band, r0 its first cell row, and adds each stage's
+    seconds, its busy time, to ``times``. It is a map, as block_bands is, so
+    no name holds a band while the consumer runs."""
+    buffers, cells, hand_over = cell_stages(frame, profile, stats, times)
+    return map(hand_over, band_loop(frame, buffers, cells))
 
 
 def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
                 times: dict[str, float]) -> Iterator[tuple]:
     """cell_bands plus the normalize stage: yields (r0, mag, lo, hist, b0,
     blocks) per band, b0 its first block row. Its blocks also take the
-    previous band's last cell row, whose histograms and energies are carried.
-    A cell grid smaller than 2x2 raises GeometryError before any stage runs."""
-    rows, cols = frame.height // CELL, frame.width // CELL
-    block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block
-    last = [np.empty((0, cols, N_BINS), np.int64), np.empty((0, cols), np.int64)]
+    previous band's last cell row of histograms and energies. A cell grid
+    smaller than 2x2 raises GeometryError before any stage runs."""
+    buffers, cells, hand_over = cell_stages(frame, profile, stats, times)
 
-    def blocks(band: tuple) -> tuple:
-        hist = band[3]
+    def blocks(done: tuple, carried: Callable) -> tuple:
+        r0, _, _, hist = band = hand_over(done)
         t0 = time.perf_counter()
-        energy = cell_energy_grid(hist, profile, stats)
-        out = block_features(np.concatenate((last[0], hist)), np.concatenate((last[1], energy)),
-                             profile, stats)
-        last[:] = hist[-1:].copy(), energy[-1:].copy()
+        out = block_features(*carried(hist, cell_energy_grid(hist, profile, stats)), profile, stats)
         times["normalize"] = times.get("normalize", 0.0) + time.perf_counter() - t0
-        return (*band, max(band[0] - 1, 0), out)
+        return (*band, max(r0 - 1, 0), out)
 
-    return map(blocks, cell_bands(frame, profile, stats, times))
+    return band_loop(frame, buffers, cells, blocks)
 
 
 def window_scorer(frame: Frame, model: SvmModel, profile: PrecisionProfile) -> ScoreAccumulator:

@@ -4,8 +4,8 @@ The oracle recomputes every stage the honest way: Euclidean magnitude,
 atan2 orientation in [0, 180), bilinear interpolation between the two
 adjacent bin centers (20 degrees apart), exact L2-hys normalization with
 epsilon = 1e-6 under the square roots, and exact dot-product scoring. It
-shares only layout with the fixed-point path (the bands of
-detector.BAND_CELL_ROWS cell rows, the per-pixel table index
+shares only layout with the fixed-point path (the band loop
+detector.band_loop, the per-pixel table index
 gradient.gradient_index, the (cell, bin) slots histogram.pixel_slots, the
 block layout normalize.block_cells, the dot layout svm.block_dots, the
 window sum svm.window_sums) and none of its arithmetic, so differences
@@ -23,30 +23,32 @@ share. Per-pixel, per-block and per-window references that only tests
 compare against, and the whole-grid composition of the bands, live in
 tests/reference.py.
 
-reference_bands runs the float path over the fixed path's bands; the
+The float path is two stages over detector.band_loop, as the fixed path is:
+a pixel stage (_float_cells), on the band worker where there is one, and a
+block stage (_float_blocks). reference_bands runs them alone, and the
 trainer reads its blocks as sample features. compare_paths, the one place
-that scores windows in float, reads one fixed pass (detector.block_bands)
-and the float bands side by side with a quantized model and its float
-source, and reports per-stage error statistics plus the classification
-disagreement rate, serialized as a flat key-value text block.
+that scores windows in float, runs both paths' stages in one band loop with
+a quantized model and its float source, and reports per-stage error
+statistics plus the classification disagreement rate, serialized as a flat
+key-value text block.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 # run_pipeline is not called here; it stays bound for perfbench, whose tracer
 # reaches it through this module
-from .detector import (BAND_CELL_ROWS, PipelineRun, block_bands, run_pipeline,  # noqa: F401
+from .detector import (PipelineRun, band_loop, cell_stages, run_pipeline,  # noqa: F401
                        window_scorer)
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
 from .gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS, gradient_index
 from .histogram import CELL, pixel_slots
-from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells
+from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells, block_features, cell_energy_grid
 from .stream import Frame, GeometryError
 from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, SvmModel, anchor_grid,
                   block_dots, threshold_raw, window_sums)
@@ -106,46 +108,65 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m.ravel(), lo.ravel(), frac.ravel()
 
 
-def reference_bands(frame: Frame) -> Iterator[tuple]:
-    """The float path over detector.block_bands' bands, yielding as it does
-    (r0, m, lo, hist, b0, blocks): m the magnitudes and lo the lower bins
-    (arbitrary where m is 0) of the band's pixels. A cell grid smaller than
-    2x2 raises GeometryError before any stage runs."""
-    rows, cols = frame.height // CELL, frame.width // CELL
-    block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block
-    last = [np.empty((0, cols, N_BINS))]   # the previous band's last cell row
+def _float_cells(idx: np.ndarray) -> tuple:
+    """The float path's pixel stage at gradient_index's indices ``idx``: the
+    magnitudes m and the lower bins lo (arbitrary where m is 0) of the
+    pixels, and the histograms of their cells. The slots overwrite idx once
+    the gathers have read it."""
     m_table, lo_table, frac_table = _pixel_table()
+    m, lo, frac = np.take(m_table, idx), np.take(lo_table, idx), np.take(frac_table, idx)
 
-    def band(r0: int) -> tuple:
-        r1 = min(r0 + BAND_CELL_ROWS, rows)
-        idx = gradient_index(frame.pixels, r0 * CELL, r1 * CELL)
-        m, lo, frac = np.take(m_table, idx), np.take(lo_table, idx), np.take(frac_table, idx)
-        del idx   # one band-sized array fewer while the shares are formed
+    # scatter the two shares of each pixel, m * (1 - frac) and m * frac, onto
+    # its cell's bins lo and lo + 1 mod 9. Both scatter onto (cell, lo), and
+    # the upper sums then move up one bin, as in the fixed path: bincount
+    # adds each slot's weights in pixel order, so a sum at lo moved to lo + 1
+    # equals the sum scattered at lo + 1
+    w = 1.0 - frac
+    w *= m
+    frac *= m
+    slot = pixel_slots(lo, idx).ravel()
+    shape = (idx.shape[0] // CELL, idx.shape[1] // CELL, N_BINS)
+    n = shape[0] * shape[1] * N_BINS
+    hist = np.bincount(slot, weights=w.ravel(), minlength=n).reshape(shape)
+    hist += np.roll(np.bincount(slot, weights=frac.ravel(), minlength=n).reshape(shape), 1,
+                    axis=2)
+    return m, lo, hist
 
-        # scatter the two shares of each pixel, m * (1 - frac) and m * frac,
-        # onto its cell's bins lo and lo + 1 mod 9. Both scatter onto (cell,
-        # lo), and the upper sums then move up one bin, as in the fixed path:
-        # bincount adds each slot's weights in pixel order, so a sum at lo
-        # moved to lo + 1 equals the sum scattered at lo + 1
-        w = 1.0 - frac
-        w *= m
-        frac *= m
-        slot = pixel_slots(lo).ravel()
-        shape, n = (r1 - r0, cols, N_BINS), (r1 - r0) * cols * N_BINS
-        hist = np.bincount(slot, weights=w.ravel(), minlength=n).reshape(shape)
-        hist += np.roll(np.bincount(slot, weights=frac.ravel(), minlength=n).reshape(shape), 1,
-                        axis=2)
 
-        f4 = block_cells(np.concatenate((last[0], hist)))
-        last[0] = hist[-1:]
-        sq = (f4 * f4).sum(axis=2)
-        f_l2 = f4 / np.sqrt(sq + EPSILON * EPSILON)[:, :, None]
-        f_th = np.minimum(f_l2, CLIP_THRESHOLD)
-        sq2 = (f_th * f_th).sum(axis=2)
-        blocks = f_th / np.sqrt(sq2 + EPSILON * EPSILON)[:, :, None]
-        return r0, m, lo, hist, max(r0 - 1, 0), blocks
+def _float_blocks(hist: np.ndarray) -> np.ndarray:
+    """The float path's block stage: exact L2-hys blocks of whole rows of cells."""
+    f4 = block_cells(hist)
+    sq = (f4 * f4).sum(axis=2)
+    f_l2 = f4 / np.sqrt(sq + EPSILON * EPSILON)[:, :, None]
+    f_th = np.minimum(f_l2, CLIP_THRESHOLD)
+    sq2 = (f_th * f_th).sum(axis=2)
+    return f_th / np.sqrt(sq2 + EPSILON * EPSILON)[:, :, None]
 
-    return map(band, range(0, rows, BAND_CELL_ROWS))
+
+def reference_bands(frame: Frame) -> Iterator[tuple]:
+    """The float path's two stages over detector.band_loop, yielding as
+    block_bands does (r0, m, lo, hist, b0, blocks): m the magnitudes and lo
+    the lower bins (arbitrary where m is 0) of the band's pixels. A cell
+    grid smaller than 2x2 raises GeometryError before any stage runs."""
+    width = frame.width
+
+    def cells(band: tuple) -> tuple:
+        r0, idx = band
+        gradient_index(frame.pixels, r0 * CELL, r0 * CELL + len(idx), out=idx)
+        return (r0, *_float_cells(idx))
+
+    def blocks(band: tuple, carried: Callable) -> tuple:
+        return (*band, max(band[0] - 1, 0), _float_blocks(*carried(band[3])))
+
+    return band_loop(frame, lambda r0, h: (r0, np.empty((h, width), np.intp)), cells, blocks)
+
+
+def _abs_err(raws: np.ndarray, scale: float, ref: np.ndarray) -> tuple[float, float, int]:
+    """The largest, the sum and the count of |raws / scale - ref|."""
+    d = raws / scale
+    d -= ref
+    np.abs(d, out=d)
+    return float(d.max()), float(d.sum()), d.size
 
 
 @dataclass
@@ -189,11 +210,10 @@ def compare_paths(
     ``fixed_run`` (run under ``profile``, else ValueError; on a frame of this
     shape, else GeometryError), the frame and the model (see
     detector.window_scorer), and the threshold (finite, see
-    svm.threshold_raw). One block_bands pass and reference_bands are read
-    side by side, band by band, and the fixed scores come from that same
-    pass's blocks. A given ``fixed_run`` is checked against them: a score
-    that differs, as from another frame or another model, raises ValueError
-    naming the first such anchor.
+    svm.threshold_raw). One band loop runs both paths from one gradient
+    index per band, and the fixed scores come from its blocks. A given
+    ``fixed_run`` whose scores differ, as from another frame or another
+    model, raises ValueError naming the first such anchor.
     """
     wmat = _float_model(float_weights, float_bias)
     if fixed_run is not None and fixed_run.profile != profile:
@@ -206,36 +226,38 @@ def compare_paths(
                                 f"{frame.width}x{frame.height}")
     scorer = window_scorer(frame, model, profile)
     thr = threshold_raw(threshold, profile.svm_bias)   # the format of either score map
-
-    # per ErrorReport stage: the largest, the sum and the count of |fixed - float|
-    errs = {"magnitude": [0.0, 0.0, 0], "block_feature": [0.0, 0.0, 0], "score": [0.0, 0.0, 0]}
-
-    def tally(stage: str, err: np.ndarray) -> None:
-        t = errs[stage]
-        t[:] = max(t[0], float(err.max())), t[1] + float(err.sum()), t[2] + err.size
-
     scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, float_bias)
+    buffers, fixed_cells, _ = cell_stages(frame, profile, None, {})
 
-    def band(fixed: tuple, ref: tuple) -> tuple[int, int]:
-        """Tally one band of both paths; returns its counts of pixels that
-        carry mass and of those whose bin pairs differ."""
-        (_, mag, lo, _, b0, blocks), (_, m, ref_lo, _, _, ref_blocks) = fixed, ref
-        d = mag / profile.gradient_magnitude.scale
-        d -= m
-        tally("magnitude", np.abs(d, out=d))
-        d = blocks / profile.final_feature.scale
-        d -= ref_blocks
-        tally("block_feature", np.abs(d, out=d))
-        window_sums(block_dots(ref_blocks, wmat), scores, b0)
-        scorer.add(blocks, b0)
+    def own_slots(r0: int, h: int) -> tuple:   # so the index outlives the fixed histogram
+        *band, (idx, halves) = buffers(r0, h)
+        return (*band, (np.empty_like(idx), halves))
+
+    def cells(band: tuple) -> tuple:
+        """Both paths' pixel stages from the band's one index, and its
+        per-pixel tallies, so no per-pixel array reaches the caller."""
+        (r0, mag, lo, hist), _, _ = fixed_cells(band)
+        m, ref_lo, ref_hist = _float_cells(band[1])   # the index, which own_slots spared
         # both paths pair lo with lo + 1 mod 9, so the pairs differ exactly
         # where the lower bins do
         carrying = m > 0
-        return int(np.count_nonzero(carrying)), int(np.count_nonzero((lo != ref_lo) & carrying))
+        return (r0, hist, ref_hist, _abs_err(mag, profile.gradient_magnitude.scale, m),
+                int(np.count_nonzero(carrying)), int(np.count_nonzero((lo != ref_lo) & carrying)))
 
-    # a map, as block_bands is, so no name holds a band while the next one is computed
-    counts = list(map(band, block_bands(frame, profile, None, {}), reference_bands(frame)))
-    n_carrying, n_differ = (sum(c) for c in zip(*counts))
+    def blocks(band: tuple, carried: Callable) -> tuple:
+        """Score one band of both paths; returns its magnitude and block
+        errors, and its counts of pixels with mass and with other pairs."""
+        r0, hist, ref_hist, magnitude_err, n_carrying, n_differ = band
+        hist, energy, ref_hist = carried(hist, cell_energy_grid(hist, profile, None), ref_hist)
+        fixed, ref = block_features(hist, energy, profile, None), _float_blocks(ref_hist)
+        b0 = max(r0 - 1, 0)
+        window_sums(block_dots(ref, wmat), scores, b0)
+        scorer.add(fixed, b0)
+        return (magnitude_err, _abs_err(fixed, profile.final_feature.scale, ref), n_carrying,
+                n_differ)
+
+    magnitude, block_feature, n_carrying, n_differ = zip(*band_loop(frame, own_slots, cells,
+                                                                    blocks))
     score_map = scorer.scores()
     if fixed_run is not None:
         differ = np.argwhere(fixed_run.score_map.scores_raw != score_map.scores_raw)
@@ -243,8 +265,12 @@ def compare_paths(
             r, c = differ[0].tolist()
             raise ValueError(f"fixed_run's score at anchor ({r}, {c}) is not this frame's "
                              "under this model")
-    tally("score", np.abs(score_map.decode() - scores))
-
+    score = [_abs_err(score_map.scores_raw, score_map.fmt.scale, scores)]
+    # per ErrorReport stage: the largest, the sum and the count of |fixed - float|
+    errs = {stage: (max(e[0] for e in es), sum(e[1] for e in es), sum(e[2] for e in es))
+            for stage, es in (("magnitude", magnitude), ("block_feature", block_feature),
+                              ("score", score))}
+    n_carrying, n_differ = sum(n_carrying), sum(n_differ)
     disagree = int(((score_map.scores_raw > thr) != (scores > threshold)).sum())
     return ErrorReport(
         pixels=errs["magnitude"][2],

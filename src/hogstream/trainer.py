@@ -17,7 +17,8 @@ renders a separable stand-in: bar-silhouette positives against textured-noise
 negatives, one window (SAMPLE_W x SAMPLE_H = svm.WINDOW_W x WINDOW_H) each.
 A sample's feature is the float path's block grid of its frame, the blocks
 of oracle.reference_bands concatenated band by band, which for a one-window
-frame is the window feature in C order.
+frame is the window feature in C order. They run on the detector's band
+loop, the band worker included.
 """
 
 from __future__ import annotations
@@ -199,14 +200,17 @@ def make_synthetic_set(
 
 def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[Sample]:
     """Extract exact window features (the float path's blocks, see
-    oracle.reference_bands) for one-window frames."""
+    oracle.reference_bands) for one-window frames, one label to a frame.
+    Counts that differ raise TrainingError, and a frame of another size
+    GeometryError, before any band runs."""
+    if len(frames) != len(labels):
+        raise TrainingError(f"{len(frames)} frames but {len(labels)} labels")
+    for frame in frames:
+        if frame.width != SAMPLE_W or frame.height != SAMPLE_H:
+            raise GeometryError(f"training frames must be {SAMPLE_W}x{SAMPLE_H}, "
+                                f"got {frame.width}x{frame.height}")
     out = []
     for frame, label in zip(frames, labels):
-        if frame.width != SAMPLE_W or frame.height != SAMPLE_H:
-            raise GeometryError(
-                f"training frames must be {SAMPLE_W}x{SAMPLE_H}, "
-                f"got {frame.width}x{frame.height}"
-            )
         blocks = [band[5] for band in reference_bands(frame)]
         features = np.concatenate(blocks).reshape(WINDOW_FEATURES)
         out.append(Sample(features=features, label=int(label)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hogstream.detector
+import hogstream.oracle
 from hogstream.detector import (
     BAND_CELL_ROWS,
     Detection,
@@ -20,8 +21,9 @@ from hogstream.detector import (
     run_pipeline,
 )
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile
+from hogstream.oracle import compare_paths, reference_bands
 from hogstream.stream import Frame, GeometryError
-from hogstream.svm import ScoreMap, SvmModel, load_model, save_model
+from hogstream.svm import WINDOW_FEATURES, ScoreMap, SvmModel, load_model, save_model
 from reference import iou
 
 SCORE_FMT = DEFAULT_PROFILE.svm_bias
@@ -292,30 +294,57 @@ def test_no_band_worker_outlives_its_bands(monkeypatch):
         0, 256, size=((16 + BAND_CELL_ROWS) * 8, 64), dtype=np.uint8))   # two bands or more
     model = zero_model()
     before = threading.active_count()
-    run_pipeline(f, model)
-    assert threading.active_count() == before
+    # each path over the one band loop: a run of the whole frame, its bands,
+    # and a stage of its pixel stage, which runs on the worker
+    paths = {
+        "run_pipeline": (lambda: run_pipeline(f, model),
+                         lambda: block_bands(f, DEFAULT_PROFILE, None, {}),
+                         (hogstream.detector, "cell_histogram_grid")),
+        "reference_bands": (lambda: list(reference_bands(f)), lambda: reference_bands(f),
+                            (hogstream.oracle, "_float_cells")),
+        "compare_paths": (lambda: compare_paths(f, model, np.zeros(WINDOW_FEATURES), 0.0),
+                          None, (hogstream.oracle, "_float_cells")),
+    }
+    for path, (whole_frame, bands_of, (module, stage)) in paths.items():
+        whole_frame()
+        assert threading.active_count() == before, path
 
-    bands = block_bands(f, DEFAULT_PROFILE, None, {})
-    next(bands)
-    assert threading.active_count() == before + 1   # the worker, on band 1
-    del bands   # a consumer that stops after the first band
-    assert threading.active_count() == before
+        # a consumer that stops after the first band; compare_paths stops
+        # when its block stage raises on the caller
+        if bands_of is None:
+            alive = []
 
-    # a stage that raises on the worker raises in the caller, the worker joined
-    histogram = hogstream.detector.cell_histogram_grid
-    threads = []
+            def stop(*args):
+                alive.append(threading.active_count())
+                raise ZeroDivisionError("band 0")
 
-    def fail_on_band_1(*args):
-        threads.append(threading.current_thread())
-        if len(threads) == 2:
-            raise ZeroDivisionError("band 1")
-        return histogram(*args)
+            with monkeypatch.context() as m:
+                m.setattr(hogstream.oracle, "block_dots", stop)
+                with pytest.raises(ZeroDivisionError, match="band 0"):
+                    whole_frame()
+            assert alive == [before + 1], path   # the worker, on band 1
+        else:
+            bands = bands_of()
+            next(bands)
+            assert threading.active_count() == before + 1, path   # the worker, on band 1
+            del bands
+        assert threading.active_count() == before, path
 
-    monkeypatch.setattr(hogstream.detector, "cell_histogram_grid", fail_on_band_1)
-    with pytest.raises(ZeroDivisionError, match="band 1"):
-        run_pipeline(f, model)
-    assert threads[1] is not threading.main_thread()
-    assert threading.active_count() == before
+        # a stage that raises on the worker raises in the caller, the worker joined
+        threads = []
+
+        def fail_on_band_1(*args, fn=getattr(module, stage)):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise ZeroDivisionError("band 1")
+            return fn(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, stage, fail_on_band_1)
+            with pytest.raises(ZeroDivisionError, match="band 1"):
+                whole_frame()
+        assert threads[1] is not threading.main_thread(), path
+        assert threading.active_count() == before, path
 
 
 def test_run_pipeline_rejects_a_model_of_other_formats(tmp_path):

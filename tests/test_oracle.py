@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hogstream.detector
+import hogstream.oracle
 from hogstream.detector import BAND_CELL_ROWS, run_pipeline
 from hogstream.fixedpoint import FxFormat, PrecisionProfile
 from hogstream.gradient import orient_bin_pair
@@ -276,13 +277,20 @@ def test_compare_paths_holds_one_band_at_a_time():
     assert peak <= 60 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def count_fixed_passes(monkeypatch) -> list:
-    """Record every pass of the fixed path's band loop, detector.cell_bands."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the detector's function ``name``, made in the
+    detector or in the oracle."""
     calls = []
-    cell_bands = hogstream.detector.cell_bands
-    monkeypatch.setattr(hogstream.detector, "cell_bands",
-                        lambda *args: calls.append(args) or cell_bands(*args))
+    fn = getattr(hogstream.detector, name)
+    for module in (hogstream.detector, hogstream.oracle):
+        monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
     return calls
+
+
+def count_fixed_passes(monkeypatch) -> list:
+    """Record every pass over the frame: every run of the one band loop,
+    detector.band_loop."""
+    return count_calls(monkeypatch, "band_loop")
 
 
 def test_compare_paths_checks_the_float_model_before_any_stage(monkeypatch):
@@ -302,15 +310,18 @@ def test_compare_paths_checks_the_float_model_before_any_stage(monkeypatch):
 
 def test_compare_paths_scores_from_its_own_fixed_pass(monkeypatch):
     # without a fixed_run, compare once ran run_pipeline for the scores and a
-    # second fixed pass for the per-pixel values; 17 cell rows make two bands
+    # second fixed pass for the per-pixel values, and the float path formed
+    # its own index of every band; 17 cell rows make three bands
     rng = np.random.default_rng(82)
     f = frame_of(rng.integers(0, 256, size=(136, 72), dtype=np.uint8))
     w = rng.uniform(-0.3, 0.3, WINDOW_FEATURES)
     qm = quantize_model(FloatModel(weights=w, bias=0.1))
     fw, fb = w * qm.scale_applied, 0.1 * qm.scale_applied
     calls = count_fixed_passes(monkeypatch)
+    indices = count_calls(monkeypatch, "gradient_index")
     rep = compare_paths(f, qm, fw, fb, threshold=-0.05)
     assert len(calls) == 1
+    assert len(indices) == -(-17 // BAND_CELL_ROWS)   # both paths read one index per band
     run = run_pipeline(f, qm)
     assert rep == compare_paths(f, qm, fw, fb, threshold=-0.05, fixed_run=run)
     assert rep.anchors == 2 * 2

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import hogstream.detector
+import hogstream.oracle
 from hogstream.detector import (BAND_CELL_ROWS, block_bands, detections_from_scores,
                                 detections_to_text, run_pipeline)
 from hogstream.fixedpoint import (DEFAULT_PROFILE, SATURATING_STAGES, FxFormat, PrecisionProfile,
@@ -27,7 +28,8 @@ from hogstream.normalize import (block_features, block_stream, cell_energy_grid,
 from hogstream.oracle import ErrorReport, _interp_weights, compare_paths
 from hogstream.stream import VALID_PPC, Frame, context_stream, pack_frame
 from hogstream.svm import SvmModel, score_windows
-from hogstream.trainer import FloatModel, quantize_model
+from hogstream.trainer import (FloatModel, make_synthetic_set, quantize_model,
+                               samples_from_frames)
 from reference import BAND_EDGE_CELL_ROWS, gradient_field, reference_run, score_grid
 
 
@@ -254,15 +256,33 @@ def test_worker_thread_keeps_the_key_order_of_one_cpu(monkeypatch):
 @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, NARROW_MAGNITUDE],
                          ids=["default", "narrow_magnitude"])
 @pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
-def test_streamed_compare_matches_whole_grid_report(profile, cell_rows):
-    # compare_paths reads the fixed and float bands side by side; its report
-    # must be the one the whole grids give
+def test_streamed_compare_matches_whole_grid_report(monkeypatch, profile, cell_rows):
+    # compare_paths runs both paths on one band loop; its report must be the
+    # one the whole grids give, byte for byte the same with or without a
+    # fixed_run, on one CPU and with the band worker, and so must the
+    # trainer's float features
     rng = np.random.default_rng(110 + cell_rows)
     frame = Frame.from_array(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
     w = rng.uniform(-0.3, 0.3, 3780)
     model = quantize_model(FloatModel(weights=w, bias=0.1), profile)
     fw, fb = w * model.scale_applied, 0.1 * model.scale_applied
-    report = compare_paths(frame, model, fw, fb, profile=profile)
+    samples, _ = make_synthetic_set(1, seed=cell_rows)
+    float_cells, threads = hogstream.oracle._float_cells, set()
+    monkeypatch.setattr(hogstream.oracle, "_float_cells",
+                        lambda *args: threads.add(threading.current_thread()) or float_cells(*args))
+    texts, features = set(), []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        run = run_pipeline(frame, model, profile)
+        report = compare_paths(frame, model, fw, fb, profile=profile)
+        texts |= {report.to_text(),
+                  compare_paths(frame, model, fw, fb, profile=profile, fixed_run=run).to_text()}
+        features.append([s.features for s in samples_from_frames(samples, [1, -1])])
+        if len(cpus) == 1:
+            assert threads == {threading.main_thread()}
+    assert threads - {threading.main_thread()}   # the worker ran the float path too
+    assert len(texts) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(*features))
 
     mag, lo, _, blocks = whole_grids(frame, profile, None)
     fixed_scores = score_grid(blocks, model, None, profile.final_feature)

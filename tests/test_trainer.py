@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hogstream.trainer
 from hogstream.fixedpoint import DEFAULT_PROFILE
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES
@@ -182,6 +183,18 @@ def test_samples_from_frames_geometry():
     bad = Frame.from_array(np.zeros((128, 72), dtype=np.uint8))
     with pytest.raises(GeometryError):
         samples_from_frames([bad], [1])
+
+
+@pytest.mark.parametrize("n_frames, n_labels", [(4, 1), (1, 4), (0, 1)])
+def test_samples_from_frames_needs_one_label_per_frame(monkeypatch, n_frames, n_labels):
+    # zip once dropped the frames past the last label: 4 frames with 1 label
+    # gave 1 sample
+    frames, labels = make_synthetic_set(2, seed=14)
+    bands = []
+    monkeypatch.setattr(hogstream.trainer, "reference_bands", bands.append)
+    with pytest.raises(TrainingError, match=f"{n_frames} frames but {n_labels} labels"):
+        samples_from_frames(frames[:n_frames], labels[:n_labels])
+    assert bands == []   # before any band runs
 
 
 def test_sample_features_are_the_float_windows():
