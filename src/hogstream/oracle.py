@@ -20,24 +20,24 @@ expressions a band would evaluate per pixel: every value is the one those
 expressions give. The histogram scatters each pixel's two interpolated
 shares onto its cell's bins lo and lo + 1 mod 9, one np.bincount per
 share. Per-pixel, per-block and per-window references that only tests
-compare against, and the whole-grid composition of the bands, live in
+compare against, and a whole-grid run of the two stages, live in
 tests/reference.py.
 
-The float path is two stages over detector.band_loop, as the fixed path is:
-a pixel stage (_float_cells), on the band worker where there is one, and a
-block stage (_float_blocks). reference_bands runs them alone, and the
-trainer reads its blocks as sample features. compare_paths, the one place
-that scores windows in float, runs both paths' stages in one band loop with
-a quantized model and its float source, and reports per-stage error
-statistics plus the classification disagreement rate, serialized as a flat
-key-value text block.
+The float path is two stages: a pixel stage (_float_cells) and a block
+stage (_float_blocks). The trainer calls each once on a whole one-window
+frame for a sample's features. compare_paths, the one place that scores
+windows in float, is the one band loop over them: it runs both paths'
+stages over detector.band_loop, the pixel stages on the band worker where
+there is one, with a quantized model and its float source, and reports
+per-stage error statistics plus the classification disagreement rate,
+serialized as a flat key-value text block.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +46,7 @@ import numpy as np
 from .detector import (PipelineRun, band_loop, cell_stages, run_pipeline,  # noqa: F401
                        window_scorer)
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile
-from .gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS, gradient_index
+from .gradient import BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS
 from .histogram import CELL, pixel_slots
 from .normalize import BLOCK_VALUES, CLIP_THRESHOLD, block_cells, block_features, cell_energy_grid
 from .stream import Frame, GeometryError
@@ -141,24 +141,6 @@ def _float_blocks(hist: np.ndarray) -> np.ndarray:
     f_th = np.minimum(f_l2, CLIP_THRESHOLD)
     sq2 = (f_th * f_th).sum(axis=2)
     return f_th / np.sqrt(sq2 + EPSILON * EPSILON)[:, :, None]
-
-
-def reference_bands(frame: Frame) -> Iterator[tuple]:
-    """The float path's two stages over detector.band_loop, yielding as
-    block_bands does (r0, m, lo, hist, b0, blocks): m the magnitudes and lo
-    the lower bins (arbitrary where m is 0) of the band's pixels. A cell
-    grid smaller than 2x2 raises GeometryError before any stage runs."""
-    width = frame.width
-
-    def cells(band: tuple) -> tuple:
-        r0, idx = band
-        gradient_index(frame.pixels, r0 * CELL, r0 * CELL + len(idx), out=idx)
-        return (r0, *_float_cells(idx))
-
-    def blocks(band: tuple, carried: Callable) -> tuple:
-        return (*band, max(band[0] - 1, 0), _float_blocks(*carried(band[3])))
-
-    return band_loop(frame, lambda r0, h: (r0, np.empty((h, width), np.intp)), cells, blocks)
 
 
 def _abs_err(raws: np.ndarray, scale: float, ref: np.ndarray) -> tuple[float, float, int]:

@@ -106,9 +106,6 @@ class ScoreMap:
     scores_raw: np.ndarray
     fmt: FxFormat = field(default=DEFAULT_PROFILE.svm_bias)
 
-    def decode(self) -> np.ndarray:
-        return self.scores_raw / self.fmt.scale
-
     def above(self, threshold: float) -> np.ndarray:
         """Anchors whose score strictly exceeds the quantized threshold (see
         threshold_raw)."""

@@ -15,10 +15,11 @@ recorded on the returned model.
 Since no labeled pedestrian corpus ships with the package, make_synthetic_set
 renders a separable stand-in: bar-silhouette positives against textured-noise
 negatives, one window (SAMPLE_W x SAMPLE_H = svm.WINDOW_W x WINDOW_H) each.
-A sample's feature is the float path's block grid of its frame, the blocks
-of oracle.reference_bands concatenated band by band, which for a one-window
-frame is the window feature in C order. They run on the detector's band
-loop, the band worker included.
+A sample's feature is the float path's block grid of its frame, which for a
+one-window frame is the window feature in C order: one call of each of the
+oracle's two stages on the whole frame, with no band loop, so no band worker
+starts. Each cell's pixels lie in one band, so the features are those of
+the frame's bands, byte for byte.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, fx_quantize, quantize_array
+from .gradient import gradient_index
 from .normalize import BLOCK_VALUES
-from .oracle import reference_bands
+from .oracle import _float_blocks, _float_cells
 from .stream import Frame, GeometryError
 from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, WINDOW_H, WINDOW_W,
                   SvmModel, text_lines)
@@ -199,10 +201,10 @@ def make_synthetic_set(
 
 
 def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[Sample]:
-    """Extract exact window features (the float path's blocks, see
-    oracle.reference_bands) for one-window frames, one label to a frame.
-    Counts that differ raise TrainingError, and a frame of another size
-    GeometryError, before any band runs."""
+    """Extract exact window features (the float path's blocks) for
+    one-window frames, one label to a frame. Counts that differ raise
+    TrainingError, and a frame of another size GeometryError, before any
+    stage runs."""
     if len(frames) != len(labels):
         raise TrainingError(f"{len(frames)} frames but {len(labels)} labels")
     for frame in frames:
@@ -211,9 +213,8 @@ def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[
                                 f"got {frame.width}x{frame.height}")
     out = []
     for frame, label in zip(frames, labels):
-        blocks = [band[5] for band in reference_bands(frame)]
-        features = np.concatenate(blocks).reshape(WINDOW_FEATURES)
-        out.append(Sample(features=features, label=int(label)))
+        features = _float_blocks(_float_cells(gradient_index(frame.pixels))[2])
+        out.append(Sample(features=features.reshape(WINDOW_FEATURES), label=int(label)))
     return out
 
 

@@ -1,7 +1,7 @@
 """Reference implementations that only the tests compare against.
 
 Per-pixel and per-window float references for the oracle's whole-frame path,
-the oracle's bands composed into whole grids and scored (reference_run),
+the oracle's two stages run once on a whole frame and scored (reference_run),
 the saturated scalar magnitude, the scalar requantization, the int32
 central-difference gradients and their table index (the reference for
 gradient_index, and the way tests index synthetic gradient grids),
@@ -25,9 +25,9 @@ from hogstream.detector import BAND_CELL_ROWS, Detection, _inter_union
 from hogstream.fixedpoint import (DEFAULT_PROFILE, MAGNITUDE, FxFormat, SaturationStats,
                                   saturate_raw)
 from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
-                                magnitude_approx_raw)
+                                gradient_index, magnitude_approx_raw)
 from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
-from hogstream.oracle import EPSILON, _float_model, reference_bands
+from hogstream.oracle import EPSILON, _float_blocks, _float_cells, _float_model
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
                               StreamProtocolError)
 from hogstream.svm import WINDOW_H
@@ -180,20 +180,21 @@ class ReferenceRun:
 
 def reference_run(frame: Frame, weights: np.ndarray | None = None,
                   bias: float = 0.0) -> ReferenceRun:
-    """oracle.reference_bands composed into whole grids. A cell grid smaller
-    than 2x2 raises GeometryError; scores are computed only if weights are
-    given: then a float model oracle._float_model rejects raises ValueError
-    before any stage runs, and a frame smaller than one window raises
-    GeometryError."""
+    """The float path's two stages, each run once on the whole frame with no
+    band loop: the whole-grid reference for the banded compare_paths. A cell
+    grid smaller than 2x2 raises GeometryError; scores are computed only if
+    weights are given: then a float model oracle._float_model rejects raises
+    ValueError before any stage runs, and a frame smaller than one window
+    raises GeometryError. The scores are one matrix product over the whole
+    block grid, so they may differ from a banded run's in their last bits."""
     wmat = None if weights is None else _float_model(weights, bias)
-    bands = [band[3:] for band in reference_bands(frame)]   # (hist, b0, blocks): no pixels
+    hist = _float_cells(gradient_index(frame.pixels))[2]
+    blocks = _float_blocks(hist)
     scores = np.zeros((0, 0), dtype=np.float64)
     if wmat is not None:
-        scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, bias)
-        for _, b0, blocks in bands:
-            window_sums(block_dots(blocks, wmat), scores, b0)
-    hists, _, blocks = zip(*bands)
-    return ReferenceRun(np.concatenate(hists), np.concatenate(blocks), scores)
+        scores = window_sums(block_dots(blocks, wmat),
+                             anchor_grid(blocks.shape[0], blocks.shape[1], bias))
+    return ReferenceRun(hist, blocks, scores)
 
 
 def oracle_score(features: np.ndarray, weights: np.ndarray, bias: float) -> float:

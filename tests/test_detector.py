@@ -21,7 +21,7 @@ from hogstream.detector import (
     run_pipeline,
 )
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile
-from hogstream.oracle import compare_paths, reference_bands
+from hogstream.oracle import compare_paths
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES, ScoreMap, SvmModel, load_model, save_model
 from reference import iou
@@ -300,8 +300,6 @@ def test_no_band_worker_outlives_its_bands(monkeypatch):
         "run_pipeline": (lambda: run_pipeline(f, model),
                          lambda: block_bands(f, DEFAULT_PROFILE, None, {}),
                          (hogstream.detector, "cell_histogram_grid")),
-        "reference_bands": (lambda: list(reference_bands(f)), lambda: reference_bands(f),
-                            (hogstream.oracle, "_float_cells")),
         "compare_paths": (lambda: compare_paths(f, model, np.zeros(WINDOW_FEATURES), 0.0),
                           None, (hogstream.oracle, "_float_cells")),
     }

@@ -11,13 +11,14 @@ import hogstream.detector
 import hogstream.oracle
 from hogstream.detector import BAND_CELL_ROWS, run_pipeline
 from hogstream.fixedpoint import FxFormat, PrecisionProfile
-from hogstream.gradient import orient_bin_pair
+from hogstream.gradient import gradient_index, orient_bin_pair
 from hogstream.normalize import block_cells
 from hogstream.oracle import (
+    _float_blocks,
+    _float_cells,
     _interp_weights,
     _pixel_table,
     compare_paths,
-    reference_bands,
 )
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES, block_dots, window_sums
@@ -279,11 +280,13 @@ def test_compare_paths_holds_one_band_at_a_time():
 
 def count_calls(monkeypatch, name: str) -> list:
     """Record every call of the detector's function ``name``, made in the
-    detector or in the oracle."""
+    detector or in the oracle, where the oracle binds it."""
     calls = []
     fn = getattr(hogstream.detector, name)
     for module in (hogstream.detector, hogstream.oracle):
-        monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name,
+                                lambda *args, **kw: calls.append(args) or fn(*args, **kw))
     return calls
 
 
@@ -365,25 +368,34 @@ def band_by_expressions(frame, r0, r1, last):
 
 
 @pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
-def test_reference_bands_match_the_per_pixel_expressions(cell_rows):
+def test_float_stages_match_the_per_pixel_expressions(cell_rows):
+    # the two stages band by band, as compare_paths runs them, each band's
+    # blocks taking the last cell row of the band before; a whole-grid run
+    # (reference_run, as the trainer runs them) gives the same grids, byte
+    # for byte, and scores that one matrix product may round otherwise
     rng = np.random.default_rng(83 + cell_rows)
     f = frame_of(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
     w = rng.uniform(-0.5, 0.5, WINDOW_FEATURES)
     last = np.empty((0, 9, 9))
     scores = np.full((cell_rows - 15, 2), 0.25)   # the anchors of 9 cell columns
-    bands = list(reference_bands(f))
-    assert [b[0] for b in bands] == list(range(0, cell_rows, BAND_CELL_ROWS))
-    for r0, m, lo, hist, b0, blocks in bands:
-        want_m, want_lo, want_hist, want_blocks = band_by_expressions(
-            f, r0, min(r0 + BAND_CELL_ROWS, cell_rows), last)
-        last = want_hist[-1:]
+    hists, block_grids = [], []
+    for r0 in range(0, cell_rows, BAND_CELL_ROWS):
+        r1 = min(r0 + BAND_CELL_ROWS, cell_rows)
+        m, lo, hist = _float_cells(gradient_index(f.pixels, r0 * 8, r1 * 8))
+        blocks = _float_blocks(np.concatenate((last, hist)))
+        want_m, want_lo, want_hist, want_blocks = band_by_expressions(f, r0, r1, last)
+        last = hist[-1:]
         assert np.array_equal(m, want_m)
         assert np.array_equal(lo[m > 0], want_lo[m > 0])
         assert np.array_equal(hist, want_hist)
         assert np.array_equal(blocks, want_blocks)
-        assert b0 == max(r0 - 1, 0)
-        window_sums(block_dots(want_blocks, w.reshape(105, 36)), scores, b0)
-    assert np.array_equal(reference_run(f, w, 0.25).scores, scores)
+        window_sums(block_dots(blocks, w.reshape(105, 36)), scores, max(r0 - 1, 0))
+        hists.append(hist)
+        block_grids.append(blocks)
+    ref = reference_run(f, w, 0.25)
+    assert np.array_equal(ref.hist_grid, np.concatenate(hists))
+    assert np.array_equal(ref.block_grid, np.concatenate(block_grids))
+    assert ref.scores == pytest.approx(scores, rel=1e-12, abs=1e-12)
 
 
 def test_compare_paths_rejects_a_run_of_another_frame_shape():

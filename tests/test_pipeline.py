@@ -292,7 +292,7 @@ def test_streamed_compare_matches_whole_grid_report(monkeypatch, profile, cell_r
     ref_lo, _ = _interp_weights(np.degrees(np.arctan2(gy, gx)) % 180.0)
     mag_err = np.abs(mag / profile.gradient_magnitude.scale - m)
     blk_err = np.abs(blocks / profile.final_feature.scale - ref.block_grid)
-    score_err = np.abs(fixed_scores.decode() - ref.scores)
+    score_err = np.abs(fixed_scores.scores_raw / fixed_scores.fmt.scale - ref.scores)
     flips = int((fixed_scores.above(0.0) != (ref.scores > 0.0)).sum())
     carrying = m > 0
     want = ErrorReport(
@@ -305,10 +305,13 @@ def test_streamed_compare_matches_whole_grid_report(monkeypatch, profile, cell_r
         score_max_abs_err=float(score_err.max()), score_mean_abs_err=float(score_err.mean()),
         classification_disagreements=flips,
         classification_disagreement_rate=flips / ref.scores.size)
-    means = {"magnitude_mean_abs_err", "block_feature_mean_abs_err", "score_mean_abs_err"}
+    # the means are summed band by band, and the whole-grid scores are one
+    # matrix product, which a BLAS may round otherwise than one per band
+    inexact = {"magnitude_mean_abs_err", "block_feature_mean_abs_err", "score_mean_abs_err",
+               "score_max_abs_err"}
     for name, value in asdict(want).items():
         got = getattr(report, name)
-        if name in means:
+        if name in inexact:
             assert got == pytest.approx(value, rel=1e-12, abs=0), name
         else:
             assert got == value and type(got) is type(value), name

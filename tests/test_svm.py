@@ -18,7 +18,6 @@ from hogstream.svm import (
     WINDOW_FEATURES,
     ModelFormatError,
     ScoreAccumulator,
-    ScoreMap,
     SvmModel,
     load_float_model,
     load_model,
@@ -402,11 +401,6 @@ def test_score_windows_holds_one_block_row():
         tracemalloc.stop()
     assert sm.scores_raw.shape == (rows - 14, cols - 6)
     assert peak <= 4 << 20, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_scoremap_decode():
-    sm = ScoreMap(scores_raw=np.array([[1 << 19]], dtype=np.int64))
-    assert sm.decode()[0, 0] == 1.0
 
 
 def test_quantized_model_roundtrip(tmp_path):

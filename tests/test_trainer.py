@@ -1,8 +1,13 @@
 """Float training loop, model quantization, synthetic corpus, manifests."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+import hogstream.detector
+import hogstream.oracle
 import hogstream.trainer
 from hogstream.fixedpoint import DEFAULT_PROFILE
 from hogstream.stream import Frame, GeometryError
@@ -190,11 +195,27 @@ def test_samples_from_frames_needs_one_label_per_frame(monkeypatch, n_frames, n_
     # zip once dropped the frames past the last label: 4 frames with 1 label
     # gave 1 sample
     frames, labels = make_synthetic_set(2, seed=14)
-    bands = []
-    monkeypatch.setattr(hogstream.trainer, "reference_bands", bands.append)
+    calls = []
+    monkeypatch.setattr(hogstream.trainer, "_float_cells", calls.append)
     with pytest.raises(TrainingError, match=f"{n_frames} frames but {n_labels} labels"):
         samples_from_frames(frames[:n_frames], labels[:n_labels])
-    assert bands == []   # before any band runs
+    assert calls == []   # before any stage runs
+
+
+def test_samples_from_frames_starts_no_band_worker(monkeypatch):
+    # each one-window frame once ran the band loop, whose worker started and
+    # joined a thread per sample where the process may use two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started, loops = [], []
+    start, band_loop = threading.Thread.start, hogstream.detector.band_loop
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    for module in (hogstream.detector, hogstream.oracle):
+        monkeypatch.setattr(module, "band_loop",
+                            lambda *args: loops.append(args) or band_loop(*args))
+    frames, labels = make_synthetic_set(2)
+    assert len(samples_from_frames(frames, labels)) == 4
+    assert started == [] and loops == []
 
 
 def test_sample_features_are_the_float_windows():
