@@ -23,8 +23,8 @@ share. Per-pixel, per-block and per-window references that only tests
 compare against, and a whole-grid run of the two stages, live in
 tests/reference.py.
 
-The float path is two stages: a pixel stage (_float_cells) and a block
-stage (_float_blocks). The trainer calls each once on a whole one-window
+The float path is two stages: a pixel stage (float_cells) and a block
+stage (float_blocks). The trainer calls each once on a whole one-window
 frame for a sample's features. compare_paths, the one place that scores
 windows in float, is the one band loop over them: it runs both paths'
 stages over detector.band_loop, the pixel stages on the band worker where
@@ -108,7 +108,7 @@ def _pixel_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m.ravel(), lo.ravel(), frac.ravel()
 
 
-def _float_cells(idx: np.ndarray) -> tuple:
+def float_cells(idx: np.ndarray) -> tuple:
     """The float path's pixel stage at gradient_index's indices ``idx``: the
     magnitudes m and the lower bins lo (arbitrary where m is 0) of the
     pixels, and the histograms of their cells. The slots overwrite idx once
@@ -133,7 +133,7 @@ def _float_cells(idx: np.ndarray) -> tuple:
     return m, lo, hist
 
 
-def _float_blocks(hist: np.ndarray) -> np.ndarray:
+def float_blocks(hist: np.ndarray) -> np.ndarray:
     """The float path's block stage: exact L2-hys blocks of whole rows of cells."""
     f4 = block_cells(hist)
     sq = (f4 * f4).sum(axis=2)
@@ -219,7 +219,7 @@ def compare_paths(
         """Both paths' pixel stages from the band's one index, and its
         per-pixel tallies, so no per-pixel array reaches the caller."""
         (r0, mag, lo, hist), _, _ = fixed_cells(band)
-        m, ref_lo, ref_hist = _float_cells(band[1])   # the index, which own_slots spared
+        m, ref_lo, ref_hist = float_cells(band[1])   # the index, which own_slots spared
         # both paths pair lo with lo + 1 mod 9, so the pairs differ exactly
         # where the lower bins do
         carrying = m > 0
@@ -231,7 +231,7 @@ def compare_paths(
         errors, and its counts of pixels with mass and with other pairs."""
         r0, hist, ref_hist, magnitude_err, n_carrying, n_differ = band
         hist, energy, ref_hist = carried(hist, cell_energy_grid(hist, profile, None), ref_hist)
-        fixed, ref = block_features(hist, energy, profile, None), _float_blocks(ref_hist)
+        fixed, ref = block_features(hist, energy, profile, None), float_blocks(ref_hist)
         b0 = max(r0 - 1, 0)
         window_sums(block_dots(ref, wmat), scores, b0)
         scorer.add(fixed, b0)

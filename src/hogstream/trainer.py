@@ -34,7 +34,7 @@ import numpy as np
 from .fixedpoint import DEFAULT_PROFILE, PrecisionProfile, fx_quantize, quantize_array
 from .gradient import gradient_index
 from .normalize import BLOCK_VALUES
-from .oracle import _float_blocks, _float_cells
+from .oracle import float_blocks, float_cells
 from .stream import Frame, GeometryError
 from .svm import (WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, WINDOW_FEATURES, WINDOW_H, WINDOW_W,
                   SvmModel, text_lines)
@@ -213,7 +213,7 @@ def samples_from_frames(frames: Sequence[Frame], labels: Sequence[int]) -> list[
                                 f"got {frame.width}x{frame.height}")
     out = []
     for frame, label in zip(frames, labels):
-        features = _float_blocks(_float_cells(gradient_index(frame.pixels))[2])
+        features = float_blocks(float_cells(gradient_index(frame.pixels))[2])
         out.append(Sample(features=features.reshape(WINDOW_FEATURES), label=int(label)))
     return out
 

@@ -27,14 +27,14 @@ from hogstream.fixedpoint import (DEFAULT_PROFILE, MAGNITUDE, FxFormat, Saturati
 from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
                                 gradient_index, magnitude_approx_raw)
 from hogstream.normalize import BLOCK_VALUES, CLIP_THRESHOLD
-from hogstream.oracle import EPSILON, _float_blocks, _float_cells, _float_model
+from hogstream.oracle import EPSILON, float_blocks, float_cells, _float_model
 from hogstream.stream import (CELL, VALID_PPC, Frame, GeometryError, StreamPacket,
                               StreamProtocolError)
 from hogstream.svm import WINDOW_H
 
 # frame heights in cell rows at the edges of detector.BAND_CELL_ROWS: the
 # fewest whole bands that hold a window, one row more, and a band more plus
-# one and plus three rows (16, 17, 33 and 35 at bands of 16 cell rows)
+# one and plus three rows (16, 17, 25 and 27 at bands of 8 cell rows)
 _WHOLE_BANDS = -(-WINDOW_H // CELL // BAND_CELL_ROWS) * BAND_CELL_ROWS
 BAND_EDGE_CELL_ROWS = (_WHOLE_BANDS, _WHOLE_BANDS + 1, _WHOLE_BANDS + BAND_CELL_ROWS + 1,
                        _WHOLE_BANDS + BAND_CELL_ROWS + 3)
@@ -185,15 +185,20 @@ def reference_run(frame: Frame, weights: np.ndarray | None = None,
     grid smaller than 2x2 raises GeometryError; scores are computed only if
     weights are given: then a float model oracle._float_model rejects raises
     ValueError before any stage runs, and a frame smaller than one window
-    raises GeometryError. The scores are one matrix product over the whole
-    block grid, so they may differ from a banded run's in their last bits."""
+    raises GeometryError. The scores are dotted in the block rows of the
+    detector's bands, so each matrix product has the shape compare_paths
+    gives it and rounds as it does."""
     wmat = None if weights is None else _float_model(weights, bias)
-    hist = _float_cells(gradient_index(frame.pixels))[2]
-    blocks = _float_blocks(hist)
+    hist = float_cells(gradient_index(frame.pixels))[2]
+    blocks = float_blocks(hist)
     scores = np.zeros((0, 0), dtype=np.float64)
     if wmat is not None:
-        scores = window_sums(block_dots(blocks, wmat),
-                             anchor_grid(blocks.shape[0], blocks.shape[1], bias))
+        rows = hist.shape[0]
+        scores = anchor_grid(rows - 1, hist.shape[1] - 1, bias)
+        for r0 in range(0, rows, BAND_CELL_ROWS):
+            b0 = max(r0 - 1, 0)
+            window_sums(block_dots(blocks[b0 : min(r0 + BAND_CELL_ROWS, rows) - 1], wmat),
+                        scores, b0)
     return ReferenceRun(hist, blocks, scores)
 
 

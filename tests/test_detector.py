@@ -301,7 +301,7 @@ def test_no_band_worker_outlives_its_bands(monkeypatch):
                          lambda: block_bands(f, DEFAULT_PROFILE, None, {}),
                          (hogstream.detector, "cell_histogram_grid")),
         "compare_paths": (lambda: compare_paths(f, model, np.zeros(WINDOW_FEATURES), 0.0),
-                          None, (hogstream.oracle, "_float_cells")),
+                          None, (hogstream.oracle, "float_cells")),
     }
     for path, (whole_frame, bands_of, (module, stage)) in paths.items():
         whole_frame()

@@ -14,8 +14,8 @@ from hogstream.fixedpoint import FxFormat, PrecisionProfile
 from hogstream.gradient import gradient_index, orient_bin_pair
 from hogstream.normalize import block_cells
 from hogstream.oracle import (
-    _float_blocks,
-    _float_cells,
+    float_blocks,
+    float_cells,
     _interp_weights,
     _pixel_table,
     compare_paths,
@@ -371,8 +371,8 @@ def band_by_expressions(frame, r0, r1, last):
 def test_float_stages_match_the_per_pixel_expressions(cell_rows):
     # the two stages band by band, as compare_paths runs them, each band's
     # blocks taking the last cell row of the band before; a whole-grid run
-    # (reference_run, as the trainer runs them) gives the same grids, byte
-    # for byte, and scores that one matrix product may round otherwise
+    # (reference_run, as the trainer runs them) gives the same grids and
+    # scores, byte for byte
     rng = np.random.default_rng(83 + cell_rows)
     f = frame_of(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
     w = rng.uniform(-0.5, 0.5, WINDOW_FEATURES)
@@ -381,8 +381,8 @@ def test_float_stages_match_the_per_pixel_expressions(cell_rows):
     hists, block_grids = [], []
     for r0 in range(0, cell_rows, BAND_CELL_ROWS):
         r1 = min(r0 + BAND_CELL_ROWS, cell_rows)
-        m, lo, hist = _float_cells(gradient_index(f.pixels, r0 * 8, r1 * 8))
-        blocks = _float_blocks(np.concatenate((last, hist)))
+        m, lo, hist = float_cells(gradient_index(f.pixels, r0 * 8, r1 * 8))
+        blocks = float_blocks(np.concatenate((last, hist)))
         want_m, want_lo, want_hist, want_blocks = band_by_expressions(f, r0, r1, last)
         last = hist[-1:]
         assert np.array_equal(m, want_m)
@@ -395,7 +395,7 @@ def test_float_stages_match_the_per_pixel_expressions(cell_rows):
     ref = reference_run(f, w, 0.25)
     assert np.array_equal(ref.hist_grid, np.concatenate(hists))
     assert np.array_equal(ref.block_grid, np.concatenate(block_grids))
-    assert ref.scores == pytest.approx(scores, rel=1e-12, abs=1e-12)
+    assert np.array_equal(ref.scores, scores)
 
 
 def test_compare_paths_rejects_a_run_of_another_frame_shape():

@@ -196,7 +196,7 @@ def test_samples_from_frames_needs_one_label_per_frame(monkeypatch, n_frames, n_
     # gave 1 sample
     frames, labels = make_synthetic_set(2, seed=14)
     calls = []
-    monkeypatch.setattr(hogstream.trainer, "_float_cells", calls.append)
+    monkeypatch.setattr(hogstream.trainer, "float_cells", calls.append)
     with pytest.raises(TrainingError, match=f"{n_frames} frames but {n_labels} labels"):
         samples_from_frames(frames[:n_frames], labels[:n_labels])
     assert calls == []   # before any stage runs
