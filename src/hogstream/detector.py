@@ -18,10 +18,14 @@ and histogram accumulation is exact integer addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
-threshold. Box geometry is integral, so each IoU test is an exact integer
-cross-multiplication against the threshold's rational value. Kept boxes sit in
-a grid of buckets as large as the largest box, so a candidate is tested only
-against the kept boxes in the buckets it could overlap.
+threshold. Box geometry is integral and below COORD_LIMIT, so each IoU test
+is exact: a float64 ratio of int64 areas decides where it lies more than one
+ulp from the threshold, an integer cross-multiplication against the
+threshold's rational value within. A box's possible overlaps lie in three
+rows of buckets as high as the highest box, so nms forms those candidate
+pairs with numpy, in blocks of NMS_PAIR_BUDGET pairs taken in rank order,
+tests each block's pairs in one pass and loops in Python only over the pairs
+that suppress.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -47,6 +51,14 @@ from .svm import WINDOW_H, WINDOW_W, ScoreAccumulator, ScoreMap, SvmModel
 
 # cell rows per band of band_loop (the depth of the array path's line buffers)
 BAND_CELL_ROWS = 8
+# box coordinates and sizes lie below this magnitude, so that every area and
+# union is exact in int64 and float64 (below 2**53)
+COORD_LIMIT = 1 << 26
+# nms sorts boxes by row * _ROW_KEY + x; every x it keys or looks up lies
+# within +-_ROW_KEY / 2, so the key orders by row, then by x
+_ROW_KEY = 1 << 28
+# candidate pairs per block of nms: bounds its temporaries on a dense set
+NMS_PAIR_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -246,25 +258,65 @@ def detect_frame(
 
 def detections_from_scores(score_map: ScoreMap, threshold: float = 0.0) -> list[Detection]:
     """Threshold a score map with ``ScoreMap.above`` (strict, quantized; a
-    non-finite threshold raises ValueError)."""
-    scale = score_map.fmt.scale
+    non-finite threshold raises ValueError). The raws above it are gathered
+    with one index and divided by the scale in numpy, which equals
+    ``int(raw) / scale`` bit for bit (the scale is a power of two); every
+    field is a Python int or float."""
     rows, cols = np.nonzero(score_map.above(threshold))
-    return [Detection(x=c * CELL, y=r * CELL, w=WINDOW_W, h=WINDOW_H,
-                      score=int(score_map.scores_raw[r, c]) / scale)
-            for r, c in zip(rows.tolist(), cols.tolist())]
+    scores = score_map.scores_raw[rows, cols] / score_map.fmt.scale
+    # positional: a keyword call of the frozen dataclass costs a third more
+    return [Detection(x, y, WINDOW_W, WINDOW_H, s)
+            for x, y, s in zip((cols * CELL).tolist(), (rows * CELL).tolist(), scores.tolist())]
 
 
-def _inter_union(a: Detection, b: Detection) -> tuple[int, int]:
-    """Integer intersection and union areas of two boxes; (0, 0) if disjoint."""
-    # conditional expressions instead of min/max: this is the inner loop of nms
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
-    ax2, ay2, bx2, by2 = ax + a.w, ay + a.h, bx + b.w, by + b.h
-    ix = (ax2 if ax2 < bx2 else bx2) - (ax if ax > bx else bx)
-    iy = (ay2 if ay2 < by2 else by2) - (ay if ay > by else by)
-    if ix <= 0 or iy <= 0:
-        return 0, 0
-    inter = ix * iy
-    return inter, a.w * a.h + b.w * b.h - inter
+def _box_geometry(boxes: list[Detection]) -> np.ndarray:
+    """The (4, n) int64 x, y, w and h of the boxes. A field that is not an
+    integer, or whose magnitude reaches COORD_LIMIT, raises ValueError naming
+    its box."""
+    geo = np.array([[d.x for d in boxes], [d.y for d in boxes], [d.w for d in boxes],
+                    [d.h for d in boxes]])
+    if geo.dtype.kind not in "iu" or (geo.size and np.abs(geo).max() >= COORD_LIMIT):
+        for d in boxes:
+            for name in ("x", "y", "w", "h"):
+                v = getattr(d, name)
+                if not isinstance(v, Integral) or not -COORD_LIMIT < v < COORD_LIMIT:
+                    raise ValueError(f"{d!r}: {name} must be an integer of magnitude below "
+                                     f"2**26, got {v!r}")
+    return geo.astype(np.int64)
+
+
+def _suppresses(inter: np.ndarray, union: np.ndarray, num: int, den: int) -> np.ndarray:
+    """Whether ``inter / union > num / den``, pair by pair, for int64 areas
+    below 2**53. Rounding is monotone, so the float64 ratio decides wherever
+    it lies more than one ulp from ``float(num / den)``; the exact integer
+    test decides within."""
+    t = num / den
+    ratio = inter / union
+    out = ratio > t
+    near = np.flatnonzero((ratio >= np.nextafter(t, -1.0)) & (ratio <= np.nextafter(t, 2.0)))
+    for k, a, u in zip(near.tolist(), inter[near].tolist(), union[near].tolist()):
+        out[k] = a * den > num * u
+    return out
+
+
+def _overlap_runs(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                  h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each box's possible overlaps lie. by_key sorts the boxes by
+    bucket row, as high as the highest box, then by x; ``lo`` and ``lens``
+    (n, 3) give each box the run of by_key in the rows above, at and below
+    its own whose x lies less than the widest box's width left of its own x
+    and left of its right edge."""
+    # bucket steps of at least 1: a box of zero width or height overlaps nothing
+    sx, sy = max(int(w.max()), 1), max(int(h.max()), 1)
+    row = y // sy
+    key = row * _ROW_KEY + x
+    by_key = np.argsort(key, kind="stable")
+    # asked in key order, each row's queries ascend, which searchsorted takes fastest
+    rows = (row[by_key] + np.array([[-1], [0], [1]])) * _ROW_KEY
+    lo, hi = np.empty((2, len(key), 3), np.int64)
+    lo[by_key] = np.searchsorted(key[by_key], rows + (x - sx + 1)[by_key]).T
+    hi[by_key] = np.searchsorted(key[by_key], rows + (x + w)[by_key]).T
+    return by_key, lo, np.maximum(hi - lo, 0)
 
 
 def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:
@@ -276,13 +328,19 @@ def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detecti
     result is sorted by descending score (raster order within equal scores).
 
     With ``Fraction(iou_threshold) = num/den``, a kept box suppresses the
-    candidate iff ``inter * den > num * union``, in integers. Each kept box
-    sits in the grid bucket of its top-left corner; the grid steps are the
-    largest width and height in the input, so only the buckets from one step
-    before the candidate's top-left corner to the one holding its far corner
-    can hold a box that overlaps it. At a threshold of 1 no IoU can exceed it,
-    so the sorted candidates are returned without a test. ``iou_threshold``
-    must lie in [0, 1]: NaN or anything outside raises ``ValueError``.
+    candidate iff ``inter * den > num * union`` (see _suppresses). Boxes sit
+    in bucket rows as high as the largest box, sorted by row, then by x, so
+    a box's possible overlaps lie in the rows above, at and below its own,
+    less than the largest width to its left. The candidates are taken in
+    blocks of NMS_PAIR_BUDGET such pairs in rank order. A block drops each
+    pair whose earlier box an earlier block suppressed, tests the rest in one
+    pass, lets the earlier blocks' kept boxes suppress at once and resolves
+    its own suppressions in rank order. At a threshold of 1 no IoU can exceed
+    it, so the sorted candidates are returned without a test.
+
+    ``iou_threshold`` must lie in [0, 1]: NaN or anything outside raises
+    ``ValueError``. So does a box whose x, y, w or h is not an integer, or
+    has a magnitude of 2**26 or more, past which an area is not exact.
     """
     if not 0 <= iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold!r}")
@@ -290,22 +348,41 @@ def nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detecti
     thr = iou_threshold if isinstance(iou_threshold, Rational) else float(iou_threshold)
     num, den = Fraction(thr).as_integer_ratio()
     order = sorted(detections, key=lambda d: (-d.score, d.y, d.x))
-    if num == den:
+    x, y, w, h = _box_geometry(order)
+    if num == den or not order:
         return order  # no IoU exceeds 1, so nothing is suppressed
-    # bucket steps of at least 1: a box of zero width or height overlaps nothing
-    sx = max([d.w for d in order] + [1])
-    sy = max([d.h for d in order] + [1])
-    buckets: dict[tuple[int, int], list[Detection]] = {}
-    kept: list[Detection] = []
-    for cand in order:
-        cols = range(cand.x // sx - 1, (cand.x + cand.w - 1) // sx + 1)
-        rows = range(cand.y // sy - 1, (cand.y + cand.h - 1) // sy + 1)
-        near = (k for c in cols for r in rows for k in buckets.get((c, r), ()))
-        if not any(inter * den > num * union
-                   for inter, union in (_inter_union(cand, k) for k in near)):
-            kept.append(cand)
-            buckets.setdefault((cand.x // sx, cand.y // sy), []).append(cand)
-    return kept
+    x2, y2, area = x + w, y + h, w * h
+    by_key, lo, lens = _overlap_runs(x, y, w, h)
+    ends = np.concatenate(([0], np.cumsum(lens.sum(1))))
+    keep = np.ones(len(order), bool)
+    j0 = 0
+    while j0 < len(order):
+        # candidates j0 .. j1 - 1: at most NMS_PAIR_BUDGET pairs, or one candidate
+        j1 = max(int(np.searchsorted(ends, ends[j0] + NMS_PAIR_BUDGET, "right")) - 1, j0 + 1)
+        starts, counts = lo[j0:j1].ravel(), lens[j0:j1].ravel()
+        i = by_key[np.arange(ends[j1] - ends[j0])
+                   + np.repeat(starts - (np.cumsum(counts) - counts), counts)]
+        j = np.repeat(np.arange(j0, j1), lens[j0:j1].sum(1))
+        # an earlier box of this block is still undecided, so kept for now;
+        # numpy gathers by index (flatnonzero) faster than by a boolean mask
+        k = np.flatnonzero((i < j) & keep[i])
+        i, j = i[k], j[k]
+        ix = np.minimum(x2[i], x2[j]) - np.maximum(x[i], x[j])
+        iy = np.minimum(y2[i], y2[j]) - np.maximum(y[i], y[j])
+        k = np.flatnonzero((ix > 0) & (iy > 0))
+        i, j, inter = i[k], j[k], ix[k] * iy[k]
+        k = np.flatnonzero(_suppresses(inter, area[i] + area[j] - inter, num, den))
+        i, j = i[k], j[k]
+        keep[j[i < j0]] = False   # suppressed by a box an earlier block kept
+        k = np.flatnonzero((i >= j0) & keep[i] & keep[j])
+        # j ascends, so each box's fate is settled before it suppresses
+        dead: set[int] = set()
+        for a, b in zip(i[k].tolist(), j[k].tolist()):
+            if a not in dead:
+                dead.add(b)
+        keep[list(dead)] = False
+        j0 = j1
+    return [d for d, k in zip(order, keep.tolist()) if k]
 
 
 def detections_to_text(detections: list[Detection]) -> str:

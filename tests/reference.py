@@ -6,8 +6,9 @@ the saturated scalar magnitude, the scalar requantization, the int32
 central-difference gradients and their table index (the reference for
 gradient_index, and the way tests index synthetic gradient grids),
 whole-grid window scoring through one ScoreAccumulator, exact IoU, the
-packet-stream decoder, and for fixtures a PGM writer and the frame heights
-at the array path's band edges. None of them runs in the detector, so they
+bucketed greedy NMS loop (the reference for detector.nms), the packet-stream
+decoder, and for fixtures a PGM writer and the frame heights at the array
+path's band edges. None of them runs in the detector, so they
 live beside the tests, not in the package.
 """
 
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from hogstream.detector import BAND_CELL_ROWS, Detection, _inter_union
+from hogstream.detector import BAND_CELL_ROWS, Detection
 from hogstream.fixedpoint import (DEFAULT_PROFILE, MAGNITUDE, FxFormat, SaturationStats,
                                   saturate_raw)
 from hogstream.gradient import (BIN_STEP_DEG, FIRST_CENTER_DEG, GRADIENT_MAX, N_BINS,
@@ -221,10 +223,50 @@ def score_grid(block_raw: np.ndarray, model: SvmModel, stats: SaturationStats | 
     return acc.scores(stats)
 
 
+def _inter_union(a: Detection, b: Detection) -> tuple[int, int]:
+    """Integer intersection and union areas of two boxes; (0, 0) if disjoint."""
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    ax2, ay2, bx2, by2 = ax + a.w, ay + a.h, bx + b.w, by + b.h
+    # conditional expressions instead of min/max: the inner loop of bucketed_nms
+    ix = (ax2 if ax2 < bx2 else bx2) - (ax if ax > bx else bx)
+    iy = (ay2 if ay2 < by2 else by2) - (ay if ay > by else by)
+    if ix <= 0 or iy <= 0:
+        return 0, 0
+    inter = ix * iy
+    return inter, a.w * a.h + b.w * b.h - inter
+
+
 def iou(a: Detection, b: Detection) -> Fraction:
     """Exact intersection-over-union of two boxes."""
     inter, union = _inter_union(a, b)
     return Fraction(inter, union) if inter else Fraction(0)
+
+
+def bucketed_nms(detections: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:
+    """detector.nms as one Python loop over the candidates, the reference for
+    its blocked pair tests: each candidate is tested, with the exact integer
+    rule, against the kept boxes in the grid buckets it could overlap. Each
+    kept box sits in the bucket of its top-left corner; the grid steps are the
+    largest width and height, so only the buckets from one step before the
+    candidate's top-left corner to the one holding its far corner can hold a
+    box that overlaps it."""
+    thr = iou_threshold if isinstance(iou_threshold, Rational) else float(iou_threshold)
+    num, den = Fraction(thr).as_integer_ratio()
+    order = sorted(detections, key=lambda d: (-d.score, d.y, d.x))
+    # bucket steps of at least 1: a box of zero width or height overlaps nothing
+    sx = max([d.w for d in order] + [1])
+    sy = max([d.h for d in order] + [1])
+    buckets: dict[tuple[int, int], list[Detection]] = {}
+    kept: list[Detection] = []
+    for cand in order:
+        cols = range(cand.x // sx - 1, (cand.x + cand.w - 1) // sx + 1)
+        rows = range(cand.y // sy - 1, (cand.y + cand.h - 1) // sy + 1)
+        near = (k for c in cols for r in rows for k in buckets.get((c, r), ()))
+        if not any(inter * den > num * union
+                   for inter, union in (_inter_union(cand, k) for k in near)):
+            kept.append(cand)
+            buckets.setdefault((cand.x // sx, cand.y // sy), []).append(cand)
+    return kept
 
 
 def unpack(packets: Iterable[StreamPacket]) -> Frame:

@@ -3,6 +3,7 @@
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, PrecisionProfile
 from hogstream.oracle import compare_paths
 from hogstream.stream import Frame, GeometryError
 from hogstream.svm import WINDOW_FEATURES, ScoreMap, SvmModel, load_model, save_model
-from reference import iou
+from reference import bucketed_nms, iou
 
 SCORE_FMT = DEFAULT_PROFILE.svm_bias
 
@@ -129,27 +130,68 @@ def test_nms_at_threshold_one_tests_no_pair(monkeypatch):
     dets = [box(int(x) * 8, int(y) * 8, float(s))
             for x, y, s in zip(rng.integers(0, 40, 500), rng.integers(0, 40, 500),
                                np.round(rng.uniform(-1, 1, 500), 1))]
-    calls = []
-    inter_union = hogstream.detector._inter_union
+    pairs = []
+    suppresses = hogstream.detector._suppresses
 
-    def counting(a, b):
-        calls.append((a, b))
-        return inter_union(a, b)
+    def counting(inter, union, num, den):
+        pairs.append(inter.size)
+        return suppresses(inter, union, num, den)
 
-    monkeypatch.setattr(hogstream.detector, "_inter_union", counting)
+    monkeypatch.setattr(hogstream.detector, "_suppresses", counting)
     for thr in (1.0, 1, Fraction(1), np.float32(1)):
         assert nms(dets, thr) == ref_nms(dets, 1.0), thr
-    assert calls == []
+    assert pairs == []
     nms(dets, 0.5)
-    assert calls
+    assert sum(pairs) > 0
+
+
+def test_nms_every_hd_anchor_matches_bucketed_reference(monkeypatch):
+    # every anchor of a 1080p frame, scores on a 0.1 grid so that ties occur
+    cols, rows = (1920 - 64) // 8 + 1, (1080 - 128) // 8 + 1
+    scores = np.round(np.random.default_rng(70).uniform(-1, 1, cols * rows), 1)
+    dets = [box(a % cols * 8, a // cols * 8, s) for a, s in enumerate(scores.tolist())]
+    assert len(dets) == 27960 and len({d.score for d in dets}) == 21
+    blocks = []
+    suppresses = hogstream.detector._suppresses
+
+    def counting(*args):
+        blocks.append(1)
+        return suppresses(*args)
+
+    monkeypatch.setattr(hogstream.detector, "_suppresses", counting)
+    for thr in (0.0, 0.5, 1 / 8192, Fraction(7, 9), 7 / 9):
+        want = bucketed_nms(dets, thr)
+        assert nms(dets, thr) == want, thr
+        # small blocks: most pairs reach back to boxes an earlier block kept
+        blocks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(hogstream.detector, "NMS_PAIR_BUDGET", 20000)
+            assert nms(dets, thr) == want, thr
+        assert len(blocks) > 100, thr
+
+
+@pytest.mark.parametrize("field, value", [("x", 0.5), ("y", 1.0), ("w", np.float32(64)),
+                                          ("h", "128"), ("x", 1 << 26), ("y", -(1 << 26)),
+                                          ("w", 1 << 70)])
+def test_nms_rejects_a_box_off_the_integer_range(field, value):
+    # past 2**26 an area or a union is not exact in float64
+    bad = replace(box(0, 0, 0.5), **{field: value})
+    ok = box(500, 0, 1.0)
+    for thr in (0.5, 1.0):
+        with pytest.raises(ValueError, match=f"{field} must be an integer") as err:
+            nms([ok, bad], thr)
+        assert repr(bad) in str(err.value)
+    edge = (1 << 26) - 1
+    far = [box(edge, -edge, 1.0), box(-edge, edge, 0.5, w=edge, h=edge)]
+    assert nms(far, 0.5) == far
 
 
 def test_nms_bucket_edges_and_unit_boxes():
     # the bucket steps are 64 and 128: put corners on, just before and just
-    # after bucket edges (negative coordinates too), at three box sizes
+    # after bucket edges (negative coordinates too), at five box sizes
     xs = (-65, -64, -1, 0, 1, 63, 64, 65, 127, 128)
     ys = (-129, -128, -1, 0, 1, 127, 128, 129, 255, 256)
-    sizes = ((64, 128), (63, 127), (1, 1))
+    sizes = ((64, 128), (63, 127), (1, 1), (0, 128), (-8, 16))   # the last two overlap nothing
     dets = [box(x, y, float((x * 7 + y * 3 + w) % 11), w=w, h=h)
             for x in xs for y in ys for w, h in sizes]
     for thr in (0.0, 0.5, 1.0):
@@ -172,9 +214,14 @@ def test_nms_rejects_threshold_outside_unit_interval(thr):
 
 def test_nms_threshold_types():
     a, b = box(0, 0, 1.0), box(8, 0, 0.9)   # IoU exactly 7/9
-    for thr in (np.float32(0.8), np.float64(0.8), Fraction(7, 9), np.int64(1), 1):
+    # the double 7/9 exceeds 7/9 by 1/81064793292668928 and the pair's float
+    # IoU rounds to it, as does 7/9 - 10**-30: the exact test keeps b at the
+    # first and suppresses it at the second and at the next double down
+    assert Fraction(7 / 9) - Fraction(7, 9) == Fraction(1, 81064793292668928)
+    for thr in (np.float32(0.8), np.float64(0.8), Fraction(7, 9), 7 / 9, np.int64(1), 1):
         assert nms([a, b], thr) == [a, b], thr
-    for thr in (np.float32(0.7), Fraction(7, 9) - Fraction(1, 10**12), np.int64(0), 0):
+    for thr in (np.float32(0.7), Fraction(7, 9) - Fraction(1, 10**12),
+                Fraction(7, 9) - Fraction(1, 10**30), np.nextafter(7 / 9, 0), np.int64(0), 0):
         assert nms([a, b], thr) == [a], thr
 
 
@@ -186,6 +233,23 @@ def test_threshold_is_strict():
     assert [(d.x, d.y) for d in dets] == [(8, 0), (8, 8)]  # raw 100 excluded
     assert all(d.w == 64 and d.h == 128 for d in dets)
     assert dets[0].score == 101 / SCORE_FMT.scale
+
+
+def test_detections_from_scores_decodes_as_python_numbers():
+    # the detections_to_text digest needs each score to be int(raw) / scale
+    # bit for bit, and every field a Python int or float
+    rng = np.random.default_rng(71)
+    edge = [SCORE_FMT.min_raw, SCORE_FMT.max_raw, SCORE_FMT.min_raw + 1, SCORE_FMT.max_raw - 1]
+    raws = np.concatenate([edge, rng.integers(SCORE_FMT.min_raw, SCORE_FMT.max_raw + 1, 96)])
+    sm = ScoreMap(scores_raw=raws.reshape(10, 10), fmt=SCORE_FMT)
+    dets = detections_from_scores(sm, SCORE_FMT.min_raw / SCORE_FMT.scale)
+    assert len(dets) == 99   # all but the raw at min_raw
+    want = {(c * 8, r * 8): int(v) / SCORE_FMT.scale
+            for (r, c), v in np.ndenumerate(sm.scores_raw) if v > SCORE_FMT.min_raw}
+    assert {(d.x, d.y): d.score for d in dets} == want
+    for d in dets:
+        assert d.score.hex() == want[d.x, d.y].hex()
+        assert [type(v) for v in (d.x, d.y, d.w, d.h, d.score)] == [int] * 4 + [float]
 
 
 def test_threshold_quantizes_like_scores():
