@@ -3,7 +3,7 @@
 Outputs are deterministic for identical inputs, configuration, and seed.
 Errors print one diagnostic line to stderr and exit nonzero; an option value
 outside its range is rejected by the parser. No command composes stages:
-dump writes the bands of detector.cell_bands or block_bands as they come.
+dump writes the grids that detector.cell_bands or block_bands yield, as they come.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ def _score_threshold(text: str) -> float:
     return value
 
 
-def _at_least_one(what: str):
-    """argparse type of an int option that must be at least 1."""
+def _at_least(low: int, what: str):
+    """argparse type of an int option that must be at least ``low``."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {text!r}")
         return value
 
     parse.__name__ = "int"   # argparse names the type in its "invalid int value" error
@@ -241,18 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a float model and quantize it")
     sp.add_argument("--manifest", help="text file of '<+1|-1> <image path>' lines")
-    sp.add_argument("--synthetic", type=int, default=0, metavar="N",
+    sp.add_argument("--synthetic", type=_at_least(0, "synthetic"), default=0, metavar="N",
                     help="use N synthetic samples per class instead of a manifest")
     sp.add_argument("--lambda", dest="lam", type=_regularization, default=1e-4)
-    sp.add_argument("--epochs", type=_at_least_one("epochs"), default=10)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--epochs", type=_at_least(1, "epochs"), default=10)
+    sp.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     sp.add_argument("--out", help="output model path (HOGSVM1; float copy at <out>.float)")
 
     sp = sub.add_parser("bench", help="timing run on one frame")
     add_common(sp)
     sp.add_argument("--threshold", type=_score_threshold, default=0.0)
     sp.add_argument("--iou", type=_iou_threshold, default=0.5)
-    sp.add_argument("--reps", type=_at_least_one("reps"), default=1)
+    sp.add_argument("--reps", type=_at_least(1, "reps"), default=1)
 
     sp = sub.add_parser("dump", help="binary dump of an intermediate stage")
     add_common(sp, model=False)

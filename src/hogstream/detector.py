@@ -9,12 +9,14 @@ of BAND_CELL_ROWS cell rows through band_loop, the one band loop, and as the
 datapath runs its stages at once, each on other rows, one worker thread runs
 the next band's pixel stage while the caller takes this band on. cell_bands
 and block_bands are the fixed path's stages over it; the oracle's run over
-it too. Each stage saturates and counts only the values the band owns, so
-every value is counted once and every grid equals the whole-grid
-composition of the same stage functions. No pixels-per-clock setting
-applies: the packet-level stream ops produce bit-identical values at every
-ppc (the tests assert the equivalence), as every per-pixel op is pointwise
-and histogram accumulation is exact integer addition, hence order-free.
+it too. Their pixel stages fill one set of per-pixel arrays per frame, as
+line buffers sized once for the frame width, and hand on only histograms.
+Each stage saturates and counts only the values the band owns, so every
+value is counted once and every grid equals the whole-grid composition of
+the same stage functions. No pixels-per-clock setting applies: the
+packet-level stream ops produce bit-identical values at every ppc (the
+tests assert the equivalence), as every per-pixel op is pointwise and
+histogram accumulation is exact integer addition, hence order-free.
 
 NMS is greedy: repeatedly keep the highest-scoring remaining box (ties broken
 by raster order) and discard everything overlapping it beyond the IoU
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from numbers import Integral, Rational
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -74,11 +75,12 @@ class Detection:
 
 @dataclass
 class PipelineRun:
-    """The window scores of one frame, its profile and stage seconds: no band
-    of intermediates outlives the SVM. Saturation counts go to the
-    SaturationStats the caller passes to run_pipeline. stage_seconds holds
-    each stage's busy time, which overlap on the band worker (see band_loop),
-    so the four can add up to more than the frame took."""
+    """The window scores of one frame, its profile and stage seconds: no
+    band's cells or blocks outlive the SVM, nor per-pixel arrays the run.
+    Saturation counts go to the SaturationStats the caller passes to
+    run_pipeline. stage_seconds holds each stage's busy time, which overlap
+    on the band worker (see band_loop), so the four can add up to more than
+    the frame took."""
 
     score_map: ScoreMap
     profile: PrecisionProfile
@@ -94,37 +96,36 @@ def _spare_cpu() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _one_ahead(fn: Callable, items: Iterable) -> Iterator:
-    """map(fn, items) with each call on one worker thread, one item ahead of
-    the consumer: fn of item i + 1 runs while the consumer holds the result
-    of item i. Item i + 1 is taken, in the consumer's thread, only once the
-    call on item i has returned. The worker is joined however the map ends:
-    exhausted, closed by a consumer that drops it, or raising what a call
-    raised."""
-    items = iter(items)
+def _one_ahead(fn: Callable, *iterables: Iterable) -> Iterator:
+    """map(fn, *iterables) with each call on one worker thread, one call
+    ahead of the consumer: call i + 1 runs while the consumer holds the
+    result of call i. Its arguments are taken, in the consumer's thread,
+    only once call i has returned. The worker is joined however the map
+    ends: exhausted, closed by a consumer that drops it, or raising what a
+    call raised."""
+    items = zip(*iterables)
     with ThreadPoolExecutor(1) as worker:
-        ahead = [worker.submit(fn, item) for item in islice(items, 1)]
+        ahead = [worker.submit(fn, *item) for item in islice(items, 1)]
         while ahead:
             done = ahead.pop().result()
-            ahead = [worker.submit(fn, item) for item in islice(items, 1)]
+            ahead = [worker.submit(fn, *item) for item in islice(items, 1)]
             yield done
             del done   # the consumer is done with it
 
 
-def band_loop(frame: Frame, buffers: Callable, pixel_stage: Callable,
+def band_loop(frame: Frame, pixel_stage: Callable,
               block_stage: Callable | None = None) -> Iterator:
-    """The one band loop. The caller's thread allocates each band's arrays,
-    buffers(r0, h) for the h pixel rows from cell row r0, and pixel_stage
-    fills them, on one worker thread one band ahead (_one_ahead) where the
-    process may use more than one CPU. The bands reach the caller in band
-    order, and block_stage(band, carried) maps each there: carried(*grids)
+    """The one band loop. pixel_stage(r0, h) runs on the h pixel rows from
+    cell row r0, on one worker thread one band ahead (_one_ahead) where the
+    process may use more than one CPU. The results reach the caller in band
+    order, and block_stage(result, carried) maps each there: carried(*grids)
     puts the previous band's last cell row above each of the band's cell
     grids. With a block stage, a cell grid smaller than 2x2 raises
     GeometryError before any stage runs."""
     rows, cols = frame.height // CELL, frame.width // CELL
-    bands = (buffers(r0, (min(r0 + BAND_CELL_ROWS, rows) - r0) * CELL)
-             for r0 in range(0, rows, BAND_CELL_ROWS))
-    filled = (_one_ahead if _spare_cpu() else map)(pixel_stage, bands)
+    starts = range(0, rows, BAND_CELL_ROWS)
+    heights = [(min(r0 + BAND_CELL_ROWS, rows) - r0) * CELL for r0 in starts]
+    filled = (_one_ahead if _spare_cpu() else map)(pixel_stage, starts, heights)
     if block_stage is None:
         return filled
     block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block
@@ -139,32 +140,34 @@ def band_loop(frame: Frame, buffers: Callable, pixel_stage: Callable,
 
 
 def cell_stages(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
-                times: dict[str, float]) -> tuple[Callable, Callable, Callable]:
-    """The fixed path's buffers and pixel stage for band_loop, and the
-    hand-over of each filled band on the caller's thread. The buffers are
-    (r0, idx, mag, lo, (slots, halves)), the slots over the index. The pixel
-    stage counts its saturations and seconds apart, and the hand-over adds
-    them to ``stats`` and ``times`` in band order, so both get the keys,
-    values and key order of a run on one thread."""
-    width = frame.width
+                times: dict[str, float]) -> tuple[Callable, Callable]:
+    """The fixed path's pixel stage for band_loop, and the hand-over of its
+    results on the caller's thread. The caller's thread allocates here one
+    scratch set for the frame's tallest band (index, slots, magnitudes, bins,
+    halves), whose [:h] views the pixel stage fills. Its result is ((r0,
+    hist), counts, seconds, (idx, mag, lo)): only another pixel stage on the
+    same thread may read the views, before the next band. One set is enough,
+    as the worker runs one pixel stage at a time and the caller reads only
+    the fresh histograms. The hand-over adds the counts and seconds to
+    ``stats`` and ``times`` in band order, so both get the keys, values and
+    key order of a run on one thread, and returns (r0, hist)."""
+    shape = (min(BAND_CELL_ROWS * CELL, frame.height), frame.width)
+    idx, slots = np.empty(shape, np.intp), np.empty(shape, np.intp)
+    mag, lo, halves = np.empty(shape, np.int32), np.empty(shape, np.uint8), np.empty(shape)
 
-    def buffers(r0: int, h: int) -> tuple:
-        idx, halves = np.empty((h, width), np.intp), np.empty((h, width))
-        return (r0, idx, np.empty((h, width), np.int32), np.empty((h, width), np.uint8),
-                (idx, halves))
-
-    def cells(band: tuple) -> tuple:
-        r0, idx, mag, lo, scratch = band
+    def cells(r0: int, h: int) -> tuple:
         band_stats = None if stats is None else SaturationStats()
         t0 = time.perf_counter()
-        gradient_index(frame.pixels, r0 * CELL, r0 * CELL + len(idx), out=idx)
-        binned_field(idx, profile.gradient_magnitude, band_stats, out=(mag, lo))
+        gradient_index(frame.pixels, r0 * CELL, r0 * CELL + h, out=idx[:h])
+        binned_field(idx[:h], profile.gradient_magnitude, band_stats, out=(mag[:h], lo[:h]))
         t1 = time.perf_counter()
-        hist = cell_histogram_grid(mag, lo, profile.histogram_value, band_stats, scratch)
-        return (r0, mag, lo, hist), band_stats, (t1 - t0, time.perf_counter() - t1)
+        hist = cell_histogram_grid(mag[:h], lo[:h], profile.histogram_value, band_stats,
+                                   (slots[:h], halves[:h]))
+        return ((r0, hist), band_stats, (t1 - t0, time.perf_counter() - t1),
+                (idx[:h], mag[:h], lo[:h]))
 
     def hand_over(done: tuple) -> tuple:
-        band, band_stats, seconds = done
+        band, band_stats, seconds, _ = done
         if stats is not None:
             for stage, n in band_stats.counts.items():
                 stats.record(stage, n)
@@ -172,35 +175,35 @@ def cell_stages(frame: Frame, profile: PrecisionProfile, stats: SaturationStats 
             times[stage] = times.get(stage, 0.0) + t
         return band
 
-    return buffers, cells, hand_over
+    return cells, hand_over
 
 
 def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
                times: dict[str, float]) -> Iterator[tuple]:
     """The gradient and histogram stages, band by band of cell rows: yields
-    (r0, mag, lo, hist) per band, r0 its first cell row, and adds each stage's
+    (r0, hist) per band, r0 its first cell row, and adds each stage's
     seconds, its busy time, to ``times``. It is a map, as block_bands is, so
     no name holds a band while the consumer runs."""
-    buffers, cells, hand_over = cell_stages(frame, profile, stats, times)
-    return map(hand_over, band_loop(frame, buffers, cells))
+    cells, hand_over = cell_stages(frame, profile, stats, times)
+    return map(hand_over, band_loop(frame, cells))
 
 
 def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
                 times: dict[str, float]) -> Iterator[tuple]:
-    """cell_bands plus the normalize stage: yields (r0, mag, lo, hist, b0,
-    blocks) per band, b0 its first block row. Its blocks also take the
-    previous band's last cell row of histograms and energies. A cell grid
-    smaller than 2x2 raises GeometryError before any stage runs."""
-    buffers, cells, hand_over = cell_stages(frame, profile, stats, times)
+    """cell_bands plus the normalize stage: yields (b0, blocks) per band, b0
+    its first block row. Its blocks also take the previous band's last cell
+    row of histograms and energies. A cell grid smaller than 2x2 raises
+    GeometryError before any stage runs."""
+    cells, hand_over = cell_stages(frame, profile, stats, times)
 
     def blocks(done: tuple, carried: Callable) -> tuple:
-        r0, _, _, hist = band = hand_over(done)
+        r0, hist = hand_over(done)
         t0 = time.perf_counter()
         out = block_features(*carried(hist, cell_energy_grid(hist, profile, stats)), profile, stats)
         times["normalize"] = times.get("normalize", 0.0) + time.perf_counter() - t0
-        return (*band, max(r0 - 1, 0), out)
+        return max(r0 - 1, 0), out
 
-    return band_loop(frame, buffers, cells, blocks)
+    return band_loop(frame, cells, blocks)
 
 
 def window_scorer(frame: Frame, model: SvmModel, profile: PrecisionProfile) -> ScoreAccumulator:
@@ -233,8 +236,7 @@ def run_pipeline(
     """
     scorer = window_scorer(frame, model, profile)
     times: dict[str, float] = {}   # the band maps add their stages' seconds
-    # only the blocks reach the SVM: each band's pixels and cells go first
-    for b0, blocks in map(itemgetter(4, 5), block_bands(frame, profile, stats, times)):
+    for b0, blocks in block_bands(frame, profile, stats, times):
         t0 = time.perf_counter()
         scorer.add(blocks, b0)
         times["svm"] = times.get("svm", 0.0) + time.perf_counter() - t0

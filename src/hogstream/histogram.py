@@ -18,8 +18,8 @@ The array path forms the same sums in another order. A pixel's pair is
 always (bin_lo, bin_lo + 1 mod 9), so one scatter over the rows of cells it
 is given, at each pixel's (cell, bin_lo) slot of pixel_slots, sums the
 halves, and bin k is the sum at k plus the sum at k - 1. Integer sums are
-order-free, so both paths agree bit for bit. detector.cell_bands calls it
-once per band of cell rows; the whole grid is just one band.
+order-free, so both paths agree bit for bit. The detector's pixel stage
+calls it once per band of cell rows; the whole grid is just one band.
 """
 
 from __future__ import annotations

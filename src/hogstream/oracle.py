@@ -26,11 +26,11 @@ tests/reference.py.
 The float path is two stages: a pixel stage (float_cells) and a block
 stage (float_blocks). The trainer calls each once on a whole one-window
 frame for a sample's features. compare_paths, the one place that scores
-windows in float, is the one band loop over them: it runs both paths'
-stages over detector.band_loop, the pixel stages on the band worker where
-there is one, with a quantized model and its float source, and reports
-per-stage error statistics plus the classification disagreement rate,
-serialized as a flat key-value text block.
+windows in float, is the one band loop over them: over detector.band_loop,
+its pixel stage, on the band worker where there is one, runs the fixed one
+and then float_cells on the index that one left. It takes a quantized model
+and its float source, and reports per-stage error statistics plus the
+classification disagreement rate, serialized as a flat key-value text block.
 """
 
 from __future__ import annotations
@@ -192,10 +192,11 @@ def compare_paths(
     ``fixed_run`` (run under ``profile``, else ValueError; on a frame of this
     shape, else GeometryError), the frame and the model (see
     detector.window_scorer), and the threshold (finite, see
-    svm.threshold_raw). One band loop runs both paths from one gradient
-    index per band, and the fixed scores come from its blocks. A given
-    ``fixed_run`` whose scores differ, as from another frame or another
-    model, raises ValueError naming the first such anchor.
+    svm.threshold_raw). One band loop runs both paths: its pixel stage runs
+    the fixed one, then float_cells on the gradient index that one left, and
+    the fixed scores come from its blocks. A given ``fixed_run`` whose scores
+    differ, as from another frame or model, raises ValueError naming the
+    first such anchor.
     """
     wmat = _float_model(float_weights, float_bias)
     if fixed_run is not None and fixed_run.profile != profile:
@@ -209,17 +210,13 @@ def compare_paths(
     scorer = window_scorer(frame, model, profile)
     thr = threshold_raw(threshold, profile.svm_bias)   # the format of either score map
     scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, float_bias)
-    buffers, fixed_cells, _ = cell_stages(frame, profile, None, {})
+    fixed_cells, _ = cell_stages(frame, profile, None, {})
 
-    def own_slots(r0: int, h: int) -> tuple:   # so the index outlives the fixed histogram
-        *band, (idx, halves) = buffers(r0, h)
-        return (*band, (np.empty_like(idx), halves))
-
-    def cells(band: tuple) -> tuple:
+    def cells(r0: int, h: int) -> tuple:
         """Both paths' pixel stages from the band's one index, and its
         per-pixel tallies, so no per-pixel array reaches the caller."""
-        (r0, mag, lo, hist), _, _ = fixed_cells(band)
-        m, ref_lo, ref_hist = float_cells(band[1])   # the index, which own_slots spared
+        (_, hist), _, _, (idx, mag, lo) = fixed_cells(r0, h)
+        m, ref_lo, ref_hist = float_cells(idx)
         # both paths pair lo with lo + 1 mod 9, so the pairs differ exactly
         # where the lower bins do
         carrying = m > 0
@@ -238,8 +235,7 @@ def compare_paths(
         return (magnitude_err, _abs_err(fixed, profile.final_feature.scale, ref), n_carrying,
                 n_differ)
 
-    magnitude, block_feature, n_carrying, n_differ = zip(*band_loop(frame, own_slots, cells,
-                                                                    blocks))
+    magnitude, block_feature, n_carrying, n_differ = zip(*band_loop(frame, cells, blocks))
     score_map = scorer.scores()
     if fixed_run is not None:
         differ = np.argwhere(fixed_run.score_map.scores_raw != score_map.scores_raw)

@@ -19,6 +19,7 @@ from hogstream.cli import main
 from hogstream.detector import (
     Detection,
     block_bands,
+    cell_bands,
     detections_from_scores,
     detections_to_text,
     nms,
@@ -247,11 +248,10 @@ def test_07_window_count_4k():
     frame = Frame.from_array(np.zeros((2160, 3840), dtype=np.uint8))
     model = SvmModel(weights_raw=np.zeros((15, 7, 36), dtype=np.int64), bias_raw=0)
     run = run_pipeline(frame, model)
-    cell_rows = block_rows = 0
-    for _, _, _, hist, _, band_blocks in block_bands(frame, DEFAULT_PROFILE, None, {}):
-        cell_rows, block_rows = cell_rows + len(hist), block_rows + len(band_blocks)
-    cells = (cell_rows, hist.shape[1])
-    blocks = block_rows * band_blocks.shape[1]
+    hists = [hist for _, hist in cell_bands(frame, DEFAULT_PROFILE, None, {})]
+    band_blocks = [blocks for _, blocks in block_bands(frame, DEFAULT_PROFILE, None, {})]
+    cells = (sum(map(len, hists)), hists[-1].shape[1])
+    blocks = sum(len(b) for b in band_blocks) * band_blocks[-1].shape[1]
     anchors = run.score_map.scores_raw.size
     _check(
         "4K geometry: 480x270 cells, 128851 blocks, 120615 window anchors",

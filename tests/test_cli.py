@@ -219,6 +219,8 @@ def test_train_needs_source(tmp_path, capsys):
 @pytest.mark.parametrize("option, value, message", [
     ("--epochs", "0", "epochs must be at least 1"),
     ("--epochs", "-2", "epochs must be at least 1"),
+    ("--seed", "-1", "seed must be at least 0"),
+    ("--synthetic", "-1", "synthetic must be at least 0"),
     ("--lambda", "nan", "lambda must be finite and positive"),
     ("--lambda", "inf", "lambda must be finite and positive"),
     ("--lambda", "0", "lambda must be finite and positive"),

@@ -15,6 +15,7 @@ from hogstream.detector import (
     BAND_CELL_ROWS,
     Detection,
     block_bands,
+    cell_bands,
     detect_frame,
     detections_from_scores,
     detections_to_text,
@@ -305,14 +306,15 @@ def test_run_pipeline_shapes_and_timers():
     rng = np.random.default_rng(66)
     f = Frame.from_array(rng.integers(0, 256, size=(128, 64), dtype=np.uint8))
     run = run_pipeline(f, zero_model())
-    bands = list(block_bands(f, DEFAULT_PROFILE, None, {}))
     starts = range(0, 16, BAND_CELL_ROWS)
-    assert [(b[0], b[4]) for b in bands] == [(r0, max(r0 - 1, 0)) for r0 in starts]
-    for (r0, mag, lo, hist, _, blocks), n in zip(bands, (min(16 - r0, BAND_CELL_ROWS)
-                                                         for r0 in starts)):
-        assert mag.shape == lo.shape == (n * 8, 64)
-        assert hist.shape == (n, 8, 9)
-        assert blocks.shape == (n - (r0 == 0), 7, 36)
+    heights = [min(16 - r0, BAND_CELL_ROWS) for r0 in starts]
+    cells = list(cell_bands(f, DEFAULT_PROFILE, None, {}))
+    bands = list(block_bands(f, DEFAULT_PROFILE, None, {}))
+    assert [r0 for r0, _ in cells] == list(starts)
+    assert [b0 for b0, _ in bands] == [max(r0 - 1, 0) for r0 in starts]
+    assert [hist.shape for _, hist in cells] == [(n, 8, 9) for n in heights]
+    assert [blocks.shape for _, blocks in bands] == [(n - (r0 == 0), 7, 36)
+                                                     for r0, n in zip(starts, heights)]
     assert run.score_map.scores_raw.shape == (1, 1)
     assert set(run.stage_seconds) == {"gradient", "histogram", "normalize", "svm"}
     assert all(t >= 0 for t in run.stage_seconds.values())
@@ -349,6 +351,24 @@ def test_run_pipeline_keeps_nothing_once_its_result_is_dropped():
     finally:
         tracemalloc.stop()
     assert kept < 1 << 20, f"{kept / 2**20:.2f} MiB still allocated"
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_each_frame_fills_one_scratch_set(monkeypatch, cpus):
+    # each band once allocated its own per-pixel arrays on the caller's thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    f = Frame.from_array(np.random.default_rng(70).integers(
+        0, 256, size=((2 * BAND_CELL_ROWS + 1) * 8, 64), dtype=np.uint8))   # three bands
+    outs = []
+    gradient_index = hogstream.detector.gradient_index
+    monkeypatch.setattr(hogstream.detector, "gradient_index",
+                        lambda *args, out: outs.append(out) or gradient_index(*args, out=out))
+    for path in (lambda: run_pipeline(f, zero_model()),
+                 lambda: compare_paths(f, zero_model(), np.zeros(WINDOW_FEATURES), 0.0)):
+        outs.clear()
+        path()
+        assert len(outs) == 3
+        assert all(out.base is not None and out.base is outs[0].base for out in outs)
 
 
 def test_no_band_worker_outlives_its_bands(monkeypatch):

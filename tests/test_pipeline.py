@@ -17,7 +17,7 @@ import pytest
 
 import hogstream.detector
 import hogstream.oracle
-from hogstream.detector import (BAND_CELL_ROWS, block_bands, detections_from_scores,
+from hogstream.detector import (BAND_CELL_ROWS, block_bands, cell_bands, detections_from_scores,
                                 detections_to_text, run_pipeline)
 from hogstream.fixedpoint import (DEFAULT_PROFILE, SATURATING_STAGES, FxFormat, PrecisionProfile,
                                   SaturationStats)
@@ -171,17 +171,23 @@ def test_band_edges_match_stream_and_whole_grid(profile, stage, cell_rows):
     assert np.array_equal(sm.scores_raw, run.score_map.scores_raw)
     assert s_stream.counts == s_run.counts
 
-    s_bands = SaturationStats()
+    s_cells, s_bands = SaturationStats(), SaturationStats()
+    cells = list(cell_bands(frame, profile, s_cells, {}))
     bands = list(block_bands(frame, profile, s_bands, {}))
-    assert [b[0] for b in bands] == list(range(0, cell_rows, BAND_CELL_ROWS))
-    banded = [np.concatenate([b[i] for b in bands]) for i in (1, 2, 3, 5)]
+    starts = range(0, cell_rows, BAND_CELL_ROWS)
+    assert [r0 for r0, _ in cells] == list(starts)
+    assert [b0 for b0, _ in bands] == [max(r0 - 1, 0) for r0 in starts]
+    banded = [np.concatenate([grid for _, grid in b]) for b in (cells, bands)]
     score_grid(banded[-1], model, s_bands, profile.final_feature)   # counts the svm stage
     s_grid = SaturationStats()
-    grids = whole_grids(frame, profile, s_grid)
+    grids = whole_grids(frame, profile, s_grid)[2:]
     scores = score_grid(grids[-1], model, s_grid, profile.final_feature)
     for got, want in [*zip(banded, grids), (run.score_map.scores_raw, scores.scores_raw)]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert s_grid.counts == s_bands.counts == s_run.counts
+    assert (list(s_grid.counts.items()) == list(s_bands.counts.items())
+            == list(s_run.counts.items()))
+    assert list(s_cells.counts.items()) == [(stage, n) for stage, n in s_grid.counts.items()
+                                            if stage in ("magnitude", "histogram")]
 
 
 def first_histogram_saturation_in_band_1():
