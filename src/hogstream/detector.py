@@ -90,7 +90,8 @@ class PipelineRun:
 def _spare_cpu() -> bool:
     """Whether this process may run on more than one CPU. Pinned to one, the
     band worker only takes turns with the caller: on a 2-vCPU x86 host, a 4K
-    noise frame took 0.37 s with it against 0.30 s without (medians of 6)."""
+    noise frame took 177-236 ms with it against 175-238 ms without (medians
+    of 10 frames, six alternating processes each)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1

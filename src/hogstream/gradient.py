@@ -58,6 +58,7 @@ TAN_BOUNDARIES = tuple(
                * (1 << TAN_FRACTION_BITS))
     for k in range(4)
 )
+_T0, _T1, _T2, _T3 = TAN_BOUNDARIES
 
 # pair tables indexed by how many boundaries (gy/gx) strictly exceeds
 _Q1_PAIRS = ((8, 0), (0, 1), (1, 2), (2, 3), (3, 4))
@@ -73,13 +74,14 @@ def magnitude_approx_raw(gx: int, gy: int) -> int:
     limit is applied here; binned_stream and binned_field saturate it into
     the magnitude format.
     """
-    a = abs(gx)
-    b = abs(gy)
+    a = gx if gx >= 0 else -gx
+    b = gy if gy >= 0 else -gy
     if a < b:
         a, b = b, a
     ra = a << 3
     rb = b << 3
-    return max(ra - (ra >> 3) + (rb >> 1), ra)
+    m = ra - (ra >> 3) + (rb >> 1)
+    return m if m > ra else ra
 
 
 def orient_bin_pair(gx: int, gy: int) -> tuple[int, int]:
@@ -89,27 +91,21 @@ def orient_bin_pair(gx: int, gy: int) -> tuple[int, int]:
     locating it among the bin centers; zero gradient returns (0, 1) (its
     contribution is zero, so the choice is unobservable).
     """
-    if gx == 0 and gy == 0:
-        return (0, 1)
-    if gy < 0 or (gy == 0 and gx < 0):
+    if gy < 0:
         gx, gy = -gx, -gy          # unsigned orientation: (gx,gy) ~ (-gx,-gy)
-    if gy == 0:
-        return (8, 0)              # theta = 0
+    elif gy == 0:
+        return (8, 0) if gx else (0, 1)   # theta = 0, or the zero gradient
     if gx == 0:
         return (4, 5)              # theta = 90
-    lhs = gy << TAN_FRACTION_BITS
     if gx > 0:
-        hits = 0
-        for t in TAN_BOUNDARIES:
-            if lhs > gx * t:
-                hits += 1
-        return _Q1_PAIRS[hits]
-    a = -gx                        # theta in (90, 180): classify 180 - theta
-    hits = 0
-    for t in TAN_BOUNDARIES:
-        if lhs > a * t:
-            hits += 1
-    return _Q2_PAIRS[hits]
+        a, pairs = gx, _Q1_PAIRS
+    else:
+        a, pairs = -gx, _Q2_PAIRS  # theta in (90, 180): classify 180 - theta
+    # the boundaries increase, so the ones gy/gx exceeds are a prefix
+    lhs = gy << TAN_FRACTION_BITS
+    if lhs > a * _T1:
+        return pairs[4 if lhs > a * _T3 else 3 if lhs > a * _T2 else 2]
+    return pairs[1 if lhs > a * _T0 else 0]
 
 
 def binned_stream(
@@ -127,18 +123,19 @@ def binned_stream(
     packet records its clipped lanes at once.
     """
     top = fmt.max_raw
+    magnitude, orient = magnitude_approx_raw, orient_bin_pair
     for lanes in contexts:
         out = []
         clipped = 0
         for (_, up, _), (left, _, right), (_, down, _) in lanes:
             gx = right - left
             gy = down - up
-            m = magnitude_approx_raw(gx, gy)
+            m = magnitude(gx, gy)
             # inline: requantize_raws per packet made a 256x256 ppc-4 frame 19-40% slower
             if m > top:
                 m = top
                 clipped += 1
-            out.append((m, orient_bin_pair(gx, gy)[0]))
+            out.append((m, orient(gx, gy)[0]))
         if clipped and stats is not None:
             stats.record(MAGNITUDE, clipped)
         yield tuple(out)

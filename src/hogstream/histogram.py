@@ -75,10 +75,9 @@ def accumulate_cells(
             raise StreamProtocolError(f"packet of {ppc} lanes not in {VALID_PPC}")
         if x % ppc:
             raise StreamProtocolError(f"packet of {ppc} lanes misaligned at x={x}")
-        last_row = y % CELL == CELL - 1
+        col = x // CELL   # ppc divides CELL and x, so the packet lies in one cell
+        bins = acc[col]
         for px, (m, lo) in enumerate(pkt, x):
-            col = px // CELL
-            bins = acc[col]
             # a lane that is not two ints raises TypeError below: converting
             # it only then keeps type checks out of the loop
             try:
@@ -89,11 +88,11 @@ def accumulate_cells(
                 bins[_NEXT_BIN[lo]] += half
             except TypeError:
                 raise _lane_error(px, y, m, lo) from None
-            if last_row and px % CELL == CELL - 1:
-                yield (y // CELL, col,
-                       tuple(requantize_raws(bins, fmt.fraction, fmt, stats, HISTOGRAM)))
-                acc[col] = [0] * N_BINS
         x += ppc
+        if y % CELL == CELL - 1 and x % CELL == 0:
+            yield (y // CELL, col,
+                   tuple(requantize_raws(bins, fmt.fraction, fmt, stats, HISTOGRAM)))
+            acc[col] = [0] * N_BINS
         if x == width:
             x = 0
             y += 1

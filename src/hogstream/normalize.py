@@ -22,12 +22,13 @@ The packet path carries plain tuples of raw ints: block_stream emits one
 one (block_row, block_col, values), each laid out in its docstring. Each
 stage that takes such tuples from a caller checks them: block_stream
 rejects a cell without 9 bins, normalize_block a group without four such
-cells or whose sum is not a non-negative integer, and svm.score_windows a
-block without 36 integer values. Every format comes from the PrecisionProfile. Each square,
-cell energy (computed once per cell) and block energy saturates once. The
-packet path saturates whole lists: a cell's nine squares and a block's 36
-norm1 and 36 norm2 products are one requantize_raws call each, and each
-cell and block energy is one saturate_raw call.
+cells or whose sum is not a non-negative integer within prepare_first_norm,
+and svm.score_windows a block without 36 integer values. Every format comes
+from the PrecisionProfile. Each square, cell energy (computed once per cell)
+and block energy saturates once. The packet path saturates whole lists: a
+cell's nine squares and a block's 36 norm1 and 36 norm2 products are one
+requantize_raws call each, and each cell and block energy is one
+saturate_raw call.
 The array path has the same two parts: cell_energy_grid squares and sums each
 cell, and block_features forms and normalizes the blocks over cells whose
 energies are given, so a band of cell rows can reuse the energies of the row
@@ -38,6 +39,7 @@ float oracle shares it, as it shares the window sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Iterable, Iterator
@@ -62,6 +64,7 @@ from .stream import GeometryError
 INV_SQRT_MAGIC = 0x5F3759DF
 BLOCK_VALUES = 4 * N_BINS
 CLIP_THRESHOLD = 0.2
+_F32, _U32 = struct.Struct("<f"), struct.Struct("<I")
 
 
 def fast_inv_sqrt(x: float) -> float:
@@ -70,14 +73,17 @@ def fast_inv_sqrt(x: float) -> float:
     The operand is rounded to IEEE754 single precision; the seed is the
     pattern 0x5F3759DF - (pattern(x) >> 1); one refinement
     y = y0 * (1.5 - 0.5 * x * y0^2) brings the relative error within 0.18%
-    for x in [2**-10, 2**10]. x must be a positive finite real.
+    for x in [2**-10, 2**10]. x must be a real whose single-precision image
+    is positive and finite, as in fast_inv_sqrt_field, else ValueError.
     """
-    if not (x > 0) or math.isinf(x):
-        raise ValueError(f"fast_inv_sqrt needs a positive finite operand, got {x}")
-    pattern = struct.unpack("<I", struct.pack("<f", x))[0]
-    xf = struct.unpack("<f", struct.pack("<I", pattern))[0]
-    seed = INV_SQRT_MAGIC - (pattern >> 1)
-    y0 = struct.unpack("<f", struct.pack("<I", seed))[0]
+    try:
+        image = _F32.pack(x)
+    except OverflowError:   # beyond float32's range: its image would be inf
+        image = _F32.pack(math.inf)
+    (xf,), (pattern,) = _F32.unpack(image), _U32.unpack(image)
+    if not 0 < xf < math.inf:
+        raise ValueError(f"fast_inv_sqrt needs a positive finite float32 operand, got {x}")
+    (y0,) = _F32.unpack(_U32.pack(INV_SQRT_MAGIC - (pattern >> 1)))
     return y0 * (1.5 - 0.5 * xf * y0 * y0)
 
 
@@ -152,6 +158,21 @@ def block_stream(
         )
 
 
+@functools.cache
+def _block_constants(profile: PrecisionProfile) -> tuple:
+    """normalize_block's per-profile constants, formed once per profile: the
+    block energy's format, the first inverse sqrt's format and the fraction
+    of its products, the feature format and its quantized 0.2 clip, the
+    scale of the squared clipped features, then the same for the second
+    pass, and the output format."""
+    f1_fmt, n1_fmt, n2_fmt = (profile.feature_after_first_norm, profile.first_inv_sqrt,
+                              profile.second_inv_sqrt)
+    return (profile.prepare_first_norm,
+            n1_fmt, profile.histogram_value.fraction + n1_fmt.fraction,
+            f1_fmt, fx_quantize(CLIP_THRESHOLD, f1_fmt).raw, 1 << (2 * f1_fmt.fraction),
+            n2_fmt, f1_fmt.fraction + n2_fmt.fraction, profile.final_feature)
+
+
 def normalize_block(
     group: tuple[int, int, tuple[tuple[int, ...], ...], int],
     profile: PrecisionProfile = DEFAULT_PROFILE,
@@ -160,41 +181,33 @@ def normalize_block(
     """Two-pass fixed-point L2-hys normalization of one block_stream block;
     returns (block_row, block_col, values), 36 raws in final_feature.
 
-    The group must hold four cells of 9 bins and a non-negative integer
-    block_sq_sum, else ValueError names the block. The sum is taken as
-    block_stream gives it, not checked against the cells: recomputing it
-    would double the energy work of the packet path.
+    The group must hold four cells of 9 bins and a block_sq_sum that is a
+    non-negative integer within prepare_first_norm, else ValueError names
+    the block. The sum is taken as block_stream gives it, not checked against
+    the cells: recomputing it would double the energy work of the packet path.
     """
+    (prep_fmt, n1_fmt, n1_fraction, f1_fmt, clip_raw, sq_scale,
+     n2_fmt, n2_fraction, out_fmt) = _block_constants(profile)
     block_row, block_col, cells, block_sq_sum = group
     if (tuple(map(len, cells)) != (N_BINS,) * 4 or not isinstance(block_sq_sum, int)
-            or block_sq_sum < 0):
+            or not 0 <= block_sq_sum <= prep_fmt.max_raw):
         raise ValueError(f"block ({block_row},{block_col}) needs 4 cells of {N_BINS} bins and "
-                         f"a non-negative integer block_sq_sum, got cells of "
-                         f"{tuple(map(len, cells))} bins and sum {block_sq_sum!r}")
-    prep_fmt = profile.prepare_first_norm
-    n1_fmt = profile.first_inv_sqrt
-    f1_fmt = profile.feature_after_first_norm
-    n2_fmt = profile.second_inv_sqrt
-    out_fmt = profile.final_feature
-    hist_fraction = profile.histogram_value.fraction
+                         f"a non-negative integer block_sq_sum within {prep_fmt}, got cells "
+                         f"of {tuple(map(len, cells))} bins and sum {block_sq_sum!r}")
 
     # eps2 = one raw LSB of the squared-sum accumulator
     x1 = (block_sq_sum + 1) / prep_fmt.scale
     n1 = fx_quantize(fast_inv_sqrt(x1), n1_fmt, stats, INV_SQRT1).raw
 
     f_l2 = requantize_raws([b * n1 for bins in cells for b in bins],
-                           hist_fraction + n1_fmt.fraction, f1_fmt, stats, NORM1)
-
-    clip_raw = fx_quantize(CLIP_THRESHOLD, f1_fmt).raw
-    f_th = [min(v, clip_raw) for v in f_l2]
+                           n1_fraction, f1_fmt, stats, NORM1)
+    f_th = [v if v < clip_raw else clip_raw for v in f_l2]
 
     # squared clipped features summed exactly at twice the feature fraction
-    sq_fraction = 2 * f1_fmt.fraction
     s2 = sum(v * v for v in f_th) + 1   # + one raw LSB
-    n2 = fx_quantize(fast_inv_sqrt(s2 / (1 << sq_fraction)), n2_fmt, stats, INV_SQRT2).raw
+    n2 = fx_quantize(fast_inv_sqrt(s2 / sq_scale), n2_fmt, stats, INV_SQRT2).raw
 
-    values = tuple(requantize_raws([v * n2 for v in f_th], f1_fmt.fraction + n2_fmt.fraction,
-                                   out_fmt, stats, NORM2))
+    values = tuple(requantize_raws([v * n2 for v in f_th], n2_fraction, out_fmt, stats, NORM2))
     return block_row, block_col, values
 
 

@@ -61,6 +61,17 @@ def test_magnitude_error_band_sample():
             assert -0.032 <= rel <= 0.009, (gx, gy, rel)
 
 
+def test_magnitude_over_the_whole_signed_domain():
+    # every gradient of 8-bit pixels against an independent form, max(7a + 4b,
+    # 8a) with a = max(|gx|,|gy|) and b = min(|gx|,|gy|); the table's
+    # exhaustive tests are built from magnitude_approx_raw itself
+    g = np.arange(-255, 256)
+    a = np.maximum(np.abs(g)[:, None], np.abs(g)[None, :])
+    b = np.minimum(np.abs(g)[:, None], np.abs(g)[None, :])
+    got = [[magnitude_approx_raw(gx, gy) for gy in g.tolist()] for gx in g.tolist()]
+    assert np.array_equal(np.array(got), np.maximum(7 * a + 4 * b, 8 * a))
+
+
 def test_magnitude_saturates_and_counts():
     stats = SaturationStats()
     m = magnitude_approx(255, 255, stats=stats)

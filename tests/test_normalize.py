@@ -72,6 +72,27 @@ def test_fast_inv_sqrt_field_matches_scalar():
         assert fast_inv_sqrt(float(x)) == y
 
 
+def test_fast_inv_sqrt_agrees_with_its_array_form_at_float32_edges():
+    # both forms take the operand's float32 image: one below the smallest
+    # subnormal rounds to 0 and one past float32's max to inf, and the scalar
+    # form once returned 1.98e19 for the first and raised OverflowError for
+    # the second
+    f32 = np.finfo(np.float32)
+    rejected = []
+    for x in (1e-50, float(f32.smallest_subnormal), 1.0, float(f32.max), 3.5e38, 1e39):
+        # numpy warns of the cast to inf before the array form raises
+        with np.errstate(over="ignore"):
+            try:
+                want = fast_inv_sqrt_field(np.array([x]))
+            except ValueError:
+                rejected.append(x)
+                with pytest.raises(ValueError):
+                    fast_inv_sqrt(x)
+                continue
+        assert np.array([fast_inv_sqrt(x)]).tobytes() == want.tobytes(), x
+    assert rejected == [1e-50, 3.5e38, 1e39]
+
+
 def one_hot_grid(hot_raw=1600):
     g = np.zeros((2, 2, 9), dtype=np.int64)
     g[0, 0, 0] = hot_raw
@@ -199,13 +220,18 @@ def test_block_stream_checks_the_bin_count():
 
 def test_normalize_block_checks_its_group():
     # a 3-cell group once returned 27 values, and a negative sum failed
-    # inside fast_inv_sqrt with its own message
+    # inside fast_inv_sqrt with its own message; block_stream saturates every
+    # sum into prepare_first_norm, so a larger one comes only from a caller,
+    # and 2**200 once raised OverflowError there and 10**40 returned zeros
     ((r, c, cells, sq),) = block_stream(grid_cells(one_hot_grid()), cell_cols=2)
+    top = DEFAULT_PROFILE.prepare_first_norm.max_raw
     for bad in ((r, c, cells[:3], sq), (r, c, (*cells[:3], cells[3][:8]), sq),
-                (r, c, cells, -5), (r, c, cells, float(sq))):
+                (r, c, cells, -5), (r, c, cells, float(sq)), (r, c, cells, top + 1),
+                (r, c, cells, 10**40), (r, c, cells, 2**200)):
         with pytest.raises(ValueError, match=re.escape("block (0,0) needs 4 cells of 9 bins")):
             normalize_block(bad)
-    assert len(normalize_block((r, c, cells, sq))[2]) == BLOCK_VALUES
+    for ok in (sq, top):
+        assert len(normalize_block((r, c, cells, ok))[2]) == BLOCK_VALUES
 
 
 def test_grid_matches_stream_path():
