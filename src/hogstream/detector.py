@@ -32,7 +32,6 @@ that suppress.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -87,16 +86,6 @@ class PipelineRun:
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _spare_cpu() -> bool:
-    """Whether this process may run on more than one CPU. Pinned to one, the
-    band worker only takes turns with the caller: on a 2-vCPU x86 host, a 4K
-    noise frame took 177-236 ms with it against 175-238 ms without (medians
-    of 10 frames, six alternating processes each)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
 def _one_ahead(fn: Callable, *iterables: Iterable) -> Iterator:
     """map(fn, *iterables) with each call on one worker thread, one call
     ahead of the consumer: call i + 1 runs while the consumer holds the
@@ -117,16 +106,16 @@ def _one_ahead(fn: Callable, *iterables: Iterable) -> Iterator:
 def band_loop(frame: Frame, pixel_stage: Callable,
               block_stage: Callable | None = None) -> Iterator:
     """The one band loop. pixel_stage(r0, h) runs on the h pixel rows from
-    cell row r0, on one worker thread one band ahead (_one_ahead) where the
-    process may use more than one CPU. The results reach the caller in band
-    order, and block_stage(result, carried) maps each there: carried(*grids)
-    puts the previous band's last cell row above each of the band's cell
-    grids. With a block stage, a cell grid smaller than 2x2 raises
-    GeometryError before any stage runs."""
+    cell row r0, on one worker thread one band ahead (_one_ahead); on one
+    CPU the worker takes turns with the caller. The results reach the
+    caller in band order, and block_stage(result, carried) maps each there:
+    carried(*grids) puts the previous band's last cell row above each of the
+    band's cell grids. With a block stage, a cell grid smaller than 2x2
+    raises GeometryError before any stage runs."""
     rows, cols = frame.height // CELL, frame.width // CELL
     starts = range(0, rows, BAND_CELL_ROWS)
     heights = [(min(r0 + BAND_CELL_ROWS, rows) - r0) * CELL for r0 in starts]
-    filled = (_one_ahead if _spare_cpu() else map)(pixel_stage, starts, heights)
+    filled = _one_ahead(pixel_stage, starts, heights)
     if block_stage is None:
         return filled
     block_cells(np.empty((rows, cols, 0)))   # the frame's grid, not a band's, must hold a block

@@ -94,7 +94,7 @@ class Fx:
 
     @property
     def value(self) -> float:
-        # all profile formats are <= 42 bits wide, so the decode is exact in float64
+        # int / int is correctly rounded, and exact while |raw| < 2**53
         return self.raw / self.format.scale
 
     def __str__(self) -> str:

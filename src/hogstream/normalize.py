@@ -89,7 +89,9 @@ def fast_inv_sqrt(x: float) -> float:
 
 def fast_inv_sqrt_field(x: np.ndarray) -> np.ndarray:
     """Array form of fast_inv_sqrt (float64 in, float64 out), bit-identical."""
-    xf = np.asarray(x, dtype=np.float64).astype(np.float32)
+    # past float32's range the image is inf, as in fast_inv_sqrt, with no warning
+    with np.errstate(over="ignore"):
+        xf = np.asarray(x, dtype=np.float64).astype(np.float32)
     if xf.size and (not np.all(xf > 0) or np.any(np.isinf(xf))):
         raise ValueError("fast_inv_sqrt needs positive finite operands")
     seed = (np.int32(INV_SQRT_MAGIC) - (xf.view(np.int32) >> 1)).astype(np.int32)
@@ -160,11 +162,11 @@ def block_stream(
 
 @functools.cache
 def _block_constants(profile: PrecisionProfile) -> tuple:
-    """normalize_block's per-profile constants, formed once per profile: the
-    block energy's format, the first inverse sqrt's format and the fraction
-    of its products, the feature format and its quantized 0.2 clip, the
-    scale of the squared clipped features, then the same for the second
-    pass, and the output format."""
+    """normalize_block's and block_features' constants, formed once per
+    profile: the block energy's format, the first inverse sqrt's format and
+    the fraction of its products, the feature format and its quantized 0.2
+    clip, the scale of the squared clipped features, then the same for the
+    second pass, and the output format."""
     f1_fmt, n1_fmt, n2_fmt = (profile.feature_after_first_norm, profile.first_inv_sqrt,
                               profile.second_inv_sqrt)
     return (profile.prepare_first_norm,
@@ -241,8 +243,8 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
                    stats: SaturationStats | None = None) -> np.ndarray:
     """Normalized features of the blocks of a cell grid whose cell energies
     are given (see cell_energy_grid); int64, (R-1, C-1, 36)."""
-    prep_fmt, f1_fmt = profile.prepare_first_norm, profile.feature_after_first_norm
-    n1_fmt, n2_fmt = profile.first_inv_sqrt, profile.second_inv_sqrt
+    (prep_fmt, n1_fmt, n1_fraction, f1_fmt, clip_raw, sq_scale,
+     n2_fmt, n2_fraction, out_fmt) = _block_constants(profile)
 
     e = cell_energy
     block_sq = saturate_array(e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:],
@@ -255,14 +257,11 @@ def block_features(hist_grid: np.ndarray, cell_energy: np.ndarray,
     # peak at three block-sized arrays
     f_l2 = block_cells(hist_grid.astype(np.int64, copy=False))
     f_l2 *= n1[:, :, None]
-    f_l2 = requantize_array(f_l2, profile.histogram_value.fraction + n1_fmt.fraction,
-                            f1_fmt, stats, NORM1)
-    f_th = np.minimum(f_l2, fx_quantize(CLIP_THRESHOLD, f1_fmt).raw, out=f_l2)
+    f_l2 = requantize_array(f_l2, n1_fraction, f1_fmt, stats, NORM1)
+    f_th = np.minimum(f_l2, clip_raw, out=f_l2)
 
     s2 = np.einsum("ijk,ijk->ij", f_th, f_th) + 1
-    x2 = s2 / (1 << (2 * f1_fmt.fraction))
-    n2 = quantize_array(fast_inv_sqrt_field(x2), n2_fmt, stats, INV_SQRT2)
+    n2 = quantize_array(fast_inv_sqrt_field(s2 / sq_scale), n2_fmt, stats, INV_SQRT2)
 
     f_th *= n2[:, :, None]
-    return requantize_array(f_th, f1_fmt.fraction + n2_fmt.fraction,
-                            profile.final_feature, stats, NORM2)
+    return requantize_array(f_th, n2_fraction, out_fmt, stats, NORM2)

@@ -27,8 +27,8 @@ The float path is two stages: a pixel stage (float_cells) and a block
 stage (float_blocks). The trainer calls each once on a whole one-window
 frame for a sample's features. compare_paths, the one place that scores
 windows in float, is the one band loop over them: over detector.band_loop,
-its pixel stage, on the band worker where there is one, runs the fixed one
-and then float_cells on the index that one left. It takes a quantized model
+its pixel stage, on the band worker, runs the fixed one and then
+float_cells on the index that one left. It takes a quantized model
 and its float source, and reports per-stage error statistics plus the
 classification disagreement rate, serialized as a flat key-value text block.
 """

@@ -1,6 +1,5 @@
 """Thresholding, exact IoU, greedy NMS, frame-level detection."""
 
-import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -353,10 +352,12 @@ def test_run_pipeline_keeps_nothing_once_its_result_is_dropped():
     assert kept < 1 << 20, f"{kept / 2**20:.2f} MiB still allocated"
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
-def test_each_frame_fills_one_scratch_set(monkeypatch, cpus):
-    # each band once allocated its own per-pixel arrays on the caller's thread
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+@pytest.mark.parametrize("serial", [True, False], ids=["serial", "worker"])
+def test_each_frame_fills_one_scratch_set(monkeypatch, serial):
+    # each band once allocated its own per-pixel arrays on the caller's
+    # thread; the serial reference runs the bands there one after another
+    if serial:
+        monkeypatch.setattr(hogstream.detector, "_one_ahead", map)
     f = Frame.from_array(np.random.default_rng(70).integers(
         0, 256, size=((2 * BAND_CELL_ROWS + 1) * 8, 64), dtype=np.uint8))   # three bands
     outs = []
@@ -372,8 +373,6 @@ def test_each_frame_fills_one_scratch_set(monkeypatch, cpus):
 
 
 def test_no_band_worker_outlives_its_bands(monkeypatch):
-    # the band worker runs where the process may use two CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     f = Frame.from_array(np.random.default_rng(69).integers(
         0, 256, size=((16 + BAND_CELL_ROWS) * 8, 64), dtype=np.uint8))   # two bands or more
     model = zero_model()

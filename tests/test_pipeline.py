@@ -6,7 +6,6 @@ composition (pack -> context -> binned gradients -> cell histograms -> blocks
 of the final score map for every pixels-per-clock setting.
 """
 
-import os
 import sys
 import threading
 import time
@@ -203,46 +202,51 @@ def first_histogram_saturation_in_band_1():
     return Frame.from_array(frame), model
 
 
-def worker_and_one_cpu(monkeypatch, frame, model, profile):
-    """Run the frame with the process allowed one CPU, then two: each time
-    run_pipeline's scores and counts, and block_bands' bands and counts. Both
-    sides must be equal, counts in the same key order, and only the second
-    may run a worker thread. Returns the counts of the second run."""
+def worker_and_serial(monkeypatch, frame, model, profile):
+    """Run the frame on a serial reference, the bands one after another on
+    the caller's thread (band_loop's _one_ahead replaced by map), then on
+    the band worker: each time run_pipeline's scores and counts, and
+    block_bands' bands and counts. Both sides must be equal, counts in the
+    same key order, and only the second may run a worker thread. Returns the
+    counts of the second run."""
     sides = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)   # switch threads as often as the interpreter can
-        try:
-            s_run = SaturationStats()
-            scores = run_pipeline(frame, model, profile, s_run).score_map.scores_raw
-            s_bands = SaturationStats()
-            threads = threading.active_count()
-            bands = block_bands(frame, profile, s_bands, {})
-            got = [next(bands)]
-            workers = threading.active_count() - threads
-            got += bands
-        finally:
-            sys.setswitchinterval(interval)
+    for serial in (True, False):
+        with monkeypatch.context() as m:
+            if serial:
+                m.setattr(hogstream.detector, "_one_ahead", map)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)   # switch threads as often as the interpreter can
+            try:
+                s_run = SaturationStats()
+                scores = run_pipeline(frame, model, profile, s_run).score_map.scores_raw
+                s_bands = SaturationStats()
+                threads = threading.active_count()
+                bands = block_bands(frame, profile, s_bands, {})
+                got = [next(bands)]
+                workers = threading.active_count() - threads
+                got += bands
+            finally:
+                sys.setswitchinterval(interval)
         sides.append((scores, list(s_run.counts.items()), got,
                       list(s_bands.counts.items()), workers))
-    one, two = sides
-    assert (one[-1], two[-1]) == (0, 1)
-    assert np.array_equal(one[0], two[0])
-    assert one[1] == two[1] and one[3] == two[3]
-    assert len(one[2]) == len(two[2]) == -(-frame.height // 8 // BAND_CELL_ROWS)
-    for band_one, band_two in zip(one[2], two[2]):
-        for a, b in zip(band_one, band_two):
+    serial_side, worker_side = sides
+    assert (serial_side[-1], worker_side[-1]) == (0, 1)
+    assert np.array_equal(serial_side[0], worker_side[0])
+    assert serial_side[1] == worker_side[1] and serial_side[3] == worker_side[3]
+    assert len(serial_side[2]) == len(worker_side[2]) == -(-frame.height // 8 // BAND_CELL_ROWS)
+    for band_serial, band_worker in zip(serial_side[2], worker_side[2]):
+        for a, b in zip(band_serial, band_worker):
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
-    return dict(two[1])
+    return dict(worker_side[1])
 
 
 @BAND_EDGE_PROFILES
 @pytest.mark.parametrize("cell_rows", BAND_EDGE_CELL_ROWS)
 def test_worker_thread_and_one_cpu_give_the_same_run(monkeypatch, profile, stage, cell_rows):
-    # the band worker runs only where the process may use two CPUs
+    # "one_cpu" is the serial reference: the bands one after another on the
+    # caller's thread, as a process pinned to one CPU once ran them
     frame, model = band_edge_case(cell_rows)
-    assert worker_and_one_cpu(monkeypatch, frame, model, profile)[stage] > 0
+    assert worker_and_serial(monkeypatch, frame, model, profile)[stage] > 0
 
 
 def test_worker_thread_keeps_the_key_order_of_one_cpu(monkeypatch):
@@ -254,7 +258,7 @@ def test_worker_thread_keeps_the_key_order_of_one_cpu(monkeypatch):
     energy = hogstream.detector.cell_energy_grid
     monkeypatch.setattr(hogstream.detector, "cell_energy_grid",
                         lambda *args: time.sleep(0.02) or energy(*args))
-    counts = worker_and_one_cpu(monkeypatch, frame, model, NARROW_MAGNITUDE)
+    counts = worker_and_serial(monkeypatch, frame, model, NARROW_MAGNITUDE)
     assert list(counts) == ["prepare_norm", "magnitude", "histogram"]
 
 
@@ -264,7 +268,7 @@ def test_worker_thread_keeps_the_key_order_of_one_cpu(monkeypatch):
 def test_streamed_compare_matches_whole_grid_report(monkeypatch, profile, cell_rows):
     # compare_paths runs both paths on one band loop; its report must be the
     # one the whole grids give, byte for byte the same with or without a
-    # fixed_run, on one CPU and with the band worker
+    # fixed_run, on the serial reference and with the band worker
     rng = np.random.default_rng(110 + cell_rows)
     frame = Frame.from_array(rng.integers(0, 256, size=(cell_rows * 8, 72), dtype=np.uint8))
     w = rng.uniform(-0.3, 0.3, 3780)
@@ -274,13 +278,16 @@ def test_streamed_compare_matches_whole_grid_report(monkeypatch, profile, cell_r
     monkeypatch.setattr(hogstream.oracle, "float_cells",
                         lambda *args: threads.add(threading.current_thread()) or stage(*args))
     texts = set()
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        run = run_pipeline(frame, model, profile)
-        report = compare_paths(frame, model, fw, fb, profile=profile)
-        texts |= {report.to_text(),
-                  compare_paths(frame, model, fw, fb, profile=profile, fixed_run=run).to_text()}
-        if len(cpus) == 1:
+    for serial in (True, False):
+        with monkeypatch.context() as m:
+            if serial:
+                m.setattr(hogstream.detector, "_one_ahead", map)
+            run = run_pipeline(frame, model, profile)
+            report = compare_paths(frame, model, fw, fb, profile=profile)
+            texts |= {report.to_text(),
+                      compare_paths(frame, model, fw, fb, profile=profile,
+                                    fixed_run=run).to_text()}
+        if serial:
             assert threads == {threading.main_thread()}
     assert threads - {threading.main_thread()}   # the worker ran the float path too
     assert len(texts) == 1
