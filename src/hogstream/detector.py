@@ -77,9 +77,10 @@ class PipelineRun:
     """The window scores of one frame, its profile and stage seconds: no
     band's cells or blocks outlive the SVM, nor per-pixel arrays the run.
     Saturation counts go to the SaturationStats the caller passes to
-    run_pipeline. stage_seconds holds each stage's busy time, which overlap
-    on the band worker (see band_loop), so the four can add up to more than
-    the frame took."""
+    run_pipeline, from the band worker and the caller alike (see
+    cell_stages). stage_seconds holds each stage's busy time, in datapath
+    order; they overlap on the band worker, so the four can add up to more
+    than the frame took."""
 
     score_map: ScoreMap
     profile: PrecisionProfile
@@ -130,52 +131,42 @@ def band_loop(frame: Frame, pixel_stage: Callable,
 
 
 def cell_stages(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
-                times: dict[str, float]) -> tuple[Callable, Callable]:
-    """The fixed path's pixel stage for band_loop, and the hand-over of its
-    results on the caller's thread. The caller's thread allocates here one
-    scratch set for the frame's tallest band (index, slots, magnitudes, bins,
-    halves), whose [:h] views the pixel stage fills. Its result is ((r0,
-    hist), counts, seconds, (idx, mag, lo)): only another pixel stage on the
-    same thread may read the views, before the next band. One set is enough,
-    as the worker runs one pixel stage at a time and the caller reads only
-    the fresh histograms. The hand-over adds the counts and seconds to
-    ``stats`` and ``times`` in band order, so both get the keys, values and
-    key order of a run on one thread, and returns (r0, hist)."""
+                times: dict[str, float]) -> tuple[Callable, tuple]:
+    """The fixed path's pixel stage for band_loop, and the (idx, mag, lo)
+    scratch it leaves. The caller's thread allocates here one scratch set for
+    the frame's tallest band (index, slots, magnitudes, bins, halves), whose
+    [:h] views cells(r0, h) fills; only code on its thread may read them,
+    before the next band. One set is enough, as the worker runs one pixel
+    stage at a time and the caller reads only the fresh histograms."""
     shape = (min(BAND_CELL_ROWS * CELL, frame.height), frame.width)
     idx, slots = np.empty(shape, np.intp), np.empty(shape, np.intp)
     mag, lo, halves = np.empty(shape, np.int32), np.empty(shape, np.uint8), np.empty(shape)
 
+    # cells records into the run's stats and times, which the caller shares:
+    # each value has one writer thread, the worker for the magnitude and
+    # histogram counters and the gradient and histogram seconds (keys its
+    # first band adds before the caller adds any), the caller for the rest
     def cells(r0: int, h: int) -> tuple:
-        band_stats = None if stats is None else SaturationStats()
         t0 = time.perf_counter()
         gradient_index(frame.pixels, r0 * CELL, r0 * CELL + h, out=idx[:h])
-        binned_field(idx[:h], profile.gradient_magnitude, band_stats, out=(mag[:h], lo[:h]))
+        binned_field(idx[:h], profile.gradient_magnitude, stats, out=(mag[:h], lo[:h]))
         t1 = time.perf_counter()
-        hist = cell_histogram_grid(mag[:h], lo[:h], profile.histogram_value, band_stats,
+        hist = cell_histogram_grid(mag[:h], lo[:h], profile.histogram_value, stats,
                                    (slots[:h], halves[:h]))
-        return ((r0, hist), band_stats, (t1 - t0, time.perf_counter() - t1),
-                (idx[:h], mag[:h], lo[:h]))
+        times["gradient"] = times.get("gradient", 0.0) + t1 - t0
+        times["histogram"] = times.get("histogram", 0.0) + time.perf_counter() - t1
+        return r0, hist
 
-    def hand_over(done: tuple) -> tuple:
-        band, band_stats, seconds, _ = done
-        if stats is not None:
-            for stage, n in band_stats.counts.items():
-                stats.record(stage, n)
-        for stage, t in zip(("gradient", "histogram"), seconds):
-            times[stage] = times.get(stage, 0.0) + t
-        return band
-
-    return cells, hand_over
+    return cells, (idx, mag, lo)
 
 
 def cell_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
                times: dict[str, float]) -> Iterator[tuple]:
     """The gradient and histogram stages, band by band of cell rows: yields
     (r0, hist) per band, r0 its first cell row, and adds each stage's
-    seconds, its busy time, to ``times``. It is a map, as block_bands is, so
-    no name holds a band while the consumer runs."""
-    cells, hand_over = cell_stages(frame, profile, stats, times)
-    return map(hand_over, band_loop(frame, cells))
+    seconds, its busy time, to ``times``. A consumer that stops early also
+    has the counts and seconds of the band the worker had in flight."""
+    return band_loop(frame, cell_stages(frame, profile, stats, times)[0])
 
 
 def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats | None,
@@ -183,17 +174,17 @@ def block_bands(frame: Frame, profile: PrecisionProfile, stats: SaturationStats 
     """cell_bands plus the normalize stage: yields (b0, blocks) per band, b0
     its first block row. Its blocks also take the previous band's last cell
     row of histograms and energies. A cell grid smaller than 2x2 raises
-    GeometryError before any stage runs."""
-    cells, hand_over = cell_stages(frame, profile, stats, times)
+    GeometryError before any stage runs. As in cell_bands, a consumer that
+    stops early also has the band in flight's counts and seconds."""
 
-    def blocks(done: tuple, carried: Callable) -> tuple:
-        r0, hist = hand_over(done)
+    def blocks(band: tuple, carried: Callable) -> tuple:
+        r0, hist = band
         t0 = time.perf_counter()
         out = block_features(*carried(hist, cell_energy_grid(hist, profile, stats)), profile, stats)
         times["normalize"] = times.get("normalize", 0.0) + time.perf_counter() - t0
         return max(r0 - 1, 0), out
 
-    return band_loop(frame, cells, blocks)
+    return band_loop(frame, cell_stages(frame, profile, stats, times)[0], blocks)
 
 
 def window_scorer(frame: Frame, model: SvmModel, profile: PrecisionProfile) -> ScoreAccumulator:

@@ -102,21 +102,27 @@ class Fx:
 
 
 class SaturationStats:
-    """Counts saturation events per stage of SATURATING_STAGES; a stage that
-    never reported reads as zero, and any other label raises ValueError."""
+    """One saturation counter per stage of SATURATING_STAGES from
+    construction, so recording never inserts a key: stats[stage] reads one,
+    counts lists the nonzero ones in datapath order, and any other label
+    raises ValueError."""
 
     def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
+        self._counts = dict.fromkeys(SATURATING_STAGES, 0)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return {stage: n for stage, n in self._counts.items() if n}
 
     def record(self, stage: str, n: int = 1) -> None:
         if stage not in SATURATING_STAGES:
             raise ValueError(f"{stage!r} is not a saturating stage: {SATURATING_STAGES}")
         if n:
-            self.counts[stage] = self.counts.get(stage, 0) + int(n)
+            self._counts[stage] += int(n)
 
     def __getitem__(self, stage: str) -> int:
         self.record(stage, 0)   # checks the label and counts nothing
-        return self.counts.get(stage, 0)
+        return self._counts[stage]
 
     def __repr__(self) -> str:
         return f"SaturationStats({self.counts})"

@@ -193,10 +193,10 @@ def compare_paths(
     shape, else GeometryError), the frame and the model (see
     detector.window_scorer), and the threshold (finite, see
     svm.threshold_raw). One band loop runs both paths: its pixel stage runs
-    the fixed one, then float_cells on the gradient index that one left, and
-    the fixed scores come from its blocks. A given ``fixed_run`` whose scores
-    differ, as from another frame or model, raises ValueError naming the
-    first such anchor.
+    the fixed one, then, on the same thread, float_cells on the gradient
+    index that one left in its scratch, and the fixed scores come from its
+    blocks. A given ``fixed_run`` whose scores differ, as from another frame
+    or model, raises ValueError naming the first such anchor.
     """
     wmat = _float_model(float_weights, float_bias)
     if fixed_run is not None and fixed_run.profile != profile:
@@ -210,18 +210,19 @@ def compare_paths(
     scorer = window_scorer(frame, model, profile)
     thr = threshold_raw(threshold, profile.svm_bias)   # the format of either score map
     scores = anchor_grid(frame.height // CELL - 1, frame.width // CELL - 1, float_bias)
-    fixed_cells, _ = cell_stages(frame, profile, None, {})
+    fixed_cells, (idx, mag, lo) = cell_stages(frame, profile, None, {})
 
     def cells(r0: int, h: int) -> tuple:
         """Both paths' pixel stages from the band's one index, and its
         per-pixel tallies, so no per-pixel array reaches the caller."""
-        (_, hist), _, _, (idx, mag, lo) = fixed_cells(r0, h)
-        m, ref_lo, ref_hist = float_cells(idx)
+        _, hist = fixed_cells(r0, h)
+        m, ref_lo, ref_hist = float_cells(idx[:h])
         # both paths pair lo with lo + 1 mod 9, so the pairs differ exactly
         # where the lower bins do
         carrying = m > 0
-        return (r0, hist, ref_hist, _abs_err(mag, profile.gradient_magnitude.scale, m),
-                int(np.count_nonzero(carrying)), int(np.count_nonzero((lo != ref_lo) & carrying)))
+        return (r0, hist, ref_hist, _abs_err(mag[:h], profile.gradient_magnitude.scale, m),
+                int(np.count_nonzero(carrying)),
+                int(np.count_nonzero((lo[:h] != ref_lo) & carrying)))
 
     def blocks(band: tuple, carried: Callable) -> tuple:
         """Score one band of both paths; returns its magnitude and block

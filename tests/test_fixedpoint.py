@@ -13,6 +13,7 @@ from hogstream.fixedpoint import (
     DEFAULT_PROFILE,
     HISTOGRAM,
     INV_SQRT1,
+    INV_SQRT2,
     MAGNITUDE,
     NORM1,
     NORM2,
@@ -79,6 +80,22 @@ def test_quantize_saturation_counted():
     assert stats[MAGNITUDE] == 2
     assert stats[SVM] == 0
     assert sum(stats.counts.values()) == 2
+
+
+def test_saturation_counts_list_stages_in_datapath_order():
+    # recorded from the last stage to the first, with repeats and zero
+    # counts, the stages that saturated still list in SATURATING_STAGES order
+    stats = SaturationStats()
+    for _ in range(2):
+        for stage, n in zip(SATURATING_STAGES[::-1], [3, 0, 1, 0, 2, 0, 0, 1]):
+            stats.record(stage, n)
+    stats.record(SVM)
+    assert list(stats.counts) == [MAGNITUDE, INV_SQRT1, INV_SQRT2, SVM]
+    assert stats.counts == {MAGNITUDE: 2, INV_SQRT1: 4, INV_SQRT2: 2, SVM: 7}
+    assert stats[HISTOGRAM] == stats[NORM1] == stats[NORM2] == 0   # recorded only as zero
+    never = SaturationStats()
+    never.record(SVM)
+    assert [never[stage] for stage in SATURATING_STAGES] == [0] * 7 + [1]
 
 
 @pytest.mark.parametrize("label", ["nrom1", "mag", "saturate", "requantize", "quantize", None])

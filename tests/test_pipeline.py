@@ -249,17 +249,74 @@ def test_worker_thread_and_one_cpu_give_the_same_run(monkeypatch, profile, stage
     assert worker_and_serial(monkeypatch, frame, model, profile)[stage] > 0
 
 
-def test_worker_thread_keeps_the_key_order_of_one_cpu(monkeypatch):
+def test_worker_thread_and_serial_list_counts_in_stage_order(monkeypatch):
     # the histogram stage first saturates in band 1, which the worker
-    # computes while the caller normalizes band 0: band 1's counts must not
-    # overtake band 0's, even where the caller is slow enough for the worker
-    # to finish first
+    # computes while the caller normalizes band 0, so prepare_norm is
+    # recorded first on both schedules, even where the caller is slow enough
+    # for the worker to finish first: the counts still list in datapath order
     frame, model = first_histogram_saturation_in_band_1()
     energy = hogstream.detector.cell_energy_grid
     monkeypatch.setattr(hogstream.detector, "cell_energy_grid",
                         lambda *args: time.sleep(0.02) or energy(*args))
     counts = worker_and_serial(monkeypatch, frame, model, NARROW_MAGNITUDE)
-    assert list(counts) == ["prepare_norm", "magnitude", "histogram"]
+    assert list(counts) == ["magnitude", "histogram", "prepare_norm"]
+
+
+class ThreadNotingTimes(dict):
+    """A stage-seconds dict that notes the key and thread of each write."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def __setitem__(self, key, value):
+        self.writes.append((key, threading.current_thread()))
+        super().__setitem__(key, value)
+
+
+def writer_threads(writes):
+    """The thread that wrote each key, in the order of first writes; a key
+    written from two threads fails."""
+    threads = {}
+    for key, thread in writes:
+        assert threads.setdefault(key, thread) is thread, key
+    return threads
+
+
+@pytest.mark.parametrize("profile, worker_labels", [
+    (DEFAULT_PROFILE, {"magnitude"}),
+    (NARROW_MAGNITUDE, {"magnitude", "histogram"}),
+], ids=["default", "narrow_magnitude"])
+def test_each_count_and_seconds_key_has_one_writer_thread(monkeypatch, profile, worker_labels):
+    # the band worker and the caller record into one SaturationStats and one
+    # seconds dict, which is safe as each label and key is written from one
+    # thread: the worker writes the pixel stage's counts and seconds, the
+    # caller the rest; every stage the worker counts saturates here
+    rng = np.random.default_rng(111)
+    frame = Frame.from_array(rng.integers(0, 256, size=((3 * BAND_CELL_ROWS + 1) * 8, 64),
+                                          dtype=np.uint8))
+    model = SvmModel(weights_raw=rng.integers(-1023, 1024, size=(15, 7, 36)), bias_raw=0,
+                     bias_fmt=profile.svm_bias)
+    counted = []
+    record = SaturationStats.record
+    monkeypatch.setattr(SaturationStats, "record", lambda self, stage, n=1: (
+        counted.append((stage, threading.current_thread())) or record(self, stage, n)))
+    caller = threading.current_thread()
+    for bands in (False, True):
+        counted.clear()
+        stats, timed = SaturationStats(), []
+        if bands:
+            assert len(list(block_bands(frame, profile, stats, ThreadNotingTimes(timed)))) == 4
+        else:
+            assert list(run_pipeline(frame, model, profile, stats).stage_seconds) == [
+                "gradient", "histogram", "normalize", "svm"]
+        labels, keys = writer_threads(counted), writer_threads(timed)
+        assert len({t for t in [*labels.values(), *keys.values()] if t is not caller}) == 1
+        assert {k for k, t in labels.items() if t is not caller} == worker_labels
+        assert set(labels) > worker_labels and all(stats[k] > 0 for k in worker_labels)
+        if bands:
+            assert [(k, t is caller) for k, t in keys.items()] == [
+                ("gradient", False), ("histogram", False), ("normalize", True)]
 
 
 @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, NARROW_MAGNITUDE],
