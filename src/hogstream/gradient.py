@@ -150,7 +150,9 @@ def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None,
     """Flat intp index into _pixel_table of each pixel of rows y0..y1 (the
     whole frame by default): (gx + G) * (2G + 1) + gy + G, G = GRADIENT_MAX,
     linear in the four neighbours, so formed from them with no gradient array.
-    It is written to ``out``, an intp array of the rows' shape, if one is
+    It is formed in int32 (its largest value is (2G + 1)**2 - 1 = 261,120)
+    and widened to intp, the index np.take keeps as it is, in the last add,
+    which writes to ``out``, an intp array of the rows' shape, if one is
     given.
 
     A band reads a one-row halo above and below it from the frame; edges are
@@ -165,12 +167,11 @@ def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None,
     halo = (int(y0 == 0), int(y1 == h))   # rows the frame itself cannot supply
     p = np.pad(pixels[max(y0 - 1, 0) : y1 + 1], (halo, (1, 1)), mode="edge")
     n = 2 * GRADIENT_MAX + 1
-    idx = np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=out, dtype=np.intp)
+    idx = np.subtract(p[1:-1, 2:], p[1:-1, :-2], dtype=np.int32)
     idx *= n
     idx += p[2:, 1:-1]
     idx -= p[:-2, 1:-1]
-    idx += GRADIENT_MAX * n + GRADIENT_MAX
-    return idx
+    return np.add(idx, GRADIENT_MAX * n + GRADIENT_MAX, out=out, dtype=np.intp)
 
 
 def _pixel_table() -> tuple[np.ndarray, np.ndarray]:

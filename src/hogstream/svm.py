@@ -9,9 +9,11 @@ fraction (19), so accumulation is exact integer arithmetic: any evaluation
 order gives the same raw score, and the single saturation check happens on
 the final per-anchor total. The hardware's four sequential 9-value partial
 dots are one such order. ScoreAccumulator uses another: one 36-wide dot per
-block in float64 (block_dots), added into the window totals as block rows
+block (block_dots), added into float64 window totals as block rows
 complete, which is exact because it refuses formats whose worst-case sum
-could reach 2**53. Both execution styles score through it.
+could reach 2**53. The dots are float32 where the model keeps every partial
+sum of each below 2**24, float64 otherwise. Both execution styles score
+through it.
 
 Model files are line-oriented text. Quantized ("HOGSVM1"):
 
@@ -33,6 +35,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .fixedpoint import (
     DEFAULT_PROFILE,
@@ -138,18 +141,27 @@ def window_sums(dots: np.ndarray, sums: np.ndarray, row0: int = 0) -> np.ndarray
 
     dots: (105, n, block_cols) for block rows row0..row0 + n - 1; row r*7 + c
     holds, per block, the term that block adds to the window anchored r block
-    rows above and c block columns left of it. The slices are added in that
-    r-major order; each block row feeds at most 15 anchor rows. Returns sums.
+    rows above and c block columns left of it. Dots of another shape than
+    (105, n, ac + 6) for the (ar, ac) totals raise GeometryError. The 7
+    column-shifted slices of every r are summed in float64 in one strided
+    view, over c, and each r's sum is then added to the totals in r order;
+    each block row feeds at most 15 anchor rows. Returns sums.
     """
     ar, ac = sums.shape
-    n = dots.shape[1]
+    n = dots.shape[1] if dots.ndim == 3 else 0
+    if dots.shape != (WINDOW_BLOCKS, n, ac + WINDOW_BLOCK_COLS - 1):
+        raise GeometryError(f"dots of shape {dots.shape} do not fit {ar}x{ac} anchors: "
+                            f"expected ({WINDOW_BLOCKS}, n, {ac + WINDOW_BLOCK_COLS - 1})")
+    s0, s1, s2 = dots.strides
+    # [c, r, i, j] = dots[r*7 + c, i, c + j]; the shape check keeps every
+    # element inside dots
+    rows = as_strided(dots, shape=(WINDOW_BLOCK_COLS, WINDOW_BLOCK_ROWS, n, ac),
+                      strides=(s0 + s2, WINDOW_BLOCK_COLS * s0, s1, s2),
+                      writeable=False).sum(axis=0, dtype=np.float64)
     for r in range(WINDOW_BLOCK_ROWS):
         a0, a1 = max(row0 - r, 0), min(row0 + n - r, ar)
-        if a0 >= a1:
-            continue
-        for c in range(WINDOW_BLOCK_COLS):
-            sums[a0:a1] += dots[r * WINDOW_BLOCK_COLS + c, a0 + r - row0 : a1 + r - row0,
-                                c : c + ac]
+        if a0 < a1:
+            sums[a0:a1] += rows[r, a0 + r - row0 : a1 + r - row0]
     return sums
 
 
@@ -166,16 +178,24 @@ class ScoreAccumulator:
     Construction checks the formats and the geometry once: formats that
     fixedpoint.check_score_formats rejects raise ValueError, and any others
     keep every partial sum an exact integer in float64, so any split of the
-    grid into bands gives the same totals. ``add`` takes the bands in order,
-    top to bottom, and range-checks each raw once; ``scores`` saturates each
-    total once, after the last block row.
+    grid into bands gives the same totals. It also fixes the dtype of the
+    block dots, carried by ``wmat``: float32 when the largest L1 norm of a
+    block's coefficient raws times the largest raw magnitude of the feature
+    format is below 2**24, so every partial sum of every dot of any block
+    ``add`` admits is an exact integer in float32, in any order and with FMA;
+    float64 otherwise. The window totals are float64. ``add`` takes the
+    bands in order, top to bottom, and range-checks each raw once; ``scores``
+    saturates each total once, after the last block row.
     """
 
     def __init__(self, model: SvmModel, block_rows: int, block_cols: int,
                  feature_fmt: FxFormat = DEFAULT_PROFILE.final_feature) -> None:
         check_score_formats(feature_fmt, model.coeff_fmt, model.bias_fmt)
         self.feature_fmt, self.bias_fmt = feature_fmt, model.bias_fmt
-        self.wmat = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES).astype(np.float64)
+        w = model.weights_raw.reshape(WINDOW_BLOCKS, BLOCK_VALUES)
+        # bounds |every partial sum| of the dot of any block add admits
+        top = int(np.abs(w).sum(axis=1).max()) * max(feature_fmt.max_raw, -feature_fmt.min_raw)
+        self.wmat = w.astype(np.float32 if top < 1 << 24 else np.float64)
         self.sums = anchor_grid(block_rows, block_cols, model.bias_raw)
         self.grid, self.due = (block_rows, block_cols), 0   # due: the next block row to add
 
@@ -194,7 +214,7 @@ class ScoreAccumulator:
         fmt = self.feature_fmt
         if block_raw.size and (block_raw.min() < fmt.min_raw or block_raw.max() > fmt.max_raw):
             raise ValueError(f"block feature raws do not fit {fmt}")
-        window_sums(block_dots(block_raw.astype(np.float64), self.wmat), self.sums, row0)
+        window_sums(block_dots(block_raw.astype(self.wmat.dtype), self.wmat), self.sums, row0)
         self.due += n
 
     def scores(self, stats: SaturationStats | None = None) -> ScoreMap:

@@ -1,5 +1,6 @@
 """Window scoring: exact accumulation, anchor alignment, model file IO."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,12 +20,14 @@ from hogstream.svm import (
     ModelFormatError,
     ScoreAccumulator,
     SvmModel,
+    anchor_grid,
     load_float_model,
     load_model,
     save_float_model,
     save_model,
     score_windows,
     sniff_model_format,
+    window_sums,
 )
 from reference import score_grid
 
@@ -304,6 +307,95 @@ def test_score_accumulator_checks_where_a_band_lands():
     assert acc.scores().scores_raw.tolist() == [[3780, 3780]]
     with pytest.raises(GeometryError, match=r"rows 15\.\.15 arrived after 15 of 15"):
         acc.add(ones[:1], 15)
+
+
+def test_window_sums_rejects_dots_that_do_not_fit_the_anchors():
+    # a 15x8 block grid has 1x2 anchors; dots one column too narrow once added
+    # a (1, 1) last slice broadcast over both anchors, and one too wide summed
+    # only their left part, both silently
+    sums = anchor_grid(15, 8, 0)
+    for shape in [(105, 15, 7), (105, 15, 9), (104, 15, 8), (105, 15)]:
+        with pytest.raises(GeometryError, match=re.escape(f"dots of shape {shape}")):
+            window_sums(np.ones(shape), sums)
+    assert sums.tolist() == [[0.0, 0.0]]
+    assert window_sums(np.ones((105, 15, 8)), sums).tolist() == [[105.0, 105.0]]
+
+
+def slice_sums(dots, sums, row0):
+    """window_sums' terms added one (r, c) slice at a time, r then c."""
+    ar, ac = sums.shape
+    n = dots.shape[1]
+    for r in range(WINDOW_BLOCK_ROWS):
+        for c in range(WINDOW_BLOCK_COLS):
+            for a in range(max(row0 - r, 0), min(row0 + n - r, ar)):
+                sums[a] += dots[r * WINDOW_BLOCK_COLS + c, a + r - row0, c : c + ac]
+    return sums
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_window_sums_match_slice_sums_at_every_band_offset(dtype):
+    # 18x10 blocks: 4x4 anchors. Splits into bands of 1, 4, 8, 15 and 18
+    # rows, the last band of each shorter, and every tail band: each band's
+    # sums and each split's totals equal the slice-by-slice reference exactly
+    rng = np.random.default_rng(61)
+    rows, cols = 18, 10
+    dots = rng.integers(-(1 << 23), 1 << 23, size=(WINDOW_BLOCKS, rows, cols)).astype(dtype)
+    whole = slice_sums(dots, anchor_grid(rows, cols, 7), 0)
+    for n in (1, 4, 8, 15, rows):
+        banded = anchor_grid(rows, cols, 7)
+        for row0 in range(0, rows, n):
+            band = dots[:, row0 : row0 + n]
+            assert np.array_equal(window_sums(band, anchor_grid(rows, cols, 7), row0),
+                                  slice_sums(band, anchor_grid(rows, cols, 7), row0))
+            window_sums(band, banded, row0)
+        assert np.array_equal(banded, whole)
+    for row0 in range(rows):
+        band = dots[:, row0:]
+        assert np.array_equal(window_sums(band, anchor_grid(rows, cols, 0), row0),
+                              slice_sums(band, anchor_grid(rows, cols, 0), row0))
+
+
+def edge_model(l1, sign):
+    """A model whose block (0, 0) has coefficient raws of L1 norm ``l1``, all
+    of ``sign``, and every other block random +-300."""
+    w = np.random.default_rng(62).integers(-300, 301, size=(15, 7, 36))
+    top, rest = divmod(l1, COEFF_FMT.max_raw)
+    w[0, 0] = 0
+    w[0, 0, :top] = sign * COEFF_FMT.max_raw
+    if rest:
+        w[0, 0, top] = sign * rest
+    assert int(np.abs(w).sum(axis=2).max()) == l1
+    return SvmModel(weights_raw=w, bias_raw=12345)
+
+
+@pytest.mark.parametrize("l1, sign, dtype", [
+    # 32,767 x 512 = 2**24 - 512: every partial sum of a dot below 2**24
+    (32767, -1, np.float32),
+    (32768, -1, np.float64),
+    # 36 x 1023, the widest block: its worst-case partial sums are odd
+    # multiples of 1023 x 511 above 2**24, which float32 would round
+    (36 * COEFF_FMT.max_raw, 1, np.float64),
+], ids=["below_2_24", "at_2_24", "widest"])
+def test_block_dot_dtype_follows_the_model_bound(l1, sign, dtype):
+    m = edge_model(l1, sign)
+    assert ScoreAccumulator(m, 15, 7).wmat.dtype == dtype
+    # worst-case blocks: every raw at the format's edge, signed like its
+    # coefficient, so block (0, 0)'s dot reaches l1 x 512 (x 511 if positive)
+    blocks = np.where(m.weights_raw < 0, FEAT_FMT.min_raw, FEAT_FMT.max_raw)
+    exact = m.bias_raw + sum(w * f for w, f in zip(m.weights_raw.ravel().tolist(),
+                                                   blocks.ravel().tolist()))
+    assert score_grid(blocks, m).scores_raw.tolist() == [[exact]]
+    # and in a grid, where each block also meets other coefficients
+    grid = np.tile(blocks, (2, 2, 1))[:17, :9]
+    assert score_grid(grid, m).scores_raw.tolist() == naive_scores(grid, m)
+
+
+def test_block_dots_of_a_workload_model_are_float32():
+    # +-300 raws, as the benchmark's models draw: a row's L1 norm stays near
+    # 36 x 150, far below 2**24 / 512
+    m = SvmModel(weights_raw=np.random.default_rng(63).integers(-300, 301, size=(15, 7, 36)),
+                 bias_raw=0)
+    assert ScoreAccumulator(m, 15, 7).wmat.dtype == np.float32
 
 
 def test_score_windows_stream():
