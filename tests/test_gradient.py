@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hogstream import gradient
 from hogstream.fixedpoint import DEFAULT_PROFILE, FxFormat, SaturationStats, saturate_raw
 from hogstream.gradient import (
     TAN_BOUNDARIES,
@@ -157,7 +158,8 @@ def test_field_axis_rows():
 
 
 def test_field_matches_scalar_exhaustively():
-    # every gradient of 8-bit pixels, both signs: guards the table's mirrored half
+    # every gradient of 8-bit pixels, both signs: guards every branch of the
+    # table's numpy form
     g = np.arange(-255, 256)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     stats = SaturationStats()
@@ -195,6 +197,23 @@ def test_packed_gather_matches_scalar_ops_exhaustively(every_gradient, width):
     assert mag.tolist() == [saturate_raw(m, fmt, scalar_stats, "magnitude") for m in mags]
     assert [(b, (b + 1) % 9) for b in lo.tolist()] == pairs
     assert stats.counts == scalar_stats.counts
+
+
+def test_packed_table_builds_without_calling_the_scalar_ops(monkeypatch):
+    # the table is the scalar ops' numpy form, checked against them above, so a
+    # cold start makes none of the 196k scalar calls a loop over it made
+    def scalar_op(gx, gy):
+        raise AssertionError("a scalar op was called to build the table")
+
+    monkeypatch.setattr(gradient, "magnitude_approx_raw", scalar_op)
+    monkeypatch.setattr(gradient, "orient_bin_pair", scalar_op)
+    fmt = FxFormat(10, 3)
+    gradient._packed_table.cache_clear()
+    try:
+        packed, clipped_from = gradient._packed_table(fmt)
+    finally:
+        gradient._packed_table.cache_clear()   # no entry outlives the patch
+    assert packed.shape == (511 * 511,) and clipped_from == (fmt.max_raw << 5) | 16
 
 
 def test_packed_gather_does_not_count_a_magnitude_at_the_top():

@@ -321,6 +321,17 @@ def test_window_sums_rejects_dots_that_do_not_fit_the_anchors():
     assert window_sums(np.ones((105, 15, 8)), sums).tolist() == [[105.0, 105.0]]
 
 
+def test_window_sums_rejects_rows_outside_the_totals():
+    # a 15x8 block grid has 1x2 anchors and 15 block rows: 17 rows at 0 once
+    # summed as if 15, 3 rows at 40 added nothing and row0 -2 added 7, silently
+    sums = anchor_grid(15, 8, 0)
+    for n, row0 in [(17, 0), (3, 40), (3, -2)]:
+        with pytest.raises(GeometryError, match=rf"block rows {row0}\.\.{row0 + n - 1} do not lie"):
+            window_sums(np.ones((105, n, 8)), sums, row0)
+    assert sums.tolist() == [[0.0, 0.0]]
+    assert window_sums(np.ones((105, 3, 8)), sums, 12).tolist() == [[21.0, 21.0]]
+
+
 def slice_sums(dots, sums, row0):
     """window_sums' terms added one (r, c) slice at a time, r then c."""
     ar, ac = sums.shape
